@@ -7,7 +7,6 @@ bound computed from its spectrum.
 import numpy as np
 
 from rgfopt import (
-    Digraph,
     build_augmented,
     delta_hat,
     equal_neighbor_weights,
@@ -47,12 +46,6 @@ rg = make_random_strongly_connected(10, extra_edge_prob=0.3, seed=7)
 print("agents:", rg.n_agents, "| directed edges:",
       sum(1 for i, j in rg.edges if i != j))
 print("strongly connected:", is_strongly_connected(rg))
-
-print("\n=== edge-list serialization round trip ===")
-text = rg.to_edge_list_text()
-print("first lines:", text.splitlines()[:4])
-back = Digraph.from_edge_list_text(text)
-print("round trip preserves edges:", back.edges == rg.edges)
 
 print("\n=== a bidirectional ring ===")
 ring = make_ring(8)

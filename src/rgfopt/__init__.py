@@ -22,7 +22,6 @@ from .oracle import (
     ObjectiveStream,
     OracleConfig,
     OracleError,
-    RngStream,
     constant_stream,
     gradient_free_oracle,
     linear_probe_stream,
@@ -30,7 +29,6 @@ from .oracle import (
     norm_stream,
     paper_objective_stream,
     sample_direction,
-    smoothed_value_mc,
     smoothed_value_mc_stats,
     tracking_target,
 )
@@ -47,11 +45,8 @@ from .algorithm import (
     fit_geometric_decay,
     inv_sqrt_schedule,
     make_graph,
-    project,
     run,
     step_all,
-    table_schedule,
-    theta_residual,
 )
 from .analysis import (
     BoundBreakdown,
@@ -61,7 +56,6 @@ from .analysis import (
     SpectralRow,
     build_regret_ledger,
     consensus_curve,
-    dynamic_regret,
     fit_constants_from_trace,
     path_length,
     regret_bound_rhs,

@@ -20,11 +20,10 @@ verify step by step.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import numbers
 import warnings as _warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
 
@@ -46,14 +45,11 @@ from .oracle import ObjectiveStream, OracleConfig, gradient_free_oracle, make_st
 __all__ = [
     "Box",
     "Ball",
-    "project",
     "StepSchedule",
     "inv_sqrt_schedule",
     "constant_schedule",
-    "table_schedule",
     "AgentStates",
     "step_all",
-    "theta_residual",
     "RunConfig",
     "Trace",
     "run",
@@ -61,6 +57,7 @@ __all__ = [
     "SimulationError",
     "make_graph",
     "fit_geometric_decay",
+    "csv_text",
 ]
 
 _DOMAIN_INIT = 0
@@ -147,46 +144,27 @@ class Ball:
         return out.reshape(shape)
 
 
-def project(feasible, v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the feasible set; idempotent."""
-    return feasible.project(np.asarray(v, dtype=float))
-
-
 @dataclass(frozen=True)
 class StepSchedule:
     """Positive non-increasing step sizes gamma(t).
 
     Kinds `inv_sqrt` (gamma0/sqrt(t+1)) and `constant` are non-summable by
-    construction; a custom table is validated for positivity and monotonicity
-    and extends with its final value.
+    construction.
     """
 
     kind: str
     gamma0: float = 1.0
-    table: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("inv_sqrt", "constant", "table"):
+        if self.kind not in ("inv_sqrt", "constant"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if self.kind in ("inv_sqrt", "constant"):
-            if self.gamma0 <= 0:
-                raise ConfigError(f"gamma0 must be positive, got {self.gamma0}")
-        else:
-            tab = tuple(float(v) for v in self.table)
-            if not tab:
-                raise ConfigError("table schedule needs at least one value")
-            if any(v <= 0 for v in tab):
-                raise ConfigError("table entries must be positive")
-            if any(b > a for a, b in zip(tab, tab[1:])):
-                raise ConfigError("table entries must be non-increasing")
-            object.__setattr__(self, "table", tab)
+        if self.gamma0 <= 0:
+            raise ConfigError(f"gamma0 must be positive, got {self.gamma0}")
 
     def __call__(self, t: int) -> float:
         if self.kind == "inv_sqrt":
             return self.gamma0 / math.sqrt(t + 1.0)
-        if self.kind == "constant":
-            return self.gamma0
-        return self.table[min(t, len(self.table) - 1)]
+        return self.gamma0
 
 
 def inv_sqrt_schedule(gamma0: float = 1.0) -> StepSchedule:
@@ -195,10 +173,6 @@ def inv_sqrt_schedule(gamma0: float = 1.0) -> StepSchedule:
 
 def constant_schedule(gamma: float) -> StepSchedule:
     return StepSchedule(kind="constant", gamma0=gamma)
-
-
-def table_schedule(values) -> StepSchedule:
-    return StepSchedule(kind="table", gamma0=1.0, table=tuple(values))
 
 
 @dataclass(frozen=True)
@@ -228,18 +202,22 @@ class AgentStates:
         return (self.x.sum(axis=0) + self.y.sum(axis=0)) / self.n_agents
 
 
-def _oracle_block(stream: ObjectiveStream, cfg: OracleConfig, x: np.ndarray, t: int) -> np.ndarray:
-    n = x.shape[0]
-    g = np.empty_like(x)
-    for i in range(n):
-        g[i] = gradient_free_oracle(stream, cfg, i, t, x[i])
-    return g
+def step_all(states: AgentStates, wp: WeightPair, delta: float, gamma_t: float,
+             stream: ObjectiveStream, cfg: OracleConfig, t: int,
+             feasible) -> tuple[AgentStates, np.ndarray, np.ndarray]:
+    """One synchronous round for all agents; exactly one oracle draw (two
+    evaluations) per agent.
 
-
-def _step_core(states: AgentStates, wp: WeightPair, delta: float, gamma_t: float,
-               stream: ObjectiveStream, cfg: OracleConfig, t: int, feasible):
+    Returns the new states, the oracle estimates g (N, p) and the projection
+    residuals theta^i = x^i+ - (W_r x)^i - delta y^i (N, p); residuals on
+    surplus rows are identically zero and are not materialized.
+    """
+    if gamma_t <= 0:
+        raise ConfigError(f"gamma(t) must be positive, got {gamma_t}")
     x, y = states.x, states.y
-    g = _oracle_block(stream, cfg, x, t)
+    g = np.empty_like(x)
+    for i in range(x.shape[0]):
+        g[i] = gradient_free_oracle(stream, cfg, i, t, x[i])
     mixed = wp.w_row @ x
     x_new = feasible.project(mixed + delta * y - gamma_t * g)
     y_new = wp.w_col @ y - mixed + x - delta * y
@@ -250,24 +228,15 @@ def _step_core(states: AgentStates, wp: WeightPair, delta: float, gamma_t: float
     return AgentStates(x=x_new, y=y_new), g, theta
 
 
-def step_all(states: AgentStates, wp: WeightPair, delta: float, gamma_t: float,
-             stream: ObjectiveStream, cfg: OracleConfig, t: int, feasible) -> AgentStates:
-    """One synchronous round for all agents; exactly one oracle draw
-    (two evaluations) per agent."""
-    if gamma_t <= 0:
-        raise ConfigError(f"gamma(t) must be positive, got {gamma_t}")
-    new_states, _, _ = _step_core(states, wp, delta, gamma_t, stream, cfg, t, feasible)
-    return new_states
-
-
-def theta_residual(states_before: AgentStates, states_after: AgentStates,
-                   wp: WeightPair, delta: float) -> tuple[np.ndarray, float]:
-    """Projection residuals theta^i = x^i+ - (W_r x)^i - delta y^i and their
-    summed norm Theta.  Residuals on surplus rows are identically zero and
-    are not materialized."""
-    theta = states_after.x - wp.w_row @ states_before.x - delta * states_before.y
-    big_theta = float(np.linalg.norm(theta, axis=1).sum())
-    return theta, big_theta
+# Field annotation -> (description, check).  Integers accept numpy ints but
+# not bools; reals must be finite.
+_FIELD_CHECKS = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a finite real", lambda v: (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                          and math.isfinite(v))),
+    "bool": ("a bool", lambda v: isinstance(v, (bool, np.bool_))),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
 
 
 @dataclass(frozen=True)
@@ -308,6 +277,14 @@ class RunConfig:
         return cls(**data)
 
     def validate(self) -> None:
+        for f in fields(self):
+            what, check = _FIELD_CHECKS[f.type]
+            value = getattr(self, f.name)
+            if not check(value):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        if self.graph_seed < 0 or self.master_seed < 0:
+            raise ConfigError(f"seeds must be >= 0, got graph_seed={self.graph_seed}, "
+                              f"master_seed={self.master_seed}")
         if self.horizon < 0:
             raise ConfigError(f"horizon must be >= 0, got {self.horizon}")
         if self.delta <= 0:
@@ -324,6 +301,15 @@ class RunConfig:
             raise ConfigError(f"unknown schedule kind {self.schedule_kind!r}")
         if self.feasible_kind not in ("box", "ball"):
             raise ConfigError(f"unknown feasible kind {self.feasible_kind!r}")
+        if self.direction_law not in ("gaussian", "uniform_sphere"):
+            raise ConfigError(f"direction_law must be 'gaussian' or 'uniform_sphere', "
+                              f"got {self.direction_law!r}")
+
+    def feasible_set(self):
+        """The configured feasible set: a box or a ball centred at the origin."""
+        if self.feasible_kind == "box":
+            return Box(self.feasible_lo, self.feasible_hi, self.dim)
+        return Ball(np.zeros(self.dim), self.ball_radius)
 
 
 def make_graph(kind: str, n: int, seed: int = 0, extra_edge_prob: float = 0.3) -> Digraph:
@@ -403,27 +389,28 @@ class Trace:
         }
 
     def to_csv_text(self) -> str:
-        """Long-format CSV: t, agent, x..., global_cost, spread, x_star...
-
-        Floats are written with shortest round-trip repr so identical runs
-        produce identical bytes.
-        """
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
+        """Long-format CSV: t, agent, x..., global_cost, spread, x_star..."""
         p = self.x.shape[2]
         header = (["t", "agent"] + [f"x_{k}" for k in range(p)]
                   + ["global_cost", "spread"])
+        x, cost, spread = self.x.tolist(), self.cost.tolist(), self.spread.tolist()
+        star = [[]] * len(x)
         if self.x_star is not None:
             header += [f"x_star_{k}" for k in range(p)]
-        w.writerow(header)
-        for t in range(self.x.shape[0]):
-            for i in range(self.n_agents):
-                row = [t, i] + [repr(float(v)) for v in self.x[t, i]]
-                row += [repr(float(self.cost[t, i])), repr(float(self.spread[t]))]
-                if self.x_star is not None:
-                    row += [repr(float(v)) for v in self.x_star[t]]
-                w.writerow(row)
-        return buf.getvalue()
+            star = self.x_star.tolist()
+        rows = ([t, i, *x[t][i], cost[t][i], spread[t], *star[t]]
+                for t in range(len(x)) for i in range(self.n_agents))
+        return csv_text(header, rows)
+
+
+def csv_text(header: list[str], rows) -> str:
+    """CSV with floats written as their shortest round-trip repr, so
+    identical values produce identical bytes."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def _fit_practical_gain_bound(wp: WeightPair, delta: float, n: int):
@@ -462,13 +449,8 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     if stream.n_agents != config.n_agents or stream.dim != config.dim:
         raise ConfigError("stream shape does not match config")
 
-    if config.feasible_kind == "box":
-        feasible = Box(config.feasible_lo, config.feasible_hi, config.dim)
-    else:
-        feasible = Ball(np.zeros(config.dim), config.ball_radius)
-
-    schedule = (inv_sqrt_schedule(config.gamma0) if config.schedule_kind == "inv_sqrt"
-                else constant_schedule(config.gamma0))
+    feasible = config.feasible_set()
+    schedule = StepSchedule(config.schedule_kind, config.gamma0)
     cfg = OracleConfig.uniform(config.n_agents, config.mu_hat, config.dim,
                                direction_law=config.direction_law, rng_seed=config.master_seed)
 
@@ -521,8 +503,8 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
         gamma_t = schedule(t)
         gamma_hist[t] = gamma_t
         try:
-            states, g_mat, theta = _step_core(states, wp, config.delta, gamma_t,
-                                              stream, cfg, t, feasible)
+            states, g_mat, theta = step_all(states, wp, config.delta, gamma_t,
+                                            stream, cfg, t, feasible)
         except SimulationError:
             raise
         except Exception as exc:

@@ -17,15 +17,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .algorithm import Box, Trace, fit_geometric_decay
+from .algorithm import Trace, fit_geometric_decay
 from .graph import WeightPair, build_augmented, delta_hat, matrix_power_gap_series
 from .oracle import ObjectiveStream
 
 __all__ = [
     "RegretLedger",
-    "dynamic_regret",
     "build_regret_ledger",
     "path_length",
     "ConsensusCurves",
@@ -71,6 +69,7 @@ def _minimizer_sequence(trace: Trace, stream: ObjectiveStream) -> tuple[np.ndarr
     cfg = trace.config
     if cfg.feasible_kind != "box":
         raise ValueError("numeric minimizer fallback requires a box feasible set")
+    from scipy.optimize import minimize_scalar  # slow to import; only this fallback needs it
     lo, hi = cfg.feasible_lo, cfg.feasible_hi
     out = np.empty((trace.horizon + 1, 1))
     for t in range(trace.horizon + 1):
@@ -83,12 +82,8 @@ def _minimizer_sequence(trace: Trace, stream: ObjectiveStream) -> tuple[np.ndarr
     return out, "numeric"
 
 
-def dynamic_regret(trace: Trace, stream: ObjectiveStream) -> np.ndarray:
-    """R_i(T) for every agent."""
-    return build_regret_ledger(trace, stream).regret
-
-
 def build_regret_ledger(trace: Trace, stream: ObjectiveStream) -> RegretLedger:
+    """Dynamic regret R_i(t) of every agent against the per-step offline optimum."""
     minimizers, source = _minimizer_sequence(trace, stream)
     t_end = trace.horizon
     offline_per_t = np.array([float(stream.aggregate_cost(t, minimizers[t][None, :])[0])
@@ -288,8 +283,9 @@ def fit_constants_from_trace(trace: Trace, wp: WeightPair,
                              stream: ObjectiveStream | None = None) -> BoundInputs:
     """Assemble bound inputs from a recorded run: spectral fit at the run's
     gain plus measured residual ceilings.  The subgradient bound comes from
-    the stream when it declares one, else from the largest observed oracle
-    norm (a valid empirical proxy)."""
+    the stream when it declares one, evaluated at the radius of the
+    configured feasible set, else from the largest observed oracle norm (a
+    valid empirical proxy)."""
     cfg = trace.config
     gaps = matrix_power_gap_series(build_augmented(wp, cfg.delta), 200)
     c_fit, lam_fit, _ = fit_geometric_decay(gaps, 5, 200)
@@ -299,16 +295,14 @@ def fit_constants_from_trace(trace: Trace, wp: WeightPair,
     g_sum = trace.g_norm.sum(axis=1)
     big_theta = np.linalg.norm(trace.theta, axis=2).sum(axis=1)
     g3 = float((g_sum * big_theta / trace.gamma).max())
-    if cfg.feasible_kind == "box":
-        rho = Box(cfg.feasible_lo, cfg.feasible_hi, cfg.dim).radius
-    else:
-        rho = cfg.ball_radius
-    if stream is not None and stream.subgradient_bound:
-        d_bound = float(stream.subgradient_bound)
-    elif trace.g_norm is not None:
+    rho = cfg.feasible_set().radius
+    d_bound = 0.0
+    if stream is not None and stream.subgradient_bound is not None:
+        d_bound = float(stream.subgradient_bound(rho))
+    if not d_bound:
+        if trace.g_norm is None:
+            raise ValueError("no subgradient bound available and no oracle norms recorded")
         d_bound = float(trace.g_norm.max())
-    else:
-        raise ValueError("no subgradient bound available and no oracle norms recorded")
     return BoundInputs(
         n_agents=cfg.n_agents, dim=cfg.dim, rho=rho,
         subgradient_bound=d_bound,

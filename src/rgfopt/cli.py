@@ -32,13 +32,20 @@ def _fail(kind: str, message: str, code: int) -> int:
     return code
 
 
+class _EnvSeedError(ValueError):
+    """RGF_SEED is set but is not an integer."""
+
+
 def _default_seed(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get("RGF_SEED")
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise _EnvSeedError(f"RGF_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -187,15 +194,18 @@ def main(argv=None) -> int:
         # argparse already printed usage; normalize the code
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
 
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "spectral":
-        return _cmd_spectral(args)
-    if args.command == "diagnose":
-        args.name = "diagnostics"
-        return _cmd_experiment(args)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "experiment":
+            return _cmd_experiment(args)
+        if args.command == "spectral":
+            return _cmd_spectral(args)
+        if args.command == "diagnose":
+            args.name = "diagnostics"
+            return _cmd_experiment(args)
+    except _EnvSeedError as exc:
+        return _fail("config", str(exc), EXIT_PARSE)
     return _fail("usage", f"unknown command {args.command!r}", EXIT_PARSE)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithm import RunConfig, Trace, run
+from .algorithm import RunConfig, Trace, csv_text, run
 from .analysis import (
     RegretLedger,
     build_regret_ledger,
@@ -78,12 +78,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                              for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _tracking_config(seed: int, horizon: int) -> RunConfig:
+    """The 10-agent random-digraph tracking run shared by fig2_3 and diagnostics."""
+    return RunConfig(n_agents=10, graph_kind="random", graph_seed=FIG1_GRAPH_SEED,
+                     extra_edge_prob=FIG1_EXTRA_EDGE_PROB, horizon=horizon,
+                     master_seed=seed, **SV_DEFAULTS)
 
 
 def rerun_from_metadata(meta_path) -> Trace:
@@ -104,9 +103,7 @@ def experiment_fig2_3(seed: int = 0, horizon: int = 5000, out_dir=None) -> Track
     """Ten agents on a random strongly connected digraph tracking the moving
     minimizer; emits trajectory, regret, and consensus series."""
     directory = _out_dir("fig2_3", out_dir)
-    config = RunConfig(n_agents=10, graph_kind="random", graph_seed=FIG1_GRAPH_SEED,
-                       extra_edge_prob=FIG1_EXTRA_EDGE_PROB, horizon=horizon,
-                       master_seed=seed, **SV_DEFAULTS)
+    config = _tracking_config(seed, horizon)
     trace = run(config)
     stream = make_stream(config.stream_name, config.n_agents, config.dim, config.master_seed)
     ledger = build_regret_ledger(trace, stream)
@@ -122,14 +119,14 @@ def experiment_fig2_3(seed: int = 0, horizon: int = 5000, out_dir=None) -> Track
         for i in range(trace.n_agents):
             regret_rows.append([t, i, ledger.regret_curve[t, i], ledger.regret_curve[t, i] / t])
     paths["regret"] = directory / "regret.csv"
-    _write_csv(paths["regret"], ["t", "agent", "regret", "time_avg_regret"], regret_rows)
+    paths["regret"].write_text(csv_text(["t", "agent", "regret", "time_avg_regret"], regret_rows))
 
     cons_rows = []
     for t in range(trace.horizon + 1):
         aug = curves.spread_augmented[t] if curves.spread_augmented is not None else float("nan")
         cons_rows.append([t, curves.spread[t], aug])
     paths["consensus"] = directory / "consensus.csv"
-    _write_csv(paths["consensus"], ["t", "spread", "spread_augmented"], cons_rows)
+    paths["consensus"].write_text(csv_text(["t", "spread", "spread_augmented"], cons_rows))
 
     meta = trace.metadata()
     meta["experiment"] = "fig2_3"
@@ -184,7 +181,7 @@ def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int
 
     paths = {}
     paths["series"] = directory / "fig4_series.csv"
-    _write_csv(paths["series"], ["t", "n_agents", "mean_time_avg_regret"], rows)
+    paths["series"].write_text(csv_text(["t", "n_agents", "mean_time_avg_regret"], rows))
     meta = {
         "experiment": "fig4",
         "agent_counts": list(agent_counts),
@@ -221,7 +218,7 @@ def sandwich_table(n_points: int = 20, n_samples: int = 100_000, mu: float = 0.0
     [f(x) - 3 se, f(x) + sqrt(p) mu D + 3 se].
     """
     stream = norm_stream(1, dim=1, scale=1.0)
-    d_bound = stream.subgradient_bound
+    d_bound = stream.subgradient_bound(max(abs(x_lo), abs(x_hi)))
     rng = np.random.default_rng(seed)
     points = rng.uniform(x_lo, x_hi, n_points)
     rows = []
@@ -300,7 +297,7 @@ def second_moment_check(dims=(1, 2, 5), n_draws: int = 100_000, mu: float = 1e-3
         rng = np.random.default_rng(seed + 100 + p)
         x = rng.uniform(-1.0, 1.0, p)
         _, _, mean_norm_sq = _oracle_mean(stream, cfg, x, n_draws)
-        ceiling = (p + 4) ** 2 * stream.subgradient_bound ** 2
+        ceiling = (p + 4) ** 2 * stream.subgradient_bound(math.sqrt(p)) ** 2
         rows.append({
             "dim": p, "mean_norm_sq": float(mean_norm_sq), "ceiling": float(ceiling),
             "within": bool(mean_norm_sq <= ceiling),
@@ -340,9 +337,7 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
     spectral = {name: spectral_report(wp, grid) for name, wp in topologies.items()}
     dh_values = {name: delta_hat(wp) for name, wp in topologies.items()}
 
-    config = RunConfig(n_agents=10, graph_kind="random", graph_seed=FIG1_GRAPH_SEED,
-                       extra_edge_prob=FIG1_EXTRA_EDGE_PROB, horizon=horizon,
-                       master_seed=seed, **SV_DEFAULTS)
+    config = _tracking_config(seed, horizon)
     trace = run(config)
     ratio = theta_over_gamma(trace)
     lo_t, hi_t = max(10, horizon // 10), horizon
@@ -352,10 +347,10 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
 
     paths = {}
     paths["sandwich"] = directory / "sandwich.csv"
-    _write_csv(paths["sandwich"],
-               ["x", "f", "f_mu_est", "stderr", "lower", "upper", "within"],
-               [[r["x"], r["f"], r["f_mu_est"], r["stderr"], r["lower"], r["upper"],
-                 int(r["within"])] for r in sandwich])
+    paths["sandwich"].write_text(csv_text(
+        ["x", "f", "f_mu_est", "stderr", "lower", "upper", "within"],
+        [[r["x"], r["f"], r["f_mu_est"], r["stderr"], r["lower"], r["upper"], int(r["within"])]
+         for r in sandwich]))
     paths["spectral"] = directory / "spectral.csv"
     spec_rows = []
     for name, report in spectral.items():
@@ -365,9 +360,9 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
                               row.c_fit if row.c_fit is not None else float("nan"),
                               row.r_squared if row.r_squared is not None else float("nan"),
                               int(row.geometric)])
-    _write_csv(paths["spectral"],
-               ["topology", "delta", "delta_hat", "lambda_fit", "c_fit", "r_squared", "geometric"],
-               spec_rows)
+    paths["spectral"].write_text(csv_text(
+        ["topology", "delta", "delta_hat", "lambda_fit", "c_fit", "r_squared", "geometric"],
+        spec_rows))
     summary = {
         "experiment": "diagnostics",
         "seed": seed,

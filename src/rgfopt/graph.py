@@ -64,26 +64,6 @@ class Digraph:
         """Agents j that receive from i (includes i)."""
         return sorted(j for j in range(self.n_agents) if (i, j) in self.edges)
 
-    def to_edge_list_text(self) -> str:
-        """Serialize as text: first line N, then `i j` lines, self-loops omitted."""
-        lines = [str(self.n_agents)]
-        for (i, j) in sorted(self.edges):
-            if i != j:
-                lines.append(f"{i} {j}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_edge_list_text(cls, text: str) -> "Digraph":
-        rows = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if not rows:
-            raise GraphError("empty edge-list text")
-        n = int(rows[0])
-        edges = set()
-        for ln in rows[1:]:
-            i, j = (int(tok) for tok in ln.split())
-            edges.add((i, j))
-        return cls(n_agents=n, edges=frozenset(edges))
-
 
 @dataclass(frozen=True)
 class WeightPair:

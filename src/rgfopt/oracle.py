@@ -23,11 +23,9 @@ import numpy as np
 __all__ = [
     "ObjectiveStream",
     "OracleConfig",
-    "RngStream",
     "OracleError",
     "sample_direction",
     "gradient_free_oracle",
-    "smoothed_value_mc",
     "smoothed_value_mc_stats",
     "tracking_target",
     "paper_objective_stream",
@@ -54,7 +52,8 @@ class ObjectiveStream:
 
     `evaluate(agent, t, x)` must be side-effect-free and convex in x for
     every agent and time (contract, enforced by construction for the built-in
-    streams).  No gradient is ever exposed.
+    streams).  No gradient is ever exposed.  `subgradient_bound(rho)`, when
+    given, bounds every agent's subgradient norm over points of norm <= rho.
 
     Optional hooks speed up batch work without changing semantics:
     `evaluate_batch(agent, t, X)` maps an (m, p) block of points to (m,)
@@ -66,7 +65,7 @@ class ObjectiveStream:
     dim: int
     evaluate: Callable[[int, int, np.ndarray], float]
     analytic_minimizer: Callable[[int], np.ndarray] | None = None
-    subgradient_bound: float | None = None
+    subgradient_bound: Callable[[float], float] | None = None
     evaluate_batch: Callable[[int, int, np.ndarray], np.ndarray] | None = None
     aggregate_evaluate: Callable[[int, np.ndarray], np.ndarray] | None = None
     name: str = "custom"
@@ -112,38 +111,23 @@ class OracleConfig:
                    direction_law=direction_law, rng_seed=rng_seed)
 
 
-class RngStream:
-    """Deterministic per-agent randomness, addressable by (agent, t).
-
-    Each (master_seed, agent, t) triple yields an independent generator, so
-    draws do not depend on call order and two runs with the same master seed
-    reproduce identical direction sequences for every agent.
-    """
-
-    def __init__(self, master_seed: int):
-        self.master_seed = int(master_seed)
-
-    def generator(self, agent: int, t: int) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.master_seed,
-                                    spawn_key=(_DOMAIN_DIRECTION, agent, t))
-        return np.random.default_rng(ss)
-
-    def direction(self, agent: int, t: int, dim: int, law: str) -> np.ndarray:
-        rng = self.generator(agent, t)
-        xi = rng.standard_normal(dim)
-        if law == "uniform_sphere":
-            norm = np.linalg.norm(xi)
-            while norm == 0.0:  # probability-zero guard
-                xi = rng.standard_normal(dim)
-                norm = np.linalg.norm(xi)
-            xi = xi / norm
-        return xi
-
-
 def sample_direction(cfg: OracleConfig, agent: int, t: int) -> np.ndarray:
     """Random direction for (agent, t): i.i.d. standard normal coordinates
-    under the gaussian law, or a unit vector uniform on the sphere."""
-    return RngStream(cfg.rng_seed).direction(agent, t, cfg.dim, cfg.direction_law)
+    under the gaussian law, or a unit vector uniform on the sphere.
+
+    Each (rng_seed, agent, t) triple seeds its own generator, so draws do not
+    depend on call order and equal seeds reproduce identical directions.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=int(cfg.rng_seed), spawn_key=(_DOMAIN_DIRECTION, agent, t)))
+    xi = rng.standard_normal(cfg.dim)
+    if cfg.direction_law == "uniform_sphere":
+        norm = np.linalg.norm(xi)
+        while norm == 0.0:  # probability-zero guard
+            xi = rng.standard_normal(cfg.dim)
+            norm = np.linalg.norm(xi)
+        xi = xi / norm
+    return xi
 
 
 def gradient_free_oracle(stream: ObjectiveStream, cfg: OracleConfig,
@@ -182,12 +166,6 @@ def smoothed_value_mc_stats(stream: ObjectiveStream, agent: int, t: int,
     return float(vals.mean()), stderr
 
 
-def smoothed_value_mc(stream: ObjectiveStream, agent: int, t: int, x: np.ndarray,
-                      mu: float, n_samples: int, seed: int) -> float:
-    """Monte Carlo estimate of the Gaussian-smoothed value at x."""
-    return smoothed_value_mc_stats(stream, agent, t, x, mu, n_samples, seed)[0]
-
-
 def tracking_target(t: float) -> float:
     """Reference signal 2*sin(0.008 t)/t, extended continuously to 0.016 at t=0."""
     if t == 0:
@@ -196,13 +174,13 @@ def tracking_target(t: float) -> float:
 
 
 def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> ObjectiveStream:
-    """Time-varying quadratic tracking stream over the box [-5, 5]^p.
+    """Time-varying quadratic tracking stream.
 
     Agent i at time t pays a_i ||x||^2 - 2 b_i d(t) sum(x) + c_i p d(t)^2 with
     d = tracking_target.  Coefficients are drawn uniform(0.5, 1.5) and then
     rescaled so each of sum(a), sum(b), sum(c) equals N exactly, which makes
     the aggregate cost N * ||x - d(t) 1||^2 with minimizer d(t) 1, interior
-    to the box.
+    to any feasible set that contains the box [-0.016, 0.016]^p.
     """
     if n_agents < 1:
         raise ValueError(f"need n_agents >= 1, got {n_agents}")
@@ -217,21 +195,14 @@ def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> 
     for arr in (a, b, c):
         arr.flags.writeable = False
 
-    # Gradient 2 a_i x - 2 b_i d 1 over the box [-5, 5]^p; |d| <= 0.016.
-    d_bound = 0.016
-    sub_bound = float(max(2.0 * a[i] * 5.0 + 2.0 * b[i] * d_bound for i in range(n_agents))
-                      * math.sqrt(dim))
+    def subgradient_bound(rho: float) -> float:
+        # ||2 a_i x - 2 b_i d 1|| <= 2 a_i rho + 2 b_i |d| sqrt(p), |d| <= 0.016
+        return float((2.0 * a * rho + 2.0 * b * 0.016 * math.sqrt(dim)).max())
 
     def evaluate(agent: int, t: int, x: np.ndarray) -> float:
         d = tracking_target(t)
         x = np.asarray(x, dtype=float)
         return float(a[agent] * x @ x - 2.0 * b[agent] * d * x.sum() + c[agent] * dim * d * d)
-
-    def evaluate_batch(agent: int, t: int, points: np.ndarray) -> np.ndarray:
-        d = tracking_target(t)
-        return (a[agent] * (points ** 2).sum(axis=1)
-                - 2.0 * b[agent] * d * points.sum(axis=1)
-                + c[agent] * dim * d * d)
 
     def aggregate_evaluate(t: int, points: np.ndarray) -> np.ndarray:
         d = tracking_target(t)
@@ -244,9 +215,8 @@ def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> 
 
     return ObjectiveStream(
         n_agents=n_agents, dim=dim, evaluate=evaluate,
-        analytic_minimizer=analytic_minimizer, subgradient_bound=sub_bound,
-        evaluate_batch=evaluate_batch, aggregate_evaluate=aggregate_evaluate,
-        name="paper_quadratic",
+        analytic_minimizer=analytic_minimizer, subgradient_bound=subgradient_bound,
+        aggregate_evaluate=aggregate_evaluate, name="paper_quadratic",
         params={"coeff_seed": coeff_seed, "a": a.tolist(), "b": b.tolist(), "c": c.tolist()},
     )
 
@@ -267,16 +237,12 @@ def linear_probe_stream(n_agents: int, dim: int = 1, seed: int = 0,
     def evaluate(agent: int, t: int, x: np.ndarray) -> float:
         return float(u[agent] @ np.asarray(x, dtype=float))
 
-    def evaluate_batch(agent: int, t: int, points: np.ndarray) -> np.ndarray:
-        return points @ u[agent]
-
     def aggregate_evaluate(t: int, points: np.ndarray) -> np.ndarray:
         return points @ u.sum(axis=0)
 
     return ObjectiveStream(
         n_agents=n_agents, dim=dim, evaluate=evaluate,
-        subgradient_bound=float(scale),
-        evaluate_batch=evaluate_batch, aggregate_evaluate=aggregate_evaluate,
+        subgradient_bound=lambda rho: float(scale), aggregate_evaluate=aggregate_evaluate,
         name="linear_probe", params={"seed": seed, "scale": scale},
     )
 
@@ -287,16 +253,12 @@ def constant_stream(n_agents: int, dim: int = 1, value: float = 0.0) -> Objectiv
     def evaluate(agent: int, t: int, x: np.ndarray) -> float:
         return float(value)
 
-    def evaluate_batch(agent: int, t: int, points: np.ndarray) -> np.ndarray:
-        return np.full(points.shape[0], float(value))
-
     def aggregate_evaluate(t: int, points: np.ndarray) -> np.ndarray:
         return np.full(points.shape[0], float(value) * n_agents)
 
     return ObjectiveStream(
         n_agents=n_agents, dim=dim, evaluate=evaluate,
-        subgradient_bound=0.0,
-        evaluate_batch=evaluate_batch, aggregate_evaluate=aggregate_evaluate,
+        subgradient_bound=lambda rho: 0.0, aggregate_evaluate=aggregate_evaluate,
         name="constant", params={"value": value},
     )
 
@@ -310,17 +272,13 @@ def norm_stream(n_agents: int, dim: int = 1, scale: float = 1.0) -> ObjectiveStr
     def evaluate_batch(agent: int, t: int, points: np.ndarray) -> np.ndarray:
         return scale * np.linalg.norm(points, axis=1)
 
-    def aggregate_evaluate(t: int, points: np.ndarray) -> np.ndarray:
-        return n_agents * scale * np.linalg.norm(points, axis=1)
-
     def analytic_minimizer(t: int) -> np.ndarray:
         return np.zeros(dim)
 
     return ObjectiveStream(
         n_agents=n_agents, dim=dim, evaluate=evaluate,
-        analytic_minimizer=analytic_minimizer, subgradient_bound=float(scale),
-        evaluate_batch=evaluate_batch, aggregate_evaluate=aggregate_evaluate,
-        name="norm", params={"scale": scale},
+        analytic_minimizer=analytic_minimizer, subgradient_bound=lambda rho: float(scale),
+        evaluate_batch=evaluate_batch, name="norm", params={"scale": scale},
     )
 
 

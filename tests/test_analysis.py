@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,6 @@ from rgfopt.analysis import (
     BoundInputs,
     build_regret_ledger,
     consensus_curve,
-    dynamic_regret,
     fit_constants_from_trace,
     path_length,
     regret_bound_rhs,
@@ -19,6 +22,8 @@ from rgfopt.analysis import (
 from rgfopt.graph import build_augmented, equal_neighbor_weights, make_cycle, \
     make_random_strongly_connected, matrix_power_gap_series
 from rgfopt.oracle import paper_objective_stream, tracking_target
+
+SRC = Path(r.__file__).resolve().parents[1]
 
 
 def synthetic_trace(stream, offsets, horizon):
@@ -37,7 +42,7 @@ class TestDynamicRegret:
     def test_zero_when_playing_optimum(self):
         stream = paper_objective_stream(4, coeff_seed=1)
         trace = synthetic_trace(stream, np.zeros(4), horizon=60)
-        regret = dynamic_regret(trace, stream)
+        regret = build_regret_ledger(trace, stream).regret
         assert np.abs(regret).max() < 1e-9
 
     def test_constant_offset_closed_form(self):
@@ -47,7 +52,7 @@ class TestDynamicRegret:
         eps = 0.25
         horizon = 40
         trace = synthetic_trace(stream, np.full(5, eps), horizon)
-        regret = dynamic_regret(trace, stream)
+        regret = build_regret_ledger(trace, stream).regret
         expected = (horizon + 1) * 5 * eps ** 2
         assert np.allclose(regret, expected, rtol=1e-9)
 
@@ -68,7 +73,7 @@ class TestDynamicRegret:
     def test_numeric_fallback_matches_analytic(self):
         stream = paper_objective_stream(4, coeff_seed=4)
         trace = synthetic_trace(stream, np.full(4, 0.1), horizon=8)
-        analytic = dynamic_regret(trace, stream)
+        analytic = build_regret_ledger(trace, stream).regret
         # strip the analytic minimizer so the golden-section fallback engages
         blind = r.ObjectiveStream(
             n_agents=4, dim=1, evaluate=stream.evaluate,
@@ -78,6 +83,13 @@ class TestDynamicRegret:
         ledger = build_regret_ledger(blind_trace, blind)
         assert ledger.minimizer_source == "numeric"
         assert np.allclose(ledger.regret, analytic, atol=1e-6)
+
+    def test_scipy_optimize_imported_only_by_the_fallback(self):
+        # importing scipy.optimize costs most of the package's import time
+        code = "import sys, rgfopt; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert out.stdout.strip() == "False"
 
     def test_time_averaged_requires_positive_t(self):
         stream = paper_objective_stream(3, coeff_seed=5)
@@ -238,5 +250,19 @@ class TestFittedConstants:
         assert 0.0 < inputs.lambda_fit < 1.0
         assert inputs.c_fit > 0.0
         assert inputs.g1_fit > 0.0
-        assert inputs.subgradient_bound == sv_stream.subgradient_bound
+        assert inputs.subgradient_bound == sv_stream.subgradient_bound(5.0)
         assert inputs.path_length_value > 0.0
+
+    def test_subgradient_bound_follows_the_feasible_set(self):
+        # on the box [-50, 50] agents can sit where gradients reach ~140, so
+        # D must come from the configured set, not the default [-5, 5]
+        config = RunConfig(horizon=30, master_seed=2, feasible_lo=-50.0, feasible_hi=50.0,
+                           check_delta_bound=False)
+        trace = r.run(config)
+        stream = r.make_stream("paper_quadratic", 10, 1, 2)
+        wp = equal_neighbor_weights(make_random_strongly_connected(10, 0.3, seed=7))
+        inputs = fit_constants_from_trace(trace, wp, stream)
+        a, b = np.array(stream.params["a"]), np.array(stream.params["b"])
+        steepest = float((2 * a * 50.0 + 2 * b * 0.016).max())
+        assert inputs.rho == 50.0
+        assert inputs.subgradient_bound >= steepest > 100.0

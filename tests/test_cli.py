@@ -1,8 +1,10 @@
 import json
+import math
 import warnings
 
 import pytest
 
+from rgfopt.algorithm import ConfigError, RunConfig
 from rgfopt.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 
@@ -104,6 +106,42 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         trace = r.run(r.RunConfig.from_dict(json.loads(cfg.read_text())))
         assert (out / "trajectories.csv").read_text() == trace.to_csv_text()
+
+
+BAD_FIELDS = [
+    ("delta", math.nan),
+    ("gamma0", math.nan),
+    ("mu_hat", math.inf),
+    ("n_agents", 2.5),
+    ("horizon", True),
+    ("dim", "2"),
+    ("graph_seed", -2),
+    ("master_seed", -1),
+    ("direction_law", "cauchy"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_FIELDS, ids=[k for k, _ in BAD_FIELDS])
+def test_bad_field_rejected_by_validate_and_cli(tmp_path, capsys, key, value):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(**{key: value}).validate()
+    cfg = write_config(tmp_path / "c.json", **{key: value})
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "validation" and key in err["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--config", "CFG"],
+                                  ["experiment", "fig2_3", "--horizon", "5"]])
+def test_non_integer_env_seed_is_a_parse_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("RGF_SEED", "abc")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"horizon": 5}))
+    argv = [str(cfg) if a == "CFG" else a for a in argv] + ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_PARSE
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "RGF_SEED" in err["message"]
 
 
 class TestUsageErrors:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -127,3 +128,42 @@ class TestCheckHelpers:
             res = experiment_fig2_3(seed=5, horizon=20)
         assert res.out_dir.resolve().parent == (tmp_path / "out" / "fig2_3").resolve()
         assert res.paths["metadata"].exists()
+
+
+# sha256 of every artifact of three small seed-0 experiments.  A refactor
+# must leave these bytes unchanged; an intended output change updates them.
+PINNED_SHA256 = {
+    "fig2_3": {
+        "consensus.csv": "977dd394ce317cb5bf1b922f292e166142ca169c16e2d24a4ca93987c188ae88",
+        "plot_figs.py": "61f5dc45a6f8708d7887ed20cdbc3cc53b56417a4cfa7d81010e62e42c2f1357",
+        "regret.csv": "9c25dccf8cde92a7162eca070d33ba1e72ee47a2622ef7e1c81d46c1b8c791eb",
+        "run_meta.json": "fba9c5b92c00996d88690d35d8408a82524c599b8274f901ffcc7ef68d37a0c3",
+        "trajectories.csv": "e0c27a58df300da85d7fc43c49573d67db6447cd54882d656b0d9e835c73f6f3",
+    },
+    "fig4": {
+        "fig4_series.csv": "c66ffa99653691984667df0b9c3a13533b0b7344e2b8ec57022a5e491ddd6ed4",
+        "plot_figs.py": "61f5dc45a6f8708d7887ed20cdbc3cc53b56417a4cfa7d81010e62e42c2f1357",
+        "run_meta.json": "b74e2552e42392b2896ecf2383103e255ca750acf13ab5e4fe742b6cdaa1e80f",
+    },
+    "diagnostics": {
+        "diagnostics.json": "b6369d9f2d2e51a1c01c20a8931872a170b63a794f8327dc6d72689393958ec8",
+        "sandwich.csv": "40c08aaf076c6d4761f858460c276b5c2389bb0bd28faf64526955b5bcc557c2",
+        "spectral.csv": "ec44c7dc596f293a4ac3d96256388e3f012bdeacec36950b40ae59e084bf0a02",
+    },
+}
+PINNED_RUNS = {
+    "fig2_3": lambda out: experiment_fig2_3(seed=0, horizon=300, out_dir=out),
+    "fig4": lambda out: experiment_fig4(seed=0, agent_counts=(4, 8), horizon=100, out_dir=out),
+    "diagnostics": lambda out: experiment_diagnostics(seed=0, horizon=100, n_samples=500,
+                                                      out_dir=out),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_artifacts_match_pinned_digests(name, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        PINNED_RUNS[name](tmp_path)
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(tmp_path.iterdir())}
+    assert got == PINNED_SHA256[name]

@@ -51,21 +51,6 @@ class TestDigraph:
         with pytest.raises(GraphError):
             Digraph(2, frozenset({(0, 5)}))
 
-    def test_edge_list_round_trip(self):
-        g = make_random_strongly_connected(8, 0.4, seed=3)
-        text = g.to_edge_list_text()
-        assert text.splitlines()[0] == "8"
-        assert all(" " in ln for ln in text.splitlines()[1:])
-        g2 = Digraph.from_edge_list_text(text)
-        assert g2.n_agents == g.n_agents
-        assert g2.edges == g.edges
-
-    def test_edge_list_omits_self_loops(self):
-        g = make_cycle(3)
-        listed = [tuple(map(int, ln.split())) for ln in g.to_edge_list_text().splitlines()[1:]]
-        assert all(i != j for i, j in listed)
-        assert len(listed) == 3
-
 
 class TestStrongConnectivity:
     def test_cycle_is_strongly_connected(self):

@@ -7,7 +7,6 @@ from rgfopt.oracle import (
     ObjectiveStream,
     OracleConfig,
     OracleError,
-    RngStream,
     constant_stream,
     gradient_free_oracle,
     linear_probe_stream,
@@ -15,7 +14,6 @@ from rgfopt.oracle import (
     norm_stream,
     paper_objective_stream,
     sample_direction,
-    smoothed_value_mc,
     smoothed_value_mc_stats,
     tracking_target,
 )
@@ -50,10 +48,11 @@ class TestSampleDirection:
         assert np.abs(total / n).max() < 0.02
 
     def test_rng_stream_reproducible_across_instances(self):
-        s1 = RngStream(123)
-        s2 = RngStream(123)
-        assert np.array_equal(s1.direction(4, 9, 2, "gaussian"),
-                              s2.direction(4, 9, 2, "gaussian"))
+        # directions depend only on (seed, agent, t), not on the config's
+        # other fields or on which instance draws them
+        c1 = OracleConfig.uniform(5, 0.1, 2, rng_seed=123)
+        c2 = OracleConfig.uniform(8, 0.7, 2, rng_seed=123)
+        assert np.array_equal(sample_direction(c1, 4, 9), sample_direction(c2, 4, 9))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -144,7 +143,7 @@ class TestSmoothedValue:
     def test_tiny_mu_recovers_value(self):
         stream = norm_stream(1, dim=2)
         x = np.array([1.3, -0.4])
-        est = smoothed_value_mc(stream, 0, 0, x, mu=1e-12, n_samples=2000, seed=6)
+        est, _ = smoothed_value_mc_stats(stream, 0, 0, x, mu=1e-12, n_samples=2000, seed=6)
         assert abs(est - stream.evaluate(0, 0, x)) < 1e-6
 
     def test_quadratic_closed_form(self):
@@ -173,13 +172,13 @@ class TestSmoothedValue:
     def test_requires_samples(self):
         stream = norm_stream(1, dim=1)
         with pytest.raises(ValueError):
-            smoothed_value_mc(stream, 0, 0, np.zeros(1), 0.1, 0, seed=1)
+            smoothed_value_mc_stats(stream, 0, 0, np.zeros(1), 0.1, 0, seed=1)
 
     def test_deterministic_given_seed(self):
         stream = norm_stream(1, dim=2)
         x = np.array([0.1, 0.9])
-        a = smoothed_value_mc(stream, 0, 0, x, 0.2, 500, seed=9)
-        b = smoothed_value_mc(stream, 0, 0, x, 0.2, 500, seed=9)
+        a = smoothed_value_mc_stats(stream, 0, 0, x, 0.2, 500, seed=9)
+        b = smoothed_value_mc_stats(stream, 0, 0, x, 0.2, 500, seed=9)
         assert a == b
 
 
@@ -215,8 +214,8 @@ class TestLemma1Properties:
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            hi = smoothed_value_mc(stream, 0, 0, x + e, mu, 100_000, seed=1000 + j)
-            lo = smoothed_value_mc(stream, 0, 0, x - e, mu, 100_000, seed=2000 + j)
+            hi, _ = smoothed_value_mc_stats(stream, 0, 0, x + e, mu, 100_000, seed=1000 + j)
+            lo, _ = smoothed_value_mc_stats(stream, 0, 0, x - e, mu, 100_000, seed=2000 + j)
             fd[j] = (hi - lo) / (2 * h)
         assert (np.abs(mean - fd) <= 4.0 * stderr).all()
 
@@ -275,7 +274,23 @@ class TestPaperStream:
                     b = stream.params["b"][j]
                     grad = 2 * a * x[0] - 2 * b * tracking_target(t)
                     worst = max(worst, abs(grad))
-        assert worst <= stream.subgradient_bound
+        assert worst <= stream.subgradient_bound(5.0)
+
+    @pytest.mark.parametrize("dim, rho", [(1, 50.0), (3, 5.0 * math.sqrt(3))])
+    def test_subgradient_bound_covers_the_radius(self, dim, rho):
+        # the bound is attained by the steepest agent at a corner of the box
+        # [-rho/sqrt(p), rho/sqrt(p)]^p with the target at its extreme
+        stream = paper_objective_stream(8, dim=dim, coeff_seed=5)
+        a, b = np.array(stream.params["a"]), np.array(stream.params["b"])
+        x = np.full(dim, rho / math.sqrt(dim))
+        steepest = np.linalg.norm(2 * a[:, None] * x + 2 * b[:, None] * 0.016, axis=1).max()
+        assert steepest == pytest.approx(stream.subgradient_bound(rho), rel=1e-12)
+
+    def test_bound_of_other_streams_ignores_radius(self):
+        for rho in (1.0, 50.0):
+            assert linear_probe_stream(2, scale=3.0).subgradient_bound(rho) == 3.0
+            assert norm_stream(2, scale=2.0).subgradient_bound(rho) == 2.0
+            assert constant_stream(2).subgradient_bound(rho) == 0.0
 
 
 class TestRegistry:
