@@ -270,6 +270,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object of RunConfig fields, "
+                              f"got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -481,7 +484,6 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
 
     x_hist = np.empty((t_end + 1, n, p))
     cost = np.empty((t_end + 1, n))
-    spread = np.empty(t_end + 1)
     gamma_hist = np.empty(t_end)
     has_star = stream.analytic_minimizer is not None
     x_star = np.empty((t_end + 1, p)) if has_star else None
@@ -492,7 +494,6 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     def record_state(t: int):
         x_hist[t] = states.x
         cost[t] = stream.aggregate_cost(t, states.x)
-        spread[t] = np.linalg.norm(states.x - states.x.mean(axis=0), axis=1).max()
         if has_star:
             x_star[t] = stream.analytic_minimizer(t)
         if y_hist is not None:
@@ -514,6 +515,7 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
             theta_hist[t] = theta
         record_state(t + 1)
 
+    spread = np.linalg.norm(x_hist - x_hist.mean(axis=1, keepdims=True), axis=2).max(axis=1)
     return Trace(
         config=config, x=x_hist, cost=cost, spread=spread, gamma=gamma_hist,
         x_star=x_star, y=y_hist, g_norm=g_norm, theta=theta_hist,

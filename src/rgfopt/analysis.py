@@ -42,12 +42,10 @@ __all__ = [
 class RegretLedger:
     """Per-agent cumulative costs and dynamic regret with supporting curves."""
 
-    cumulative_cost: np.ndarray        # (N,) sum_t f^t(x^i(t))
     offline_cost: float                # sum_t f^t(x*(t))
     regret: np.ndarray                 # (N,)
     regret_curve: np.ndarray           # (T+1, N) prefix regret R_i(t)
     path_length_value: float           # omega_T of the minimizer sequence
-    spread: np.ndarray                 # (T+1,)
     minimizer_source: str              # "analytic" | "numeric"
 
     def time_averaged(self, t: int) -> np.ndarray:
@@ -91,12 +89,10 @@ def build_regret_ledger(trace: Trace, stream: ObjectiveStream) -> RegretLedger:
     inst_gap = trace.cost - offline_per_t[:, None]          # (T+1, N)
     regret_curve = np.cumsum(inst_gap, axis=0)
     return RegretLedger(
-        cumulative_cost=trace.cost.sum(axis=0),
         offline_cost=float(offline_per_t.sum()),
         regret=regret_curve[-1].copy(),
         regret_curve=regret_curve,
         path_length_value=path_length(minimizers),
-        spread=trace.spread.copy(),
         minimizer_source=source,
     )
 
@@ -119,13 +115,11 @@ class ConsensusCurves:
 
 def consensus_curve(trace: Trace) -> ConsensusCurves:
     x = trace.x
-    mean_x = x.mean(axis=1, keepdims=True)
-    spread = np.linalg.norm(x - mean_x, axis=2).max(axis=1)
     spread_aug = None
     if trace.y is not None:
         phi_bar = (x.sum(axis=1) + trace.y.sum(axis=1)) / trace.n_agents   # (T+1, p)
         spread_aug = np.linalg.norm(x - phi_bar[:, None, :], axis=2).max(axis=1)
-    return ConsensusCurves(spread=spread, spread_augmented=spread_aug)
+    return ConsensusCurves(spread=trace.spread, spread_augmented=spread_aug)
 
 
 @dataclass(frozen=True)
@@ -251,11 +245,11 @@ def spectral_report(wp: WeightPair, delta_grid, t_max: int = 200,
     rows = []
     dh = delta_hat(wp)
     for d in delta_grid:
-        if d <= 0:
+        if not 0 < d < math.inf:
+            error = "delta must be positive" if d <= 0 else "delta must be finite"
             rows.append(SpectralRow(delta=float(d), delta_hat_value=dh, c_fit=None,
                                     lambda_fit=None, r_squared=None, geometric=False,
-                                    gap_first=None, gap_last=None,
-                                    error="delta must be positive"))
+                                    gap_first=None, gap_last=None, error=error))
             continue
         try:
             gaps = matrix_power_gap_series(build_augmented(wp, float(d)), t_max)

@@ -15,9 +15,9 @@ import os
 import sys
 from pathlib import Path
 
-from .algorithm import ConfigError, RunConfig, SimulationError, make_graph, run
+from .algorithm import ConfigError, RunConfig, SimulationError, csv_text, make_graph, run
 from .analysis import spectral_report
-from .experiments import experiment_diagnostics, experiment_fig2_3, experiment_fig4
+from .experiments import _write_json, experiment_diagnostics, experiment_fig2_3, experiment_fig4
 from .graph import GraphError, equal_neighbor_weights
 from .oracle import OracleError
 
@@ -27,13 +27,17 @@ EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
 
 
-def _fail(kind: str, message: str, code: int) -> int:
-    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
-    return code
+class _ParseError(Exception):
+    """RGF_SEED, the config file or the delta grid cannot be parsed."""
 
 
-class _EnvSeedError(ValueError):
-    """RGF_SEED is set but is not an integer."""
+# Failure -> (error kind, exit code); the first match wins.  Any other
+# exception propagates, so a bug still shows its traceback.
+_FAILURES = (
+    (_ParseError, "config", EXIT_PARSE),
+    ((ConfigError, GraphError), "validation", EXIT_VALIDATION),
+    ((SimulationError, OracleError, OSError), "runtime", EXIT_RUNTIME),
+)
 
 
 def _default_seed(explicit: int | None) -> int:
@@ -45,7 +49,7 @@ def _default_seed(explicit: int | None) -> int:
     try:
         return int(env)
     except ValueError:
-        raise _EnvSeedError(f"RGF_SEED must be an integer, got {env!r}") from None
+        raise _ParseError(f"RGF_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_override(text: str) -> tuple[str, object]:
@@ -70,14 +74,22 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override a config field after parsing (repeatable)")
     p_run.add_argument("--seed", type=int, default=None, help="master seed override")
     p_run.add_argument("--out", default=None, help="output directory")
+    p_run.set_defaults(handler=_cmd_run)
 
-    p_exp = sub.add_parser("experiment", help="run a canned experiment")
+    experiment_args = argparse.ArgumentParser(add_help=False)
+    experiment_args.add_argument("--seed", type=int, default=None, help="master seed")
+    experiment_args.add_argument("--out", default=None, help="output directory")
+    experiment_args.add_argument("--horizon", type=int, default=5000)
+    experiment_args.add_argument("--samples", type=int, default=100_000,
+                                 help="Monte Carlo draws used by diagnostics")
+
+    p_exp = sub.add_parser("experiment", parents=[experiment_args], help="run a canned experiment")
     p_exp.add_argument("name", choices=["fig2_3", "fig4", "diagnostics"])
-    p_exp.add_argument("--seed", type=int, default=None)
-    p_exp.add_argument("--out", default=None)
-    p_exp.add_argument("--horizon", type=int, default=5000)
-    p_exp.add_argument("--samples", type=int, default=100_000,
-                       help="Monte Carlo draws used by diagnostics")
+    p_exp.set_defaults(handler=_cmd_experiment)
+
+    p_diag = sub.add_parser("diagnose", parents=[experiment_args],
+                            help="alias for `experiment diagnostics`")
+    p_diag.set_defaults(handler=_cmd_experiment, name="diagnostics")
 
     p_spec = sub.add_parser("spectral", help="emit the spectral convergence report")
     p_spec.add_argument("--graph", choices=["cycle", "ring", "complete", "random"], default="cycle")
@@ -86,12 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--delta-grid", default="0.01,0.05,0.1,0.2",
                         help="comma-separated gain values")
     p_spec.add_argument("--out", default=None, help="CSV output path (default stdout)")
-
-    p_diag = sub.add_parser("diagnose", help="alias for `experiment diagnostics`")
-    p_diag.add_argument("--seed", type=int, default=None)
-    p_diag.add_argument("--out", default=None)
-    p_diag.add_argument("--horizon", type=int, default=5000)
-    p_diag.add_argument("--samples", type=int, default=100_000)
+    p_spec.set_defaults(handler=_cmd_spectral)
     return parser
 
 
@@ -99,87 +106,57 @@ def _cmd_run(args) -> int:
     config_path = Path(args.config)
     try:
         data = json.loads(config_path.read_text())
-    except FileNotFoundError:
-        return _fail("config", f"config file not found: {config_path}", EXIT_PARSE)
-    except json.JSONDecodeError as exc:
-        return _fail("config", f"invalid JSON in {config_path}: {exc}", EXIT_PARSE)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _ParseError(f"cannot read config {config_path}: {exc}") from None
+    RunConfig.from_dict(data)  # a non-object or an unknown key fails before the overrides
+    for item in args.set:
+        key, value = _parse_override(item)
+        data[key] = value
+    if args.seed is not None or "master_seed" not in data:
+        data["master_seed"] = _default_seed(args.seed)
+    config = RunConfig.from_dict(data)
+    config.validate()
 
-    try:
-        for item in args.set:
-            key, value = _parse_override(item)
-            data[key] = value
-        if args.seed is not None or "master_seed" not in data:
-            data["master_seed"] = _default_seed(args.seed)
-        config = RunConfig.from_dict(data)
-        config.validate()
-    except (ConfigError, TypeError) as exc:
-        return _fail("validation", str(exc), EXIT_VALIDATION)
-
-    try:
-        trace = run(config)
-        out = Path(args.out) if args.out else Path("out") / "run"
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "trajectories.csv").write_text(trace.to_csv_text())
-        meta = trace.metadata()
-        meta["effective_config"] = config.to_dict()
-        (out / "run_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-        print(f"run complete: T={trace.horizon}, N={trace.n_agents}, outputs in {out}")
-        return EXIT_OK
-    except (ConfigError, GraphError) as exc:
-        return _fail("validation", str(exc), EXIT_VALIDATION)
-    except (SimulationError, OracleError, OSError) as exc:
-        return _fail("runtime", str(exc), EXIT_RUNTIME)
+    trace = run(config)
+    out = Path(args.out) if args.out else Path("out") / "run"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "trajectories.csv").write_text(trace.to_csv_text())
+    meta = trace.metadata()
+    meta["effective_config"] = config.to_dict()
+    _write_json(out / "run_meta.json", meta)
+    print(f"run complete: T={trace.horizon}, N={trace.n_agents}, outputs in {out}")
+    return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
     seed = _default_seed(args.seed)
-    try:
-        if args.name == "fig2_3":
-            result = experiment_fig2_3(seed=seed, horizon=args.horizon, out_dir=args.out)
-        elif args.name == "fig4":
-            result = experiment_fig4(seed=seed, horizon=args.horizon, out_dir=args.out)
-        else:
-            result = experiment_diagnostics(seed=seed, horizon=args.horizon,
-                                            n_samples=args.samples, out_dir=args.out)
-        print(f"experiment {args.name} complete: outputs in {result.out_dir}")
-        return EXIT_OK
-    except (ConfigError, GraphError) as exc:
-        return _fail("validation", str(exc), EXIT_VALIDATION)
-    except (SimulationError, OracleError, OSError) as exc:
-        return _fail("runtime", str(exc), EXIT_RUNTIME)
+    if args.name == "fig2_3":
+        result = experiment_fig2_3(seed=seed, horizon=args.horizon, out_dir=args.out)
+    elif args.name == "fig4":
+        result = experiment_fig4(seed=seed, horizon=args.horizon, out_dir=args.out)
+    else:
+        result = experiment_diagnostics(seed=seed, horizon=args.horizon,
+                                        n_samples=args.samples, out_dir=args.out)
+    print(f"experiment {args.name} complete: outputs in {result.out_dir}")
+    return EXIT_OK
 
 
 def _cmd_spectral(args) -> int:
     try:
         grid = [float(tok) for tok in args.delta_grid.split(",") if tok.strip()]
         if not grid:
-            raise ConfigError("empty delta grid")
+            raise ValueError("empty delta grid")
     except ValueError as exc:
-        return _fail("config", f"bad delta grid {args.delta_grid!r}: {exc}", EXIT_PARSE)
-    try:
-        g = make_graph(args.graph, args.n, seed=args.graph_seed)
-        wp = equal_neighbor_weights(g)
-        rows = spectral_report(wp, grid)
-    except (ConfigError, GraphError) as exc:
-        return _fail("validation", str(exc), EXIT_VALIDATION)
-
-    header = "delta,delta_hat,lambda_fit,c_fit,r_squared,geometric,error"
-    lines = [header]
-    for r in rows:
-        lines.append(",".join([
-            repr(r.delta), repr(r.delta_hat_value),
-            repr(r.lambda_fit) if r.lambda_fit is not None else "",
-            repr(r.c_fit) if r.c_fit is not None else "",
-            repr(r.r_squared) if r.r_squared is not None else "",
-            str(int(r.geometric)),
-            r.error or "",
-        ]))
-    text = "\n".join(lines) + "\n"
+        raise _ParseError(f"bad delta grid {args.delta_grid!r}: {exc}") from None
+    wp = equal_neighbor_weights(make_graph(args.graph, args.n, seed=args.graph_seed))
+    rows = [[r.delta, r.delta_hat_value,
+             *("" if v is None else v for v in (r.lambda_fit, r.c_fit, r.r_squared)),
+             int(r.geometric), r.error or ""]
+            for r in spectral_report(wp, grid)]
+    header = ["delta", "delta_hat", "lambda_fit", "c_fit", "r_squared", "geometric", "error"]
+    text = csv_text(header, rows)
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            return _fail("runtime", str(exc), EXIT_RUNTIME)
+        Path(args.out).write_text(text)
         print(f"spectral report written to {args.out}")
     else:
         sys.stdout.write(text)
@@ -187,26 +164,19 @@ def _cmd_spectral(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage; normalize the code
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "spectral":
-            return _cmd_spectral(args)
-        if args.command == "diagnose":
-            args.name = "diagnostics"
-            return _cmd_experiment(args)
-    except _EnvSeedError as exc:
-        return _fail("config", str(exc), EXIT_PARSE)
-    return _fail("usage", f"unknown command {args.command!r}", EXIT_PARSE)
+        return args.handler(args)
+    except Exception as exc:
+        for types, kind, code in _FAILURES:
+            if isinstance(exc, types):
+                sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
+                return code
+        raise
 
 
 if __name__ == "__main__":

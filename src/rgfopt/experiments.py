@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithm import RunConfig, Trace, csv_text, run
+from .algorithm import ConfigError, RunConfig, Trace, csv_text, make_graph, run
 from .analysis import (
     RegretLedger,
     build_regret_ledger,
@@ -31,7 +31,7 @@ from .analysis import (
     spectral_report,
     theta_over_gamma,
 )
-from .graph import delta_hat, equal_neighbor_weights, make_cycle, make_random_strongly_connected
+from .graph import equal_neighbor_weights, make_cycle
 from .oracle import (
     ObjectiveStream,
     OracleConfig,
@@ -55,14 +55,6 @@ __all__ = [
     "quadratic_norm_stream",
 ]
 
-SV_DEFAULTS = dict(delta=0.1, mu_hat=1e-4, gamma0=1.0, schedule_kind="inv_sqrt",
-                   feasible_kind="box", feasible_lo=-5.0, feasible_hi=5.0,
-                   dim=1, stream_name="paper_quadratic", weight_rule="equal_neighbor")
-# Stand-in for the unspecified 10-agent topology: cycle backbone plus
-# random extra edges, fixed seed, edge list echoed into metadata.
-FIG1_GRAPH_SEED = 7
-FIG1_EXTRA_EDGE_PROB = 0.3
-
 
 def _out_dir(experiment: str, out_dir=None) -> Path:
     if out_dir is not None:
@@ -76,13 +68,6 @@ def _out_dir(experiment: str, out_dir=None) -> Path:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _tracking_config(seed: int, horizon: int) -> RunConfig:
-    """The 10-agent random-digraph tracking run shared by fig2_3 and diagnostics."""
-    return RunConfig(n_agents=10, graph_kind="random", graph_seed=FIG1_GRAPH_SEED,
-                     extra_edge_prob=FIG1_EXTRA_EDGE_PROB, horizon=horizon,
-                     master_seed=seed, **SV_DEFAULTS)
 
 
 def rerun_from_metadata(meta_path) -> Trace:
@@ -101,10 +86,12 @@ class TrackingExperimentResult:
 
 def experiment_fig2_3(seed: int = 0, horizon: int = 5000, out_dir=None) -> TrackingExperimentResult:
     """Ten agents on a random strongly connected digraph tracking the moving
-    minimizer; emits trajectory, regret, and consensus series."""
-    directory = _out_dir("fig2_3", out_dir)
-    config = _tracking_config(seed, horizon)
+    minimizer; emits trajectory, regret, and consensus series.  The
+    topology is RunConfig's default, a stand-in for the unspecified one:
+    a cycle backbone plus random extra edges, echoed into metadata."""
+    config = RunConfig(horizon=horizon, master_seed=seed)
     trace = run(config)
+    directory = _out_dir("fig2_3", out_dir)
     stream = make_stream(config.stream_name, config.n_agents, config.dim, config.master_seed)
     ledger = build_regret_ledger(trace, stream)
     curves = consensus_curve(trace)
@@ -161,13 +148,15 @@ def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int
     seed value is reused for every N (coefficient shapes differ per N, so
     streams are regenerated; the policy is recorded in metadata).
     """
+    if horizon < 1 or seed < 0:
+        raise ConfigError(f"fig4 needs horizon >= 1 and seed >= 0, got horizon={horizon}, seed={seed}")
     directory = _out_dir("fig4", out_dir)
     mean_curves, finals, traces = {}, {}, {}
     rows = []
     for n in agent_counts:
         config = RunConfig(n_agents=n, graph_kind=ring_kind, graph_seed=seed,
                            horizon=horizon, master_seed=seed,
-                           record_surplus=False, record_oracle=False, **SV_DEFAULTS)
+                           record_surplus=False, record_oracle=False)
         trace = run(config)
         stream = make_stream(config.stream_name, n, config.dim, config.master_seed)
         ledger = build_regret_ledger(trace, stream)
@@ -323,6 +312,12 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
     """Property-study bundle: smoothing and oracle moment tables, spectral
     reports with the conservative gain bound per topology, and the
     residual-over-step-size study along a full tracking run."""
+    config = RunConfig(horizon=horizon, master_seed=seed)
+    config.validate()
+    if horizon < 10 or n_samples < 1:
+        # the residual-ratio window starts at t = 10
+        raise ConfigError(f"diagnostics needs horizon >= 10 and n_samples >= 1, "
+                          f"got horizon={horizon}, n_samples={n_samples}")
     directory = _out_dir("diagnostics", out_dir)
     sandwich = sandwich_table(n_samples=n_samples, seed=seed + 2024)
     unbiased = unbiasedness_check(n_draws=n_samples, fd_samples=n_samples, seed=seed + 11)
@@ -330,14 +325,13 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
 
     topologies = {
         "cycle_10": equal_neighbor_weights(make_cycle(10)),
-        "random_10": equal_neighbor_weights(
-            make_random_strongly_connected(10, FIG1_EXTRA_EDGE_PROB, FIG1_GRAPH_SEED)),
+        "random_10": equal_neighbor_weights(make_graph(config.graph_kind, config.n_agents,
+                                                       config.graph_seed, config.extra_edge_prob)),
     }
     grid = [0.01, 0.05, 0.1, 0.2]
     spectral = {name: spectral_report(wp, grid) for name, wp in topologies.items()}
-    dh_values = {name: delta_hat(wp) for name, wp in topologies.items()}
+    dh_values = {name: report[0].delta_hat_value for name, report in spectral.items()}
 
-    config = _tracking_config(seed, horizon)
     trace = run(config)
     ratio = theta_over_gamma(trace)
     lo_t, hi_t = max(10, horizon // 10), horizon

@@ -182,6 +182,8 @@ def make_random_strongly_connected(n: int, extra_edge_prob: float, seed: int) ->
         raise GraphError(f"need n >= 2, got {n}")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise GraphError(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob}")
+    if seed < 0:
+        raise GraphError(f"graph seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     edges = {(i, (i + 1) % n) for i in range(n)}
     draws = rng.random((n, n))

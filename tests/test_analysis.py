@@ -223,8 +223,9 @@ class TestSpectralReport:
 
     def test_invalid_delta_reported_per_row(self):
         wp = equal_neighbor_weights(make_cycle(4))
-        rows = spectral_report(wp, [-0.5, 0.02])
-        assert rows[0].error is not None and rows[0].geometric is False
+        rows = spectral_report(wp, [-0.5, 0.02, math.nan, math.inf])
+        for bad in (rows[0], rows[2], rows[3]):
+            assert bad.error is not None and bad.geometric is False
         assert rows[1].error is None
 
     def test_fit_recovers_exact_geometric_sequence(self):

@@ -1,11 +1,18 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from rgfopt.algorithm import ConfigError, RunConfig
 from rgfopt.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -194,3 +201,52 @@ class TestSpectralCommand:
     def test_bad_grid(self, capsys):
         assert main(["spectral", "--delta-grid", "a,b"]) == EXIT_PARSE
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_stdout_bytes_are_pinned(self, capsys):
+        # any change to the report's bytes must be deliberate
+        assert main(["spectral", "--graph", "random", "--n", "8", "--graph-seed", "4",
+                     "--delta-grid", "0.1,-1"]) == EXIT_OK
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == \
+            "e1399416288b28c9a220d7cee7ce2668f681fead1e3bcc8fe25f77f067ab5508"
+
+
+# (argv, exit code, error kind, message fragment); OUT is the --out directory
+# that must not appear, CFG_DIR a directory, CFG_BYTES a non-UTF-8 file,
+# CFG_LIST a JSON list.
+FAILURE_CONTRACT = [
+    (["experiment", "diagnostics", "--samples", "0", "--out", "OUT"],
+     EXIT_VALIDATION, "validation", "n_samples >= 1"),
+    (["diagnose", "--samples", "-3", "--out", "OUT"], EXIT_VALIDATION, "validation", "n_samples >= 1"),
+    (["experiment", "fig4", "--horizon", "0", "--out", "OUT"], EXIT_VALIDATION, "validation",
+     "horizon >= 1"),
+    (["experiment", "diagnostics", "--horizon", "5", "--out", "OUT"], EXIT_VALIDATION, "validation",
+     "horizon >= 10"),
+    (["run", "--config", "CFG_DIR", "--out", "OUT"], EXIT_PARSE, "config", "cfg_dir"),
+    (["run", "--config", "CFG_BYTES", "--out", "OUT"], EXIT_PARSE, "config", "bytes.json"),
+    (["spectral", "--graph", "random", "--graph-seed", "-1"], EXIT_VALIDATION, "validation",
+     "seed must be >= 0"),
+    (["run", "--config", "CFG_LIST", "--out", "OUT"], EXIT_VALIDATION, "validation", "JSON object"),
+]
+
+
+@pytest.mark.parametrize("argv, code, kind, fragment", FAILURE_CONTRACT,
+                         ids=[" ".join(a[:-2] if a[-1] == "OUT" else a)
+                              for a, *_ in FAILURE_CONTRACT])
+def test_failure_exits_with_one_json_error_line(tmp_path, argv, code, kind, fragment):
+    (tmp_path / "cfg_dir").mkdir()
+    (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    slots = {"OUT": tmp_path / "out", "CFG_DIR": tmp_path / "cfg_dir",
+             "CFG_BYTES": tmp_path / "bytes.json", "CFG_LIST": tmp_path / "list.json"}
+    argv = [str(slots.get(a, a)) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("RGF_SEED", None)
+    proc = subprocess.run([sys.executable, "-m", "rgfopt.cli", *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    err = json.loads(lines[0])
+    assert err["error"] == kind and fragment in err["message"]
+    assert not (tmp_path / "out").exists()
