@@ -2,9 +2,10 @@
 reports, and diagnostics.
 
 Exit codes: 0 success, 2 argument/config parse failure, 3 config
-validation failure, 4 runtime failure.  Errors are emitted as a single
-JSON object on stderr so scripts can consume them.  The environment
-variable RGF_SEED supplies a default seed when --seed is omitted.
+validation failure, 4 runtime failure.  stderr carries JSON lines only:
+one object per warning raised during the command, then, on failure, a
+single error object.  The environment variable RGF_SEED supplies a default
+seed when --seed is omitted.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from .algorithm import ConfigError, RunConfig, SimulationError, csv_text, make_graph, run
@@ -80,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment_args.add_argument("--seed", type=int, default=None, help="master seed")
     experiment_args.add_argument("--out", default=None, help="output directory")
     experiment_args.add_argument("--horizon", type=int, default=5000)
-    experiment_args.add_argument("--samples", type=int, default=100_000,
-                                 help="Monte Carlo draws used by diagnostics")
+    experiment_args.add_argument("--samples", type=int, default=None,
+                                 help="Monte Carlo draws used by diagnostics (default 100000)")
 
     p_exp = sub.add_parser("experiment", parents=[experiment_args], help="run a canned experiment")
     p_exp.add_argument("name", choices=["fig2_3", "fig4", "diagnostics"])
@@ -129,14 +131,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.samples is not None and args.name != "diagnostics":
+        raise _ParseError(f"--samples applies to diagnostics only, not {args.name}")
     seed = _default_seed(args.seed)
     if args.name == "fig2_3":
         result = experiment_fig2_3(seed=seed, horizon=args.horizon, out_dir=args.out)
     elif args.name == "fig4":
         result = experiment_fig4(seed=seed, horizon=args.horizon, out_dir=args.out)
     else:
-        result = experiment_diagnostics(seed=seed, horizon=args.horizon,
-                                        n_samples=args.samples, out_dir=args.out)
+        samples = {} if args.samples is None else {"n_samples": args.samples}
+        result = experiment_diagnostics(seed=seed, horizon=args.horizon, out_dir=args.out,
+                                        **samples)
     print(f"experiment {args.name} complete: outputs in {result.out_dir}")
     return EXIT_OK
 
@@ -169,14 +174,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse already printed usage; normalize the code
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.handler(args)
-    except Exception as exc:
-        for types, kind, code in _FAILURES:
-            if isinstance(exc, types):
-                sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
-                return code
-        raise
+    # Warnings that pass the caller's filters become JSON lines too, ahead
+    # of any error line.
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.handler(args)
+        except Exception as exc:
+            failure = exc
+        finally:
+            for w in caught:
+                sys.stderr.write(json.dumps({"warning": w.category.__name__,
+                                             "message": str(w.message)}) + "\n")
+    for types, kind, code in _FAILURES:
+        if isinstance(failure, types):
+            sys.stderr.write(json.dumps({"error": kind, "message": str(failure)}) + "\n")
+            return code
+    raise failure
 
 
 if __name__ == "__main__":

@@ -14,7 +14,10 @@ exact for the Gaussian law, which is the default.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,6 +43,35 @@ __all__ = [
 # spawn key by (agent, t) so a draw is a pure function of the triple.
 _DOMAIN_DIRECTION = 1
 _DOMAIN_COEFF = 2
+
+# A direction is the draw of np.random.default_rng(np.random.SeedSequence(
+# entropy=rng_seed, spawn_key=(_DOMAIN_DIRECTION, agent, t))).  Building those
+# two objects costs more than the draw itself, so the key-to-state map is
+# computed here in Python ints instead: SeedSequence's uint32 hashing
+# (numpy/random/bit_generator.pyx) followed by PCG64's seeding arithmetic
+# (pcg64.h).  Only the resulting state is handed to numpy.
+_M32 = 0xFFFF_FFFF
+_M128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generate_state_constants() -> tuple[tuple[int, int], ...]:
+    # generate_state(4, uint64) hashes 8 pool words with a multiplier that
+    # advances the same way whatever the data: (xor constant, multiplier).
+    pairs, hc = [], _INIT_B
+    for _ in range(2 * _POOL_SIZE):
+        nxt = hc * _MULT_B & _M32
+        pairs.append((hc, nxt))
+        hc = nxt
+    return tuple(pairs)
+
+
+_STATE_HASH = _generate_state_constants()
+_thread_rng = threading.local()
 
 
 class OracleError(RuntimeError):
@@ -97,6 +129,9 @@ class OracleConfig:
             raise ValueError("all smoothing parameters must be positive")
         if self.direction_law not in ("gaussian", "uniform_sphere"):
             raise ValueError(f"unknown direction law {self.direction_law!r}")
+        seed = self.rng_seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"rng_seed must be a non-negative integer, got {seed!r}")
         mu.flags.writeable = False
         object.__setattr__(self, "mu", mu)
 
@@ -111,15 +146,96 @@ class OracleConfig:
                    direction_law=direction_law, rng_seed=rng_seed)
 
 
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian uint32 words of a non-negative integer, split as
+    SeedSequence splits entropy and spawn keys (0 is one word)."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"expected non-negative integer, got {n}")
+    words = [n & _M32]
+    while n := n >> 32:
+        words.append(n & _M32)
+    return words
+
+
+def _hashmix(value: int, hc: int) -> tuple[int, int]:
+    """SeedSequence's hashmix: the hashed value and the advanced multiplier."""
+    value ^= hc
+    hc = hc * _MULT_A & _M32
+    value = value * hc & _M32
+    return value ^ (value >> 16), hc
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return r ^ (r >> 16)
+
+
+def _absorb(pool: tuple[int, ...], hc: int, words: list[int]) -> tuple[tuple[int, ...], int]:
+    """Mix entropy words beyond the pool size into every pool word."""
+    pool = list(pool)
+    for word in words:
+        for i in range(_POOL_SIZE):
+            h, hc = _hashmix(word, hc)
+            pool[i] = _mix(pool[i], h)
+    return tuple(pool), hc
+
+
+@functools.lru_cache(maxsize=4096)
+def _direction_prefix(seed: int, agent: int) -> tuple[tuple[int, ...], int]:
+    """Pool and hash multiplier of SeedSequence(seed, spawn_key=(1, agent,
+    ...)) once every word before t has been mixed in."""
+    entropy = _uint32_words(seed)
+    # with a spawn key, short run entropy is zero-padded to the pool size
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    hc, pool = _INIT_A, []
+    for word in entropy[:_POOL_SIZE]:
+        h, hc = _hashmix(word, hc)
+        pool.append(h)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], h)
+    rest = entropy[_POOL_SIZE:] + [_DOMAIN_DIRECTION] + _uint32_words(agent)
+    return _absorb(tuple(pool), hc, rest)
+
+
+def _keyed_generator(seed: int, agent: int, t: int) -> np.random.Generator:
+    """This thread's generator, set to the PCG64 state that
+    default_rng(SeedSequence(seed, spawn_key=(1, agent, t))) starts from."""
+    # index() first, so a float key cannot hit the cache entry of an int
+    prefix = _direction_prefix(operator.index(seed), operator.index(agent))
+    pool, _ = _absorb(*prefix, _uint32_words(t))
+    s = []
+    for k, (pre, post) in enumerate(_STATE_HASH):  # generate_state(4, uint64)
+        v = (pool[k % _POOL_SIZE] ^ pre) * post & _M32
+        s.append(v ^ (v >> 16))
+    # uint64 words w_j = s[2j] | s[2j+1] << 32; PCG64 seeds with
+    # initstate = w0 << 64 | w1 and initseq = w2 << 64 | w3
+    initstate = s[0] << 64 | s[1] << 96 | s[2] | s[3] << 32
+    initseq = s[4] << 64 | s[5] << 96 | s[6] | s[7] << 32
+    inc = (initseq << 1 | 1) & _M128
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _M128
+    rng = getattr(_thread_rng, "generator", None)
+    if rng is None:
+        rng = _thread_rng.generator = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
 def sample_direction(cfg: OracleConfig, agent: int, t: int) -> np.ndarray:
     """Random direction for (agent, t): i.i.d. standard normal coordinates
     under the gaussian law, or a unit vector uniform on the sphere.
 
-    Each (rng_seed, agent, t) triple seeds its own generator, so draws do not
-    depend on call order and equal seeds reproduce identical directions.
+    A direction is a pure function of (rng_seed, agent, t), bit-identical to
+    the draw of np.random.default_rng(np.random.SeedSequence(entropy=rng_seed,
+    spawn_key=(1, agent, t))), so draws do not depend on call order or thread
+    and equal seeds reproduce identical directions.  Negative agent or t
+    raise ValueError.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=int(cfg.rng_seed), spawn_key=(_DOMAIN_DIRECTION, agent, t)))
+    rng = _keyed_generator(cfg.rng_seed, agent, t)
     xi = rng.standard_normal(cfg.dim)
     if cfg.direction_law == "uniform_sphere":
         norm = np.linalg.norm(xi)

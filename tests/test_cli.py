@@ -211,6 +211,13 @@ class TestSpectralCommand:
             "e1399416288b28c9a220d7cee7ce2668f681fead1e3bcc8fe25f77f067ab5508"
 
 
+def _cli(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("RGF_SEED", None)
+    return subprocess.run([sys.executable, "-m", "rgfopt.cli", *argv], capture_output=True,
+                          text=True, env=env, cwd=cwd)
+
+
 # (argv, exit code, error kind, message fragment); OUT is the --out directory
 # that must not appear, CFG_DIR a directory, CFG_BYTES a non-UTF-8 file,
 # CFG_LIST a JSON list.
@@ -227,6 +234,10 @@ FAILURE_CONTRACT = [
     (["spectral", "--graph", "random", "--graph-seed", "-1"], EXIT_VALIDATION, "validation",
      "seed must be >= 0"),
     (["run", "--config", "CFG_LIST", "--out", "OUT"], EXIT_VALIDATION, "validation", "JSON object"),
+    (["experiment", "fig2_3", "--samples", "7", "--out", "OUT"], EXIT_PARSE, "config",
+     "--samples applies to diagnostics only"),
+    (["experiment", "fig4", "--samples", "7", "--out", "OUT"], EXIT_PARSE, "config",
+     "--samples applies to diagnostics only"),
 ]
 
 
@@ -239,14 +250,33 @@ def test_failure_exits_with_one_json_error_line(tmp_path, argv, code, kind, frag
     (tmp_path / "list.json").write_text("[1, 2]")
     slots = {"OUT": tmp_path / "out", "CFG_DIR": tmp_path / "cfg_dir",
              "CFG_BYTES": tmp_path / "bytes.json", "CFG_LIST": tmp_path / "list.json"}
-    argv = [str(slots.get(a, a)) for a in argv]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("RGF_SEED", None)
-    proc = subprocess.run([sys.executable, "-m", "rgfopt.cli", *argv], capture_output=True,
-                          text=True, env=env, cwd=tmp_path)
+    proc = _cli([str(slots.get(a, a)) for a in argv], tmp_path)
     assert proc.returncode == code, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     err = json.loads(lines[0])
     assert err["error"] == kind and fragment in err["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_warnings_are_json_lines_on_success(tmp_path, capsys):
+    proc = _cli(["experiment", "fig2_3", "--horizon", "0", "--out", "out"], tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lines = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert lines and all(line.keys() == {"warning", "message"} for line in lines)
+    assert {line["warning"] for line in lines} == {"RuntimeWarning"}
+    # an ignore filter set by an in-process caller still silences them
+    assert main(["experiment", "fig2_3", "--horizon", "0", "--out", str(tmp_path / "in")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_error_line_follows_the_warnings(tmp_path):
+    # run() warns about the gain, then writing into a regular file fails
+    cfg = write_config(tmp_path / "c.json", check_delta_bound=True)
+    (tmp_path / "taken").write_text("")
+    proc = _cli(["run", "--config", str(cfg), "--out", "taken"], tmp_path)
+    assert proc.returncode == EXIT_RUNTIME, proc.stderr
+    lines = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert len(lines) >= 2 and "warning" in lines[0]
+    assert [i for i, line in enumerate(lines) if "error" in line] == [len(lines) - 1]
+    assert lines[-1]["error"] == "runtime"

@@ -1,7 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgfopt.oracle import (
     ObjectiveStream,
@@ -19,7 +23,64 @@ from rgfopt.oracle import (
 )
 
 
+def reference_direction(seed, agent, t, dim, law):
+    """The numpy route that sample_direction reproduces bit for bit."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, agent, t)))
+    xi = rng.standard_normal(dim)
+    return xi / np.linalg.norm(xi) if law == "uniform_sphere" else xi
+
+
 class TestSampleDirection:
+    @pytest.mark.parametrize("law", ["gaussian", "uniform_sphere"])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 7, 2**100 + 3])
+    def test_matches_seedsequence_reference(self, seed, law):
+        for dim in (1, 2, 5):
+            cfg = OracleConfig.uniform(1, 0.1, dim, direction_law=law, rng_seed=seed)
+            for agent in (0, 3, 2**32 + 1):
+                for t in (0, 1, 4999, 2**32 - 1, 2**32, 2**40 + 3):
+                    assert np.array_equal(sample_direction(cfg, agent, t),
+                                          reference_direction(seed, agent, t, dim, law))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**130), agent=st.integers(0, 2**70), t=st.integers(0, 2**70))
+    def test_matches_reference_for_any_key(self, seed, agent, t):
+        cfg = OracleConfig.uniform(1, 0.1, 3, rng_seed=seed)
+        assert np.array_equal(sample_direction(cfg, agent, t),
+                              reference_direction(seed, agent, t, 3, "gaussian"))
+
+    def test_threads_drawing_interleaved_keys_match_reference(self):
+        cfg = OracleConfig.uniform(8, 0.1, 2, rng_seed=11)
+        keys = [(agent, t) for t in range(250) for agent in range(8)]
+        expected = {k: reference_direction(11, *k, 2, "gaussian") for k in keys}
+        mismatches, errors = [], []
+
+        def worker(offset):
+            try:
+                for k in keys[offset:] + keys[:offset]:
+                    if not np.array_equal(sample_direction(cfg, *k), expected[k]):
+                        mismatches.append(k)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == [] and mismatches == []
+
+    @pytest.mark.parametrize("agent, t", [(-1, 0), (0, -1), (-(2**40), 5)])
+    def test_negative_agent_or_time_rejected(self, agent, t):
+        cfg = OracleConfig.uniform(2, 0.1, 1)
+        with pytest.raises(ValueError):
+            sample_direction(cfg, agent, t)
+
     def test_deterministic_per_triple(self):
         cfg = OracleConfig.uniform(4, 0.1, 3, rng_seed=99)
         a = sample_direction(cfg, 2, 17)
@@ -59,6 +120,16 @@ class TestSampleDirection:
             OracleConfig(mu=np.array([0.1, -0.1]), dim=1)
         with pytest.raises(ValueError):
             OracleConfig.uniform(2, 0.1, 1, direction_law="cauchy")
+
+    @pytest.mark.parametrize("seed", [-1, True, 3.5, "3", None])
+    def test_bad_seed_rejected_at_construction(self, seed):
+        with pytest.raises(ValueError, match="rng_seed"):
+            OracleConfig.uniform(2, 0.1, 1, rng_seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        c1 = OracleConfig.uniform(2, 0.1, 2, rng_seed=np.int64(5))
+        c2 = OracleConfig.uniform(2, 0.1, 2, rng_seed=5)
+        assert np.array_equal(sample_direction(c1, 1, 2), sample_direction(c2, 1, 2))
 
     def test_mu_hat_is_max(self):
         cfg = OracleConfig(mu=np.array([0.1, 0.5, 0.2]), dim=1)
