@@ -40,7 +40,14 @@ from .graph import (
     make_ring,
     matrix_power_gap_series,
 )
-from .oracle import ObjectiveStream, OracleConfig, gradient_free_oracle, make_stream
+from .oracle import (
+    ObjectiveStream,
+    OracleConfig,
+    _prefetch_chunks,
+    _prefetched_directions,
+    gradient_free_oracle,
+    make_stream,
+)
 
 __all__ = [
     "Box",
@@ -500,20 +507,23 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
             y_hist[t] = states.y
 
     record_state(0)
-    for t in range(t_end):
-        gamma_t = schedule(t)
-        gamma_hist[t] = gamma_t
-        try:
-            states, g_mat, theta = step_all(states, wp, config.delta, gamma_t,
-                                            stream, cfg, t, feasible)
-        except SimulationError:
-            raise
-        except Exception as exc:
-            raise SimulationError(f"step failed at t={t}: {exc}") from exc
-        if g_norm is not None:
-            g_norm[t] = np.linalg.norm(g_mat, axis=1)
-            theta_hist[t] = theta
-        record_state(t + 1)
+    # each chunk of steps draws its directions as one block (same bits)
+    for c0, c1 in _prefetch_chunks(n, t_end):
+        with _prefetched_directions(cfg, n, c0, c1):
+            for t in range(c0, c1):
+                gamma_t = schedule(t)
+                gamma_hist[t] = gamma_t
+                try:
+                    states, g_mat, theta = step_all(states, wp, config.delta, gamma_t,
+                                                    stream, cfg, t, feasible)
+                except SimulationError:
+                    raise
+                except Exception as exc:
+                    raise SimulationError(f"step failed at t={t}: {exc}") from exc
+                if g_norm is not None:
+                    g_norm[t] = np.linalg.norm(g_mat, axis=1)
+                    theta_hist[t] = theta
+                record_state(t + 1)
 
     spread = np.linalg.norm(x_hist - x_hist.mean(axis=1, keepdims=True), axis=2).max(axis=1)
     return Trace(

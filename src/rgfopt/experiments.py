@@ -35,6 +35,8 @@ from .graph import equal_neighbor_weights, make_cycle
 from .oracle import (
     ObjectiveStream,
     OracleConfig,
+    _prefetch_chunks,
+    _prefetched_directions,
     gradient_free_oracle,
     make_stream,
     norm_stream,
@@ -100,18 +102,16 @@ def experiment_fig2_3(seed: int = 0, horizon: int = 5000, out_dir=None) -> Track
     paths["trajectories"] = directory / "trajectories.csv"
     paths["trajectories"].write_text(trace.to_csv_text())
 
-    t_axis = np.arange(1, trace.horizon + 1)
-    regret_rows = []
-    for t in t_axis:
-        for i in range(trace.n_agents):
-            regret_rows.append([t, i, ledger.regret_curve[t, i], ledger.regret_curve[t, i] / t])
+    regret_rows = ([t, i, r, r / t]
+                   for t, row in enumerate(ledger.regret_curve[1:].tolist(), start=1)
+                   for i, r in enumerate(row))
     paths["regret"] = directory / "regret.csv"
     paths["regret"].write_text(csv_text(["t", "agent", "regret", "time_avg_regret"], regret_rows))
 
-    cons_rows = []
-    for t in range(trace.horizon + 1):
-        aug = curves.spread_augmented[t] if curves.spread_augmented is not None else float("nan")
-        cons_rows.append([t, curves.spread[t], aug])
+    spread = curves.spread.tolist()
+    aug = ([math.nan] * len(spread) if curves.spread_augmented is None
+           else curves.spread_augmented.tolist())
+    cons_rows = ([t, *pair] for t, pair in enumerate(zip(spread, aug)))
     paths["consensus"] = directory / "consensus.csv"
     paths["consensus"].write_text(csv_text(["t", "spread", "spread_augmented"], cons_rows))
 
@@ -165,8 +165,7 @@ def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int
         mean_curves[n] = curve
         finals[n] = float(curve[-1])
         traces[n] = trace
-        for t, v in zip(t_axis, curve):
-            rows.append([int(t), n, v])
+        rows.extend([t, n, v] for t, v in enumerate(curve.tolist(), start=1))
 
     paths = {}
     paths["series"] = directory / "fig4_series.csv"
@@ -231,11 +230,13 @@ def _oracle_mean(stream: ObjectiveStream, cfg: OracleConfig, x: np.ndarray,
     total = np.zeros(cfg.dim)
     total_sq = np.zeros(cfg.dim)
     norm_sq = 0.0
-    for t in range(n_draws):
-        g = gradient_free_oracle(stream, cfg, 0, t, x)
-        total += g
-        total_sq += g * g
-        norm_sq += g @ g
+    for c0, c1 in _prefetch_chunks(1, n_draws):
+        with _prefetched_directions(cfg, 1, c0, c1):
+            for t in range(c0, c1):
+                g = gradient_free_oracle(stream, cfg, 0, t, x)
+                total += g
+                total_sq += g * g
+                norm_sq += g @ g
     mean = total / n_draws
     var = total_sq / n_draws - mean ** 2
     stderr = np.sqrt(np.maximum(var, 0.0) / n_draws)

@@ -1,10 +1,14 @@
+import contextlib
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import rgfopt as r
+from rgfopt import algorithm, oracle
 from rgfopt.algorithm import (
     AgentStates,
     Ball,
@@ -24,6 +28,7 @@ from rgfopt.oracle import (
     constant_stream,
     gradient_free_oracle,
     linear_probe_stream,
+    sample_direction,
 )
 
 
@@ -299,6 +304,74 @@ class TestRun:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_dict({"horizon": 5, "bogus": 1})
+
+
+def _trace_bytes(trace):
+    arrays = (trace.x, trace.y, trace.cost, trace.spread, trace.gamma, trace.g_norm, trace.theta)
+    return [a.tobytes() for a in arrays] + [trace.to_csv_text()]
+
+
+# Beyond the pinned digests' dim-1, seed-0 reach; 450 steps of 10 agents
+# end inside the third prefetch chunk.
+PREFETCH_CONFIGS = {
+    "dim3": RunConfig(dim=3, horizon=450, master_seed=3, check_delta_bound=False),
+    "sphere": RunConfig(direction_law="uniform_sphere", dim=2, horizon=450, master_seed=4,
+                        check_delta_bound=False),
+    "wide_seed": RunConfig(master_seed=2**32 + 5, horizon=450, check_delta_bound=False),
+    "few_agents": RunConfig(n_agents=3, horizon=700, master_seed=6, check_delta_bound=False),
+}
+
+
+class TestPrefetchedRun:
+    @pytest.mark.parametrize("name", sorted(PREFETCH_CONFIGS))
+    def test_trace_bytes_equal_scalar_draws(self, name, monkeypatch):
+        config = PREFETCH_CONFIGS[name]
+        assert len({t1 - t0 for t0, t1 in oracle._prefetch_chunks(config.n_agents,
+                                                                  config.horizon)}) == 2
+        prefetched = _trace_bytes(r.run(config))
+        monkeypatch.setattr(algorithm, "_prefetched_directions",
+                            lambda *args: contextlib.nullcontext())
+        assert prefetched == _trace_bytes(r.run(config))
+
+    def test_threads_match_single_threaded_results(self):
+        configs = [RunConfig(dim=2, horizon=300, master_seed=8, check_delta_bound=False),
+                   RunConfig(dim=1, horizon=300, master_seed=9, check_delta_bound=False)]
+        expected = [_trace_bytes(r.run(c)) for c in configs]
+        # the third thread draws the first run's keys on the scalar route
+        cfg = OracleConfig.uniform(10, 0.1, 2, rng_seed=8)
+        keys = [(agent, t) for t in range(300) for agent in range(10)]
+        scalar = {k: sample_direction(cfg, *k) for k in keys}
+        got, drawn, errors = [None, None], {}, []
+
+        def run_config(i):
+            try:
+                got[i] = _trace_bytes(r.run(configs[i]))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        def draw_keys():
+            try:
+                for k in keys:
+                    drawn[k] = sample_direction(cfg, *k)
+            except Exception as exc:
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run_config, args=(0,)),
+                       threading.Thread(target=run_config, args=(1,)),
+                       threading.Thread(target=draw_keys)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert got == expected
+        assert all(drawn[k].tobytes() == scalar[k].tobytes() for k in keys)
 
 
 class TestConsensusContraction:

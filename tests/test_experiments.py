@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import warnings
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import rgfopt as r
+from rgfopt import experiments
 from rgfopt.experiments import (
     experiment_diagnostics,
     experiment_fig2_3,
@@ -120,6 +122,18 @@ class TestCheckHelpers:
     def test_second_moment_reduced(self):
         rows = second_moment_check(dims=(1, 3), n_draws=4000, seed=19)
         assert all(row["within"] for row in rows)
+
+    def test_oracle_mean_equals_scalar_draws(self, monkeypatch):
+        # 2500 draws end inside the second prefetch chunk
+        stream = experiments.quadratic_norm_stream(3)
+        cfg = r.OracleConfig.uniform(1, 0.01, 3, direction_law="uniform_sphere", rng_seed=2**33)
+        x = np.array([0.3, -0.2, 0.9])
+        prefetched = experiments._oracle_mean(stream, cfg, x, 2500)
+        monkeypatch.setattr(experiments, "_prefetched_directions",
+                            lambda *args: contextlib.nullcontext())
+        scalar = experiments._oracle_mean(stream, cfg, x, 2500)
+        assert [np.asarray(v).tobytes() for v in prefetched] == \
+            [np.asarray(v).tobytes() for v in scalar]
 
     def test_default_output_dir_is_timestamped(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

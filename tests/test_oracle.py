@@ -1,12 +1,14 @@
 import math
+import struct
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rgfopt import oracle
 from rgfopt.oracle import (
     ObjectiveStream,
     OracleConfig,
@@ -121,6 +123,17 @@ class TestSampleDirection:
         with pytest.raises(ValueError):
             OracleConfig.uniform(2, 0.1, 1, direction_law="cauchy")
 
+    @pytest.mark.parametrize("mu, dim", [([0.1], 0), ([0.1], -2), ([0.1], True), ([0.1, 0.1], 2.0),
+                                         ([0.1], "2"), ([[0.1, 0.1]], 2), ([], 1),
+                                         ([0.1, math.nan], 1), ([math.inf], 1)])
+    def test_bad_dim_or_mu_rejected_at_construction(self, mu, dim):
+        with pytest.raises(ValueError, match="dim|mu"):
+            OracleConfig(mu=mu, dim=dim)
+
+    def test_numpy_integer_dim_accepted(self):
+        cfg = OracleConfig(mu=[0.1, 0.2], dim=np.int32(3))
+        assert cfg.dim == 3 and type(cfg.dim) is int
+
     @pytest.mark.parametrize("seed", [-1, True, 3.5, "3", None])
     def test_bad_seed_rejected_at_construction(self, seed):
         with pytest.raises(ValueError, match="rng_seed"):
@@ -134,6 +147,117 @@ class TestSampleDirection:
     def test_mu_hat_is_max(self):
         cfg = OracleConfig(mu=np.array([0.1, 0.5, 0.2]), dim=1)
         assert cfg.mu_hat == 0.5
+
+
+def _takes_slow_path(seed, agent, t, dim):
+    """Whether numpy's draw of this key leaves the ziggurat fast path, i.e.
+    consumes more than one PCG64 output per coordinate."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, agent, t)))
+    fast = np.random.PCG64()
+    fast.state = rng.bit_generator.state
+    rng.standard_normal(dim)
+    return fast.advance(dim).state != rng.bit_generator.state
+
+
+def _prefetched_rows(seed, dim, law, n_agents, t0, t1):
+    cfg = OracleConfig.uniform(n_agents, 0.1, dim, direction_law=law, rng_seed=seed)
+    with oracle._prefetched_directions(cfg, n_agents, t0, t1):
+        return {(agent, t): sample_direction(cfg, agent, t)
+                for t in range(t0, t1) for agent in range(n_agents)}
+
+
+class TestBlockDirections:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**130), n_agents=st.integers(1, 12),
+           t0=st.integers(0, 2**32 + 10), span=st.integers(1, 16), dim=st.integers(1, 6),
+           law=st.sampled_from(["gaussian", "uniform_sphere"]))
+    @example(seed=2**32 + 1, n_agents=3, t0=2**32 - 4, span=8, dim=2, law="uniform_sphere")
+    def test_prefetched_draws_match_reference(self, seed, n_agents, t0, span, dim, law):
+        rows = _prefetched_rows(seed, dim, law, n_agents, t0, t0 + span)
+        for (agent, t), xi in rows.items():
+            assert xi.tobytes() == reference_direction(seed, agent, t, dim, law).tobytes()
+
+    @pytest.mark.parametrize("law", ["gaussian", "uniform_sphere"])
+    def test_slow_path_keys_match_reference(self, law):
+        rows = _prefetched_rows(5, 2, law, 3, 0, 200)
+        slow = [key for key in rows if _takes_slow_path(5, *key, 2)]
+        assert len(slow) >= 5
+        for agent, t in slow:
+            assert rows[agent, t].tobytes() == reference_direction(5, agent, t, 2, law).tobytes()
+
+    def test_keys_outside_the_block_take_the_scalar_route(self):
+        cfg = OracleConfig.uniform(4, 0.1, 2, rng_seed=3)
+        other = OracleConfig.uniform(4, 0.1, 3, rng_seed=3)
+        with oracle._prefetched_directions(cfg, 4, 10, 20):
+            for c, agent, t in [(cfg, 4, 12), (cfg, 1, 9), (cfg, 1, 20), (other, 1, 12)]:
+                assert np.array_equal(sample_direction(c, agent, t),
+                                      reference_direction(3, agent, t, c.dim, "gaussian"))
+            with pytest.raises(ValueError):
+                sample_direction(cfg, -1, 12)
+
+    def test_block_is_restored_on_exit(self):
+        cfg = OracleConfig.uniform(2, 0.1, 1, rng_seed=4)
+        with oracle._prefetched_directions(cfg, 2, 0, 8):
+            outer = oracle._prefetched.block
+            with pytest.raises(RuntimeError):
+                with oracle._prefetched_directions(cfg, 2, 8, 16):
+                    raise RuntimeError
+            assert oracle._prefetched.block is outer
+        assert oracle._prefetched.block is None
+
+    def test_returned_rows_are_copies(self):
+        cfg = OracleConfig.uniform(1, 0.1, 2, rng_seed=6)
+        with oracle._prefetched_directions(cfg, 1, 0, 4):
+            sample_direction(cfg, 0, 1)[:] = 0.0
+            assert np.array_equal(sample_direction(cfg, 0, 1), reference_direction(6, 0, 1, 2, "gaussian"))
+
+
+def _probe_ziggurat_tables():
+    """numpy's double ziggurat tables (wi, ki), read off Generator(PCG64).
+
+    A PCG64 state is placed so that its next output is a chosen r (one LCG
+    step inverted; a stepped state with high word 0 outputs its low word).
+    standard_normal then splits r into idx = r & 0xff and rabs = r >> 9:
+    rabs = 1 returns 1 * wi[idx] (checked against rabs = 2), and ki[idx] is
+    the least rabs whose draw consumes a second output.
+    """
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    mult_inv = pow(mult, -1, 1 << 128)
+    bitgen = np.random.PCG64()
+    gen = np.random.Generator(bitgen)
+
+    def draw(r):
+        bitgen.state = {"bit_generator": "PCG64",
+                        "state": {"state": (r - 1) * mult_inv % (1 << 128), "inc": 1},
+                        "has_uint32": 0, "uinteger": 0}
+        return gen.standard_normal(), bitgen.state["state"]["state"] != r
+
+    wi, ki = [], []
+    for idx in range(256):
+        w = draw(1 << 9 | idx)[0]
+        assert draw(2 << 9 | idx)[0] == 2 * w
+        lo, hi = 0, 1 << 52
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if draw(mid << 9 | idx)[1] else (mid + 1, hi)
+        wi.append(w)
+        ki.append(lo)
+    return wi, ki
+
+
+def _hex_words(words):
+    return "\n".join("    " + " ".join(f"{w:016x}" for w in words[i:i + 4])
+                     for i in range(0, len(words), 4))
+
+
+def test_embedded_ziggurat_tables_match_numpy():
+    wi, ki = _probe_ziggurat_tables()
+    wi_bits = [struct.unpack("<Q", struct.pack("<d", w))[0] for w in wi]
+    embedded = (oracle._ZIGGURAT_WI.view(np.uint64).tolist(), oracle._ZIGGURAT_KI.tolist())
+    assert embedded == (wi_bits, ki), (
+        f"numpy {np.__version__} draws normals from other ziggurat tables; replace the "
+        f"literals in rgfopt/oracle.py with\n_ZIGGURAT_KI:\n{_hex_words(ki)}\n"
+        f"_ZIGGURAT_WI:\n{_hex_words(wi_bits)}")
 
 
 class TestGradientFreeOracle:
