@@ -400,27 +400,37 @@ class Trace:
 
     def to_csv_text(self) -> str:
         """Long-format CSV: t, agent, x..., global_cost, spread, x_star..."""
-        p = self.x.shape[2]
+        steps, n, p = self.x.shape
         header = (["t", "agent"] + [f"x_{k}" for k in range(p)]
                   + ["global_cost", "spread"])
-        x, cost, spread = self.x.tolist(), self.cost.tolist(), self.spread.tolist()
-        star = [[]] * len(x)
+        x = self.x.reshape(-1, p)
+        columns = [np.repeat(np.arange(steps), n), np.tile(np.arange(n), steps),
+                   *(x[:, k] for k in range(p)), self.cost.ravel(), np.repeat(self.spread, n)]
         if self.x_star is not None:
             header += [f"x_star_{k}" for k in range(p)]
-            star = self.x_star.tolist()
-        rows = ([t, i, *x[t][i], cost[t][i], spread[t], *star[t]]
-                for t in range(len(x)) for i in range(self.n_agents))
-        return csv_text(header, rows)
+            columns += [np.repeat(self.x_star[:, k], n) for k in range(p)]
+        return csv_text(header, columns)
 
 
-def csv_text(header: list[str], rows) -> str:
-    """CSV with floats written as their shortest round-trip repr, so
-    identical values produce identical bytes."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
-                              for v in row))
-    return "\n".join(lines) + "\n"
+# Rows formatted per pass: whole columns at once would hold every cell
+# string of a 50k-row table in memory.
+_CSV_CHUNK_ROWS = 4096
+
+
+def csv_text(header: list[str], columns) -> str:
+    """CSV from equal-length columns.  Float arrays are written as their
+    shortest round-trip repr, so identical values produce identical bytes;
+    other cells (ints, strings, Python floats in a list) through `str`."""
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(col) != n_rows for col in columns):
+        raise ValueError(f"CSV columns differ in length: {[len(col) for col in columns]}")
+    parts = [",".join(header) + "\n"]
+    for a in range(0, n_rows, _CSV_CHUNK_ROWS):
+        chunk = [col[a:a + _CSV_CHUNK_ROWS] for col in columns]
+        cells = [map(repr if c.dtype.kind == "f" else str, c.tolist())
+                 if isinstance(c, np.ndarray) else map(str, c) for c in chunk]
+        parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(parts)
 
 
 def _fit_practical_gain_bound(wp: WeightPair, delta: float, n: int):
@@ -490,23 +500,14 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     states = AgentStates(x=x0, y=np.zeros((n, p)))
 
     x_hist = np.empty((t_end + 1, n, p))
-    cost = np.empty((t_end + 1, n))
     gamma_hist = np.empty(t_end)
-    has_star = stream.analytic_minimizer is not None
-    x_star = np.empty((t_end + 1, p)) if has_star else None
     y_hist = np.empty((t_end + 1, n, p)) if config.record_surplus else None
-    g_norm = np.empty((t_end, n)) if config.record_oracle else None
+    g_hist = np.empty((t_end, n, p)) if config.record_oracle else None
     theta_hist = np.empty((t_end, n, p)) if config.record_oracle else None
 
-    def record_state(t: int):
-        x_hist[t] = states.x
-        cost[t] = stream.aggregate_cost(t, states.x)
-        if has_star:
-            x_star[t] = stream.analytic_minimizer(t)
-        if y_hist is not None:
-            y_hist[t] = states.y
-
-    record_state(0)
+    x_hist[0] = states.x
+    if y_hist is not None:
+        y_hist[0] = states.y
     # each chunk of steps draws its directions as one block (same bits)
     for c0, c1 in _prefetch_chunks(n, t_end):
         with _prefetched_directions(cfg, n, c0, c1):
@@ -520,11 +521,19 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
                     raise
                 except Exception as exc:
                     raise SimulationError(f"step failed at t={t}: {exc}") from exc
-                if g_norm is not None:
-                    g_norm[t] = np.linalg.norm(g_mat, axis=1)
+                if g_hist is not None:
+                    g_hist[t] = g_mat
                     theta_hist[t] = theta
-                record_state(t + 1)
+                x_hist[t + 1] = states.x
+                if y_hist is not None:
+                    y_hist[t + 1] = states.y
 
+    # everything that is not state is computed once, after the loop
+    ts = np.repeat(np.arange(t_end + 1), n)
+    cost = stream.aggregate_cost(ts, x_hist.reshape(-1, p)).reshape(t_end + 1, n)
+    x_star = None if stream.analytic_minimizer is None else np.array(
+        [stream.analytic_minimizer(t) for t in range(t_end + 1)], dtype=float).reshape(-1, p)
+    g_norm = np.linalg.norm(g_hist, axis=2) if g_hist is not None else None
     spread = np.linalg.norm(x_hist - x_hist.mean(axis=1, keepdims=True), axis=2).max(axis=1)
     return Trace(
         config=config, x=x_hist, cost=cost, spread=spread, gamma=gamma_hist,

@@ -83,9 +83,7 @@ def _minimizer_sequence(trace: Trace, stream: ObjectiveStream) -> tuple[np.ndarr
 def build_regret_ledger(trace: Trace, stream: ObjectiveStream) -> RegretLedger:
     """Dynamic regret R_i(t) of every agent against the per-step offline optimum."""
     minimizers, source = _minimizer_sequence(trace, stream)
-    t_end = trace.horizon
-    offline_per_t = np.array([float(stream.aggregate_cost(t, minimizers[t][None, :])[0])
-                              for t in range(t_end + 1)])
+    offline_per_t = stream.aggregate_cost(np.arange(trace.horizon + 1), minimizers)
     inst_gap = trace.cost - offline_per_t[:, None]          # (T+1, N)
     regret_curve = np.cumsum(inst_gap, axis=0)
     return RegretLedger(

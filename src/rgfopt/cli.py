@@ -159,7 +159,7 @@ def _cmd_spectral(args) -> int:
              int(r.geometric), r.error or ""]
             for r in spectral_report(wp, grid)]
     header = ["delta", "delta_hat", "lambda_fit", "c_fit", "r_squared", "geometric", "error"]
-    text = csv_text(header, rows)
+    text = csv_text(header, list(zip(*rows)))  # mixed ""/float columns of Python values
     if args.out:
         Path(args.out).write_text(text)
         print(f"spectral report written to {args.out}")

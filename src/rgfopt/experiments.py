@@ -102,18 +102,19 @@ def experiment_fig2_3(seed: int = 0, horizon: int = 5000, out_dir=None) -> Track
     paths["trajectories"] = directory / "trajectories.csv"
     paths["trajectories"].write_text(trace.to_csv_text())
 
-    regret_rows = ([t, i, r, r / t]
-                   for t, row in enumerate(ledger.regret_curve[1:].tolist(), start=1)
-                   for i, r in enumerate(row))
+    rc = ledger.regret_curve[1:]
+    t_axis = np.arange(1, horizon + 1)
     paths["regret"] = directory / "regret.csv"
-    paths["regret"].write_text(csv_text(["t", "agent", "regret", "time_avg_regret"], regret_rows))
+    paths["regret"].write_text(csv_text(
+        ["t", "agent", "regret", "time_avg_regret"],
+        [np.repeat(t_axis, config.n_agents), np.tile(np.arange(config.n_agents), horizon),
+         rc.ravel(), (rc / t_axis[:, None]).ravel()]))
 
-    spread = curves.spread.tolist()
-    aug = ([math.nan] * len(spread) if curves.spread_augmented is None
-           else curves.spread_augmented.tolist())
-    cons_rows = ([t, *pair] for t, pair in enumerate(zip(spread, aug)))
+    aug = (np.full(horizon + 1, math.nan) if curves.spread_augmented is None
+           else curves.spread_augmented)
     paths["consensus"] = directory / "consensus.csv"
-    paths["consensus"].write_text(csv_text(["t", "spread", "spread_augmented"], cons_rows))
+    paths["consensus"].write_text(csv_text(["t", "spread", "spread_augmented"],
+                                           [np.arange(horizon + 1), curves.spread, aug]))
 
     meta = trace.metadata()
     meta["experiment"] = "fig2_3"
@@ -152,7 +153,6 @@ def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int
         raise ConfigError(f"fig4 needs horizon >= 1 and seed >= 0, got horizon={horizon}, seed={seed}")
     directory = _out_dir("fig4", out_dir)
     mean_curves, finals, traces = {}, {}, {}
-    rows = []
     for n in agent_counts:
         config = RunConfig(n_agents=n, graph_kind=ring_kind, graph_seed=seed,
                            horizon=horizon, master_seed=seed,
@@ -165,11 +165,14 @@ def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int
         mean_curves[n] = curve
         finals[n] = float(curve[-1])
         traces[n] = trace
-        rows.extend([t, n, v] for t, v in enumerate(curve.tolist(), start=1))
 
     paths = {}
     paths["series"] = directory / "fig4_series.csv"
-    paths["series"].write_text(csv_text(["t", "n_agents", "mean_time_avg_regret"], rows))
+    paths["series"].write_text(csv_text(
+        ["t", "n_agents", "mean_time_avg_regret"],
+        [np.tile(np.arange(1, horizon + 1), len(agent_counts)),
+         np.repeat(np.array(agent_counts, dtype=int), horizon),
+         np.array([mean_curves[n] for n in agent_counts]).ravel()]))
     meta = {
         "experiment": "fig4",
         "agent_counts": list(agent_counts),
@@ -344,8 +347,8 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
     paths["sandwich"] = directory / "sandwich.csv"
     paths["sandwich"].write_text(csv_text(
         ["x", "f", "f_mu_est", "stderr", "lower", "upper", "within"],
-        [[r["x"], r["f"], r["f_mu_est"], r["stderr"], r["lower"], r["upper"], int(r["within"])]
-         for r in sandwich]))
+        list(zip(*([r["x"], r["f"], r["f_mu_est"], r["stderr"], r["lower"], r["upper"],
+                    int(r["within"])] for r in sandwich)))))
     paths["spectral"] = directory / "spectral.csv"
     spec_rows = []
     for name, report in spectral.items():
@@ -357,7 +360,7 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
                               int(row.geometric)])
     paths["spectral"].write_text(csv_text(
         ["topology", "delta", "delta_hat", "lambda_fit", "c_fit", "r_squared", "geometric"],
-        spec_rows))
+        list(zip(*spec_rows))))
     summary = {
         "experiment": "diagnostics",
         "seed": seed,

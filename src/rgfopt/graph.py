@@ -245,6 +245,9 @@ def delta_hat(wp: WeightPair) -> float:
     n = wp.n_agents
     if 2 * n < 3:
         raise GraphError(f"need at least 3 augmented states, got 2N={2 * n}")
+    if (1.0 / (20.0 + 8.0 * n)) ** n == 0.0:
+        # 0 <= 1 - |s3| <= 1, so the bound underflows too (N >= 110): skip eigvals
+        return 0.0
     w0 = build_augmented(wp, 0.0)
     try:
         eigvals = np.linalg.eigvals(w0.w_aug)

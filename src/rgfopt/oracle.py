@@ -91,7 +91,8 @@ class ObjectiveStream:
     Optional hooks speed up batch work without changing semantics:
     `evaluate_batch(agent, t, X)` maps an (m, p) block of points to (m,)
     values; `aggregate_evaluate(t, X)` returns the summed-over-agents cost
-    at each row of X.
+    at each row of X, where `t` is one time for every row or an int array
+    holding one time per row.
     """
 
     n_agents: int
@@ -104,14 +105,15 @@ class ObjectiveStream:
     name: str = "custom"
     params: dict = field(default_factory=dict)
 
-    def aggregate_cost(self, t: int, points: np.ndarray) -> np.ndarray:
-        """Summed cost over all agents at each row of `points` (m, p) -> (m,)."""
+    def aggregate_cost(self, t, points: np.ndarray) -> np.ndarray:
+        """Summed cost over all agents at each row of `points` (m, p) -> (m,),
+        at time `t` (an int) or at times `t[k]` (an (m,) int array)."""
         points = np.atleast_2d(points)
         if self.aggregate_evaluate is not None:
             return np.asarray(self.aggregate_evaluate(t, points), dtype=float)
         out = np.zeros(points.shape[0])
-        for k in range(points.shape[0]):
-            out[k] = sum(self.evaluate(j, t, points[k]) for j in range(self.n_agents))
+        for k, tk in enumerate(np.broadcast_to(t, out.shape).tolist()):
+            out[k] = sum(self.evaluate(j, tk, points[k]) for j in range(self.n_agents))
         return out
 
 
@@ -567,8 +569,10 @@ def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> 
         x = np.asarray(x, dtype=float)
         return float(a[agent] * x @ x - 2.0 * b[agent] * d * x.sum() + c[agent] * dim * d * d)
 
-    def aggregate_evaluate(t: int, points: np.ndarray) -> np.ndarray:
-        d = tracking_target(t)
+    def aggregate_evaluate(t, points: np.ndarray) -> np.ndarray:
+        # d by math.sin once per distinct time; np.sin may differ in the last bit
+        times, rows = np.unique(t, return_inverse=True)
+        d = np.array([tracking_target(s) for s in times.tolist()])[rows]
         return (a.sum() * (points ** 2).sum(axis=1)
                 - 2.0 * b.sum() * d * points.sum(axis=1)
                 + c.sum() * dim * d * d)

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rgfopt as r
 from rgfopt import algorithm, oracle
@@ -18,6 +20,7 @@ from rgfopt.algorithm import (
     SimulationError,
     StepSchedule,
     constant_schedule,
+    csv_text,
     inv_sqrt_schedule,
     step_all,
 )
@@ -64,6 +67,29 @@ class TestProjection:
         v = rng.uniform(-20, 20, (1000, 3))
         du = feasible.project(u) - feasible.project(v)
         assert (np.linalg.norm(du, axis=1) <= np.linalg.norm(u - v, axis=1) + 1e-12).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.integers(1, 6), lo=st.floats(-50.0, 50.0), width=st.floats(1e-3, 100.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_box_idempotent_and_nonexpansive(self, dim, lo, width, seed):
+        self._check_projection(Box(lo, lo + width, dim), dim, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(center=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6),
+           radius=st.floats(1e-3, 100.0), seed=st.integers(0, 2**32 - 1))
+    def test_ball_idempotent_and_nonexpansive(self, center, radius, seed):
+        self._check_projection(Ball(np.array(center), radius), len(center), seed)
+
+    @staticmethod
+    def _check_projection(feasible, dim, seed):
+        rng = np.random.default_rng(seed)
+        u, v = rng.uniform(-300.0, 300.0, (2, 64, dim))
+        once = feasible.project(u)
+        scale = 1e-12 * (1.0 + feasible.radius)
+        assert feasible.contains(once)
+        assert np.allclose(feasible.project(once), once, rtol=0.0, atol=scale)
+        moved = np.linalg.norm(once - feasible.project(v), axis=1)
+        assert (moved <= np.linalg.norm(u - v, axis=1) * (1.0 + 1e-12) + scale).all()
 
     def test_box_validation(self):
         with pytest.raises(ConfigError):
@@ -301,6 +327,22 @@ class TestRun:
     def test_numpy_integers_accepted(self):
         RunConfig(n_agents=np.int64(4), horizon=np.int32(3), master_seed=np.uint8(1)).validate()
 
+    def test_post_loop_recording_equals_per_step_reference(self):
+        config = RunConfig(n_agents=4, dim=3, feasible_kind="ball", ball_radius=2.0,
+                           direction_law="uniform_sphere", horizon=60, master_seed=12,
+                           check_delta_bound=False)
+        trace = r.run(config)
+        stream = r.make_stream(config.stream_name, 4, 3, config.master_seed)
+        cfg = OracleConfig.uniform(4, config.mu_hat, 3, direction_law="uniform_sphere",
+                                   rng_seed=config.master_seed)
+        cost = np.stack([stream.aggregate_cost(t, trace.x[t]) for t in range(61)])
+        x_star = np.stack([stream.analytic_minimizer(t) for t in range(61)])
+        g_norm = np.stack([np.linalg.norm([gradient_free_oracle(stream, cfg, i, t, trace.x[t, i])
+                                           for i in range(4)], axis=1) for t in range(60)])
+        assert trace.cost.tobytes() == cost.tobytes()
+        assert trace.x_star.tobytes() == x_star.tobytes()
+        assert trace.g_norm.tobytes() == g_norm.tobytes()
+
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_dict({"horizon": 5, "bogus": 1})
@@ -389,3 +431,75 @@ class TestConsensusContraction:
         gamma_t = trace.gamma[-1]
         ceiling = 10.0 * gamma_t * inputs.g1_fit * max(inputs.c_fit, 1.0) / (1.0 - inputs.lambda_fit)
         assert spread[horizon] < ceiling
+
+
+def rowwise_csv(header, rows):
+    """The row-at-a-time formatter csv_text replaced, kept as the reference."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_rows_around_the_chunk_size(self, offset):
+        n_rows = algorithm._CSV_CHUNK_ROWS + offset
+        rng = np.random.default_rng(n_rows)
+        columns = [np.arange(n_rows), rng.standard_normal(n_rows) * 1e3,
+                   rng.integers(-5, 5, n_rows), rng.random((n_rows, 3))[:, 1]]
+        rows = zip(*(c.tolist() for c in columns))
+        assert csv_text(["a", "b", "c", "d"], columns) == rowwise_csv(["a", "b", "c", "d"], rows)
+
+    def test_zero_rows_is_the_header_only(self, tmp_path):
+        assert csv_text(["a", "b"], [np.empty(0), []]) == "a,b\n"
+        assert csv_text(["a"], []) == "a\n"
+        with pytest.warns(RuntimeWarning):
+            result = r.experiment_fig2_3(seed=0, horizon=0, out_dir=tmp_path)
+        regret = result.paths["regret"].read_text()
+        assert regret == rowwise_csv(["t", "agent", "regret", "time_avg_regret"], [])
+
+    def test_mixed_empty_and_float_columns(self):
+        columns = [[0.5, "", 1e-7], ["", "", 2.5], [1, 0, 1], ["", "delta must be positive", ""]]
+        assert (csv_text(list("abcd"), columns)
+                == rowwise_csv(list("abcd"), zip(*columns)))
+
+    def test_special_values(self):
+        floats = np.array([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5,
+                           0.1 + 0.2, -1.7976931348623157e308])
+        ints = np.array([2**62, -2**63, 0, 1, -1, 7, 2**31, 10**18, 3, 4])
+        big = [2**70, -2**100, 0, 1, 2, 3, 4, 5, 6, 10**30]
+        flags = np.array([True, False] * 5)
+        singles = np.array([-0.0, 0.1, math.nan, math.inf, 1e-45, 3.4e38, 1.0, 2.0, 3.0, 4.0],
+                           dtype=np.float32)
+        columns = [floats, ints, big, flags, singles]
+        expected = rowwise_csv(list("abcde"), zip(floats.tolist(), ints.tolist(), big,
+                                                    flags.tolist(), singles))
+        assert csv_text(list("abcde"), columns) == expected
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            csv_text(["a", "b"], [np.arange(3), np.arange(4)])
+
+    def test_fig2_3_csvs_equal_rowwise_reference(self, tmp_path):
+        # 420 steps of 10 agents: trajectory and regret tables span two chunks
+        with pytest.warns(RuntimeWarning):
+            result = r.experiment_fig2_3(seed=3, horizon=420, out_dir=tmp_path)
+        trace, ledger = result.trace, result.ledger
+        x, cost, spread, star = (trace.x.tolist(), trace.cost.tolist(), trace.spread.tolist(),
+                                 trace.x_star.tolist())
+        trajectories = rowwise_csv(
+            ["t", "agent", "x_0", "global_cost", "spread", "x_star_0"],
+            ([t, i, *x[t][i], cost[t][i], spread[t], *star[t]]
+             for t in range(421) for i in range(10)))
+        regret = rowwise_csv(
+            ["t", "agent", "regret", "time_avg_regret"],
+            ([t, i, v, v / t] for t, row in enumerate(ledger.regret_curve[1:].tolist(), start=1)
+             for i, v in enumerate(row)))
+        aug = r.consensus_curve(trace).spread_augmented.tolist()
+        consensus = rowwise_csv(["t", "spread", "spread_augmented"],
+                                ([t, spread[t], aug[t]] for t in range(421)))
+        assert result.paths["trajectories"].read_text() == trajectories
+        assert result.paths["regret"].read_text() == regret
+        assert result.paths["consensus"].read_text() == consensus

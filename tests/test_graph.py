@@ -3,7 +3,10 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rgfopt import graph
 from rgfopt.graph import (
     AugmentedMatrix,
     Digraph,
@@ -147,6 +150,14 @@ class TestEqualNeighborWeights:
             col_support = set(np.nonzero(wp.w_col[:, j])[0])
             assert col_support == set(g.out_neighbors(j))
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 30), prob=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_stochastic_on_random_digraphs(self, n, prob, seed):
+        wp = equal_neighbor_weights(make_random_strongly_connected(n, prob, seed))
+        assert (wp.w_row >= 0.0).all() and (wp.w_col >= 0.0).all()
+        assert np.abs(wp.w_row.sum(axis=1) - 1.0).max() < TOL
+        assert np.abs(wp.w_col.sum(axis=0) - 1.0).max() < TOL
+
     def test_rejects_not_strongly_connected(self):
         g = Digraph(3, frozenset({(0, 1), (1, 2)}))
         with pytest.raises(GraphError):
@@ -219,6 +230,27 @@ class TestDeltaHat:
         dh5 = delta_hat(equal_neighbor_weights(make_cycle(5)))
         dh10 = delta_hat(equal_neighbor_weights(make_cycle(10)))
         assert dh10 < dh5 < 1.0
+
+    @pytest.mark.parametrize("n", [110, 113, 114, 121, 200])
+    @pytest.mark.parametrize("kind", ["ring", "cycle", "random"])
+    def test_underflow_shortcut_equals_eigvals_route(self, kind, n):
+        g = {"ring": make_ring, "cycle": make_cycle,
+             "random": lambda n: make_random_strongly_connected(n, 0.3, seed=n)}[kind](n)
+        wp = equal_neighbor_weights(g)
+        moduli = np.sort(np.abs(np.linalg.eigvals(build_augmented(wp, 0.0).w_aug)))[::-1]
+        # a base below zero would give -0.0 at odd N, so the shortcut needs |s3| <= 1
+        assert 0.0 <= moduli[2] <= 1.0
+        expected = ((1.0 - moduli[2]) / (20.0 + 8.0 * n)) ** n
+        assert np.float64(delta_hat(wp)).tobytes() == np.float64(expected).tobytes()
+
+    def test_shortcut_taken_exactly_where_the_bound_underflows(self, monkeypatch):
+        def no_eigvals(a):
+            raise AssertionError("eigvals called")
+        monkeypatch.setattr(graph.np.linalg, "eigvals", no_eigvals)
+        for n in (110, 111, 150):
+            assert delta_hat(equal_neighbor_weights(make_ring(n))) == 0.0
+        with pytest.raises(AssertionError, match="eigvals called"):
+            delta_hat(equal_neighbor_weights(make_ring(109)))
 
     def test_formula_monotone_in_n_for_fixed_sigma3(self):
         sigma3 = 0.5

@@ -488,6 +488,47 @@ class TestPaperStream:
             assert constant_stream(2).subgradient_bound(rho) == 0.0
 
 
+def _time_dependent_stream(n_agents, dim):
+    """A stream with no aggregate hook, so aggregate_cost takes its loop."""
+    return ObjectiveStream(
+        n_agents=n_agents, dim=dim,
+        evaluate=lambda agent, t, x: float((agent + 1) * (x @ x) - math.cos(t) * x.sum()))
+
+
+BLOCK_STREAMS = {
+    **{f"paper_dim{p}": lambda p=p: paper_objective_stream(5, dim=p, coeff_seed=p)
+       for p in range(1, 7)},
+    "linear_probe": lambda: linear_probe_stream(5, dim=3, seed=2),
+    "constant": lambda: constant_stream(5, dim=2, value=1.3),
+    "no_hook": lambda: _time_dependent_stream(5, 2),
+}
+
+
+class TestBlockAggregateCost:
+    @pytest.mark.parametrize("name", sorted(BLOCK_STREAMS))
+    @settings(max_examples=40, deadline=None)
+    @given(times=st.lists(st.integers(0, 10_000), min_size=0, max_size=12),
+           rows=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_block_equals_stacked_per_time_calls(self, name, times, rows, seed):
+        # one time per row: the run records every (t, agent) row in one call,
+        # where it used to make one call of N >= 2 rows per time
+        stream = BLOCK_STREAMS[name]()
+        x = np.random.default_rng(seed).uniform(-5.0, 5.0, (len(times) * rows, stream.dim))
+        block = stream.aggregate_cost(np.repeat(np.array(times, dtype=int), rows), x)
+        stacked = [stream.aggregate_cost(t, x[k * rows:(k + 1) * rows])
+                   for k, t in enumerate(times)]
+        assert block.shape == (len(times) * rows,)
+        assert block.tobytes() == np.concatenate([np.empty(0), *stacked]).tobytes()
+
+    def test_paper_stream_uses_the_scalar_target(self, monkeypatch):
+        # np.sin may differ from math.sin in the last bit; the hook must not use it
+        monkeypatch.setattr(oracle.np, "sin", None)
+        stream = paper_objective_stream(3, dim=2)
+        x = np.ones((4, 2))
+        assert stream.aggregate_cost(np.array([0, 7, 7, 300]), x).tobytes() == np.concatenate(
+            [stream.aggregate_cost(t, x[k:k + 1]) for k, t in enumerate([0, 7, 7, 300])]).tobytes()
+
+
 class TestRegistry:
     def test_registered_names(self):
         for name in ("paper_quadratic", "linear_probe", "constant"):
