@@ -24,6 +24,7 @@ import math
 import numbers
 import warnings as _warnings
 from dataclasses import dataclass, field, asdict, fields
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -91,7 +92,10 @@ class Box:
             raise ConfigError(f"box needs lo < hi, got [{self.lo}, {self.hi}]")
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        return np.clip(v, self.lo, self.hi)
+        # np.clip's bits without its wrappers.  The bound goes first: on a tie
+        # np.maximum/np.minimum return their second argument, and np.clip
+        # keeps v (-0.0 against a bound of 0.0).
+        return np.minimum(self.hi, np.maximum(self.lo, v))
 
     def contains(self, v: np.ndarray, tol: float = 1e-12) -> bool:
         return bool((v >= self.lo - tol).all() and (v <= self.hi + tol).all())
@@ -223,15 +227,16 @@ def step_all(states: AgentStates, wp: WeightPair, delta: float, gamma_t: float,
         raise ConfigError(f"gamma(t) must be positive, got {gamma_t}")
     x, y = states.x, states.y
     g = np.empty_like(x)
-    for i in range(x.shape[0]):
-        g[i] = gradient_free_oracle(stream, cfg, i, t, x[i])
+    for i, x_i in enumerate(x):
+        g[i] = gradient_free_oracle(stream, cfg, i, t, x_i)
     mixed = wp.w_row @ x
-    x_new = feasible.project(mixed + delta * y - gamma_t * g)
-    y_new = wp.w_col @ y - mixed + x - delta * y
+    delta_y = delta * y
+    x_new = feasible.project(mixed + delta_y - gamma_t * g)
+    y_new = wp.w_col @ y - mixed + x - delta_y
     if not np.isfinite(x_new).all() or not np.isfinite(y_new).all():
         bad = np.where(~(np.isfinite(x_new).all(axis=1) & np.isfinite(y_new).all(axis=1)))[0]
         raise SimulationError(f"non-finite state for agent(s) {bad.tolist()} after step t={t}")
-    theta = x_new - mixed - delta * y
+    theta = x_new - mixed - delta_y
     return AgentStates(x=x_new, y=y_new), g, theta
 
 
@@ -417,6 +422,25 @@ class Trace:
 _CSV_CHUNK_ROWS = 4096
 
 
+def _cells(col):
+    """Cell strings of one chunk of a column.  A value repeated over
+    consecutive rows (t, spread, x_star in the long tables) is formatted
+    once per run when the runs are at most half the rows; floats compare by
+    their bits, because -0.0 == 0.0 prints differently."""
+    if not isinstance(col, np.ndarray):
+        return map(str, col)
+    kind = col.dtype.kind
+    fmt = repr if kind == "f" else str
+    if kind not in "biuf" or col.itemsize > 8:
+        return map(fmt, col.tolist())
+    keys = col.view(f"u{col.itemsize}") if kind == "f" else col
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    if 2 * starts.size > col.size:
+        return map(fmt, col.tolist())
+    counts = np.diff(starts, append=col.size)
+    return chain.from_iterable(map(repeat, map(fmt, col[starts].tolist()), counts.tolist()))
+
+
 def csv_text(header: list[str], columns) -> str:
     """CSV from equal-length columns.  Float arrays are written as their
     shortest round-trip repr, so identical values produce identical bytes;
@@ -426,9 +450,7 @@ def csv_text(header: list[str], columns) -> str:
         raise ValueError(f"CSV columns differ in length: {[len(col) for col in columns]}")
     parts = [",".join(header) + "\n"]
     for a in range(0, n_rows, _CSV_CHUNK_ROWS):
-        chunk = [col[a:a + _CSV_CHUNK_ROWS] for col in columns]
-        cells = [map(repr if c.dtype.kind == "f" else str, c.tolist())
-                 if isinstance(c, np.ndarray) else map(str, c) for c in chunk]
+        cells = [_cells(col[a:a + _CSV_CHUNK_ROWS]) for col in columns]
         parts.append("\n".join(map(",".join, zip(*cells))) + "\n")
     return "".join(parts)
 

@@ -81,8 +81,17 @@ def _minimizer_sequence(trace: Trace, stream: ObjectiveStream) -> tuple[np.ndarr
 
 
 def build_regret_ledger(trace: Trace, stream: ObjectiveStream) -> RegretLedger:
-    """Dynamic regret R_i(t) of every agent against the per-step offline optimum."""
+    """Dynamic regret R_i(t) of every agent against the per-step offline optimum.
+
+    The optimum is taken over the run's feasible set, so a minimizer
+    sequence that leaves that set raises ValueError naming the first such t.
+    """
     minimizers, source = _minimizer_sequence(trace, stream)
+    feasible = trace.config.feasible_set()
+    if not feasible.contains(minimizers):
+        t = next(t for t, m in enumerate(minimizers) if not feasible.contains(m))
+        raise ValueError(f"the {source} minimizer at t={t}, {minimizers[t].tolist()}, lies "
+                         f"outside the feasible set; the regret ledger needs the minimum over it")
     offline_per_t = stream.aggregate_cost(np.arange(trace.horizon + 1), minimizers)
     inst_gap = trace.cost - offline_per_t[:, None]          # (T+1, N)
     regret_curve = np.cumsum(inst_gap, axis=0)

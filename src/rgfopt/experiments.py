@@ -192,9 +192,12 @@ def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int
 
 def quadratic_norm_stream(dim: int) -> ObjectiveStream:
     """Single-agent squared-norm cost ||x||^2, used by the moment diagnostics."""
+    def evaluate(agent: int, t: int, x: np.ndarray) -> float:
+        x = np.asarray(x)
+        return float(x @ x)
+
     return ObjectiveStream(
-        n_agents=1, dim=dim,
-        evaluate=lambda agent, t, x: float(np.asarray(x) @ np.asarray(x)),
+        n_agents=1, dim=dim, evaluate=evaluate,
         evaluate_batch=lambda agent, t, pts: (pts ** 2).sum(axis=1),
         analytic_minimizer=lambda t: np.zeros(dim),
         subgradient_bound=None, name="squared_norm",
@@ -234,12 +237,20 @@ def _oracle_mean(stream: ObjectiveStream, cfg: OracleConfig, x: np.ndarray,
     total_sq = np.zeros(cfg.dim)
     norm_sq = 0.0
     for c0, c1 in _prefetch_chunks(1, n_draws):
+        # row 0 carries the running sums, so np.add.accumulate adds a chunk's
+        # draws onto them strictly in draw order, as one `+=` per draw would
+        g = np.empty((c1 - c0 + 1, cfg.dim))
         with _prefetched_directions(cfg, 1, c0, c1):
-            for t in range(c0, c1):
-                g = gradient_free_oracle(stream, cfg, 0, t, x)
-                total += g
-                total_sq += g * g
-                norm_sq += g @ g
+            for k, t in enumerate(range(c0, c1), start=1):
+                g[k] = gradient_free_oracle(stream, cfg, 0, t, x)
+        g[0] = total
+        sq = g * g
+        # the stacked row dot has the bits of each row's g @ g
+        dots = (g[:, None, :] @ g[:, :, None]).ravel()
+        sq[0], dots[0] = total_sq, norm_sq
+        total = np.add.accumulate(g)[-1]
+        total_sq = np.add.accumulate(sq)[-1]
+        norm_sq = np.add.accumulate(dots)[-1]
     mean = total / n_draws
     var = total_sq / n_draws - mean ** 2
     stderr = np.sqrt(np.maximum(var, 0.0) / n_draws)

@@ -499,7 +499,7 @@ def gradient_free_oracle(stream: ObjectiveStream, cfg: OracleConfig,
                          agent: int, t: int, x: np.ndarray) -> np.ndarray:
     """Two-point gradient estimate; makes exactly two stream evaluations."""
     x = np.asarray(x, dtype=float)
-    mu = float(cfg.mu[agent])
+    mu = cfg.mu.item(agent)
     xi = sample_direction(cfg, agent, t)
     f_shift = stream.evaluate(agent, t, x + mu * xi)
     f_base = stream.evaluate(agent, t, x)
@@ -507,7 +507,9 @@ def gradient_free_oracle(stream: ObjectiveStream, cfg: OracleConfig,
         raise OracleError(
             f"non-finite objective value for agent {agent} at t={t}: "
             f"f(x+mu*xi)={f_shift!r}, f(x)={f_base!r}")
-    return (f_shift - f_base) / mu * xi
+    # sample_direction returns a fresh array, so it is scaled in place
+    xi *= (f_shift - f_base) / mu
+    return xi
 
 
 def smoothed_value_mc_stats(stream: ObjectiveStream, agent: int, t: int,
@@ -559,15 +561,19 @@ def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> 
     c *= n_agents / c.sum()
     for arr in (a, b, c):
         arr.flags.writeable = False
+    a_py, b_py, c_py = tuple(a.tolist()), tuple(b.tolist()), tuple(c.tolist())
 
     def subgradient_bound(rho: float) -> float:
         # ||2 a_i x - 2 b_i d 1|| <= 2 a_i rho + 2 b_i |d| sqrt(p), |d| <= 0.016
         return float((2.0 * a * rho + 2.0 * b * 0.016 * math.sqrt(dim)).max())
 
     def evaluate(agent: int, t: int, x: np.ndarray) -> float:
+        # a_i x.x - 2 b_i d sum(x) + c_i p d^2 in this operation order, on
+        # Python floats; np.add.reduce is what x.sum() runs
         d = tracking_target(t)
         x = np.asarray(x, dtype=float)
-        return float(a[agent] * x @ x - 2.0 * b[agent] * d * x.sum() + c[agent] * dim * d * d)
+        return (float((a_py[agent] * x) @ x) - 2.0 * b_py[agent] * d * float(np.add.reduce(x))
+                + c_py[agent] * dim * d * d)
 
     def aggregate_evaluate(t, points: np.ndarray) -> np.ndarray:
         # d by math.sin once per distinct time; np.sin may differ in the last bit
@@ -634,10 +640,14 @@ def norm_stream(n_agents: int, dim: int = 1, scale: float = 1.0) -> ObjectiveStr
     """Euclidean-norm costs scale * ||x||: convex, scale-Lipschitz, kinked at 0."""
 
     def evaluate(agent: int, t: int, x: np.ndarray) -> float:
-        return float(scale * np.linalg.norm(np.asarray(x, dtype=float)))
+        # what np.linalg.norm computes for a 1-D input: sqrt of the dot
+        x = np.asarray(x, dtype=float).ravel()
+        return float(scale * math.sqrt(x.dot(x)))
 
     def evaluate_batch(agent: int, t: int, points: np.ndarray) -> np.ndarray:
-        return scale * np.linalg.norm(points, axis=1)
+        # the stacked row dot has the bits of each row's x.dot(x)
+        points = np.asarray(points, dtype=float)
+        return scale * np.sqrt((points[:, None, :] @ points[:, :, None]).ravel())
 
     def analytic_minimizer(t: int) -> np.ndarray:
         return np.zeros(dim)

@@ -91,6 +91,23 @@ class TestProjection:
         moved = np.linalg.norm(once - feasible.project(v), axis=1)
         assert (moved <= np.linalg.norm(u - v, axis=1) * (1.0 + 1e-12) + scale).all()
 
+    _SPECIALS = np.concatenate([
+        [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0],
+        np.array([0x7FF8000000000123, 0xFFF0000000000001], dtype=np.uint64).view(np.float64)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(bounds=st.sampled_from([(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0),
+                                   (-math.inf, 0.0), (0.0, math.inf), (-5.0, 5.0), (1.0, 2.0),
+                                   (-5e-324, 5e-324)]),
+           shape=st.sampled_from([(1,), (3,), (17,), (10, 1), (40, 3)]), seed=st.integers(0, 2**32 - 1))
+    def test_box_project_equals_clip(self, bounds, shape, seed):
+        # special values, signed zeros on zero bounds and nan payloads included
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([self._SPECIALS, rng.standard_normal(12) * 3.0])
+        v = rng.choice(pool, shape)
+        got = Box(*bounds, dim=shape[-1]).project(v)
+        assert got.tobytes() == np.clip(v, *bounds).tobytes()
+
     def test_box_validation(self):
         with pytest.raises(ConfigError):
             Box(2.0, -2.0, 1)
@@ -477,6 +494,25 @@ class TestCsvText:
         expected = rowwise_csv(list("abcde"), zip(floats.tolist(), ints.tolist(), big,
                                                     flags.tolist(), singles))
         assert csv_text(list("abcde"), columns) == expected
+
+    def test_repeated_values_across_the_chunk_boundary(self):
+        # runs are formatted once per chunk; a run straddling row 4096 splits
+        # into two, and values that differ only in their bits stay apart
+        n_rows = algorithm._CSV_CHUNK_ROWS + 25
+        rng = np.random.default_rng(4)
+        steps = np.repeat(np.arange(n_rows // 7 + 2), 7)[3:n_rows + 3]
+        zeros = np.where(np.repeat(rng.random(n_rows // 5 + 1) < 0.5, 5)[:n_rows], 0.0, -0.0)
+        nans = np.repeat(np.array([math.nan, 1.5, -math.nan, math.inf]), n_rows // 4 + 1)[:n_rows]
+        payload = np.repeat(np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.uint64),
+                            n_rows // 2 + 1)[:n_rows].view(np.float64)
+        columns = [steps, np.repeat(rng.standard_normal(n_rows // 10 + 1), 10)[:n_rows],
+                   zeros, nans, payload, np.repeat(rng.random(n_rows // 3 + 1), 3)[:n_rows]
+                   .astype(np.float32), np.repeat([True, False], n_rows // 2 + 1)[:n_rows],
+                   np.repeat(rng.standard_normal(n_rows // 2 + 1), 2)[:n_rows] * 1e-300,
+                   rng.standard_normal(n_rows)]
+        header = [f"c{k}" for k in range(len(columns))]
+        rows = zip(*(c.tolist() for c in columns))
+        assert csv_text(header, columns) == rowwise_csv(header, rows)
 
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):

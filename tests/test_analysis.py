@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -90,6 +91,36 @@ class TestDynamicRegret:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
         assert out.stdout.strip() == "False"
+
+    def test_minimizer_outside_the_feasible_set_rejected(self):
+        # every x lies in [1, 2] while x*(t) is at most 0.016: the ledger
+        # would measure regret against a point no agent may play
+        config = RunConfig(horizon=200, feasible_lo=1.0, feasible_hi=2.0)
+        with pytest.warns(RuntimeWarning):
+            trace = r.run(config)
+        stream = r.make_stream(config.stream_name, config.n_agents, config.dim, config.master_seed)
+        with pytest.raises(ValueError, match=r"analytic minimizer at t=0, \[0\.016\]"):
+            build_regret_ledger(trace, stream)
+
+    @pytest.mark.parametrize("kind", ["box", "ball"])
+    def test_first_infeasible_time_is_named(self, kind):
+        # x*(t) = 2 sin(0.008 t)/t turns negative first at t = 393, and its
+        # norm first exceeds 0.01 at t = 0
+        stream = paper_objective_stream(3, coeff_seed=6)
+        trace = synthetic_trace(stream, np.zeros(3), horizon=400)
+        trace.config = dataclasses.replace(trace.config, feasible_kind=kind, feasible_lo=0.0,
+                                           ball_radius=0.01)
+        with pytest.raises(ValueError, match=f"at t={393 if kind == 'box' else 0},"):
+            build_regret_ledger(trace, stream)
+
+    def test_default_box_gives_the_same_ledger(self):
+        stream = paper_objective_stream(4, coeff_seed=7)
+        trace = synthetic_trace(stream, np.linspace(-0.3, 0.4, 4), horizon=80)
+        ledger = build_regret_ledger(trace, stream)
+        offline = stream.aggregate_cost(np.arange(81), trace.x_star)
+        curve = np.cumsum(trace.cost - offline[:, None], axis=0)
+        assert ledger.regret_curve.tobytes() == curve.tobytes()
+        assert ledger.offline_cost == float(offline.sum())
 
     def test_time_averaged_requires_positive_t(self):
         stream = paper_objective_stream(3, coeff_seed=5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rgfopt as r
-from rgfopt import experiments
+from rgfopt import experiments, oracle
 from rgfopt.experiments import (
     experiment_diagnostics,
     experiment_fig2_3,
@@ -134,6 +134,31 @@ class TestCheckHelpers:
         scalar = experiments._oracle_mean(stream, cfg, x, 2500)
         assert [np.asarray(v).tobytes() for v in prefetched] == \
             [np.asarray(v).tobytes() for v in scalar]
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    @pytest.mark.parametrize("name", ["quadratic3", "norm2", "constant3"])
+    def test_oracle_mean_equals_a_sequential_loop(self, name, offset):
+        # offset None is a single draw: the constant stream's draws are all
+        # +-0.0, so there the +0.0 start of the running sums shows in the bits
+        stream = {"quadratic3": lambda: experiments.quadratic_norm_stream(3),
+                  "norm2": lambda: r.norm_stream(1, dim=2, scale=1.0),
+                  "constant3": lambda: r.constant_stream(1, dim=3, value=2.0)}[name]()
+        cfg = r.OracleConfig.uniform(1, 0.01, stream.dim, rng_seed=41)
+        x = np.linspace(-0.7, 0.9, stream.dim)
+        n = 1 if offset is None else oracle._PREFETCH_KEYS + offset
+        if name == "constant3":
+            assert np.signbit(r.gradient_free_oracle(stream, cfg, 0, 0, x)).any()
+        total, total_sq, norm_sq = np.zeros(stream.dim), np.zeros(stream.dim), 0.0
+        for t in range(n):  # the former per-draw accumulation, kept as the reference
+            g = r.gradient_free_oracle(stream, cfg, 0, t, x)
+            total += g
+            total_sq += g * g
+            norm_sq += g @ g
+        mean = total / n
+        stderr = np.sqrt(np.maximum(total_sq / n - mean ** 2, 0.0) / n)
+        got = experiments._oracle_mean(stream, cfg, x, n)
+        assert [np.asarray(v).tobytes() for v in got] == \
+            [np.asarray(v).tobytes() for v in (mean, stderr, norm_sq / n)]
 
     def test_default_output_dir_is_timestamped(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

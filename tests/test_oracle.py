@@ -1,3 +1,4 @@
+import contextlib
 import math
 import struct
 import sys
@@ -325,6 +326,27 @@ class TestGradientFreeOracle:
         with pytest.raises(OracleError, match="agent 0 at t=7"):
             gradient_free_oracle(stream, cfg, 0, 7, np.zeros(1))
 
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_returns_a_fresh_array_and_leaves_x_alone(self, prefetch):
+        # the estimate is the direction scaled in place, so each call must
+        # own its direction and never write to the caller's x
+        stream = paper_objective_stream(2, dim=3, coeff_seed=4)
+        cfg = OracleConfig.uniform(2, 1e-2, 3, rng_seed=8)
+        x = np.array([0.3, -1.1, 2.0])
+        kept = x.tobytes()
+        block = (oracle._prefetched_directions(cfg, 2, 0, 4) if prefetch
+                 else contextlib.nullcontext())
+        with block:
+            first = gradient_free_oracle(stream, cfg, 1, 2, x)
+            expected = first.copy()
+            first[:] = 7.0
+            second = gradient_free_oracle(stream, cfg, 1, 2, x)
+            xi = sample_direction(cfg, 1, 2)
+        assert second.tobytes() == expected.tobytes()
+        assert not np.shares_memory(second, first) and not np.shares_memory(second, x)
+        assert xi.tobytes() == reference_direction(8, 1, 2, 3, "gaussian").tobytes()
+        assert x.tobytes() == kept
+
     def test_deterministic_sequences(self):
         stream = norm_stream(2, dim=2)
         cfg = OracleConfig.uniform(2, 1e-2, 2, rng_seed=31)
@@ -481,6 +503,19 @@ class TestPaperStream:
         steepest = np.linalg.norm(2 * a[:, None] * x + 2 * b[:, None] * 0.016, axis=1).max()
         assert steepest == pytest.approx(stream.subgradient_bound(rho), rel=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 6), t=st.integers(0, 10_000), log_scale=st.floats(-3.0, math.log10(50.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_evaluate_equals_the_numpy_scalar_formula(self, dim, t, log_scale, seed):
+        # the former expression on numpy scalars, kept as the reference
+        stream = paper_objective_stream(7, dim=dim, coeff_seed=seed % 5)
+        a, b, c = (np.array(stream.params[k]) for k in "abc")
+        x = np.random.default_rng(seed).standard_normal(dim) * 10.0 ** log_scale
+        d = tracking_target(t)
+        for agent in range(7):
+            expected = float(a[agent] * x @ x - 2.0 * b[agent] * d * x.sum() + c[agent] * dim * d * d)
+            assert stream.evaluate(agent, t, x).hex() == expected.hex()
+
     def test_bound_of_other_streams_ignores_radius(self):
         for rho in (1.0, 50.0):
             assert linear_probe_stream(2, scale=3.0).subgradient_bound(rho) == 3.0
@@ -502,6 +537,25 @@ BLOCK_STREAMS = {
     "constant": lambda: constant_stream(5, dim=2, value=1.3),
     "no_hook": lambda: _time_dependent_stream(5, 2),
 }
+
+
+class TestNormStream:
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 7), scale=st.floats(0.1, 10.0), log_scale=st.floats(-3.0, 3.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_evaluate_equals_scaled_linalg_norm(self, dim, scale, log_scale, seed):
+        stream = norm_stream(1, dim=dim, scale=scale)
+        for x in np.random.default_rng(seed).standard_normal((20, dim)) * 10.0 ** log_scale:
+            assert stream.evaluate(0, 0, x).hex() == float(scale * np.linalg.norm(x)).hex()
+
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_batch_hook_equals_per_row_evaluate(self, dim):
+        # smoothed_value_mc_stats must not depend on whether the hook is set
+        stream = norm_stream(1, dim=dim, scale=1.7)
+        rng = np.random.default_rng(dim)
+        points = rng.standard_normal((3000, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (3000, 1))
+        rows = np.array([stream.evaluate(0, 0, p) for p in points])
+        assert stream.evaluate_batch(0, 0, points).tobytes() == rows.tobytes()
 
 
 class TestBlockAggregateCost:
