@@ -44,8 +44,6 @@ from .graph import (
 from .oracle import (
     ObjectiveStream,
     OracleConfig,
-    _prefetch_chunks,
-    _prefetched_directions,
     gradient_free_oracle,
     make_stream,
 )
@@ -530,25 +528,22 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     x_hist[0] = states.x
     if y_hist is not None:
         y_hist[0] = states.y
-    # each chunk of steps draws its directions as one block (same bits)
-    for c0, c1 in _prefetch_chunks(n, t_end):
-        with _prefetched_directions(cfg, n, c0, c1):
-            for t in range(c0, c1):
-                gamma_t = schedule(t)
-                gamma_hist[t] = gamma_t
-                try:
-                    states, g_mat, theta = step_all(states, wp, config.delta, gamma_t,
-                                                    stream, cfg, t, feasible)
-                except SimulationError:
-                    raise
-                except Exception as exc:
-                    raise SimulationError(f"step failed at t={t}: {exc}") from exc
-                if g_hist is not None:
-                    g_hist[t] = g_mat
-                    theta_hist[t] = theta
-                x_hist[t + 1] = states.x
-                if y_hist is not None:
-                    y_hist[t + 1] = states.y
+    for t in range(t_end):
+        gamma_t = schedule(t)
+        gamma_hist[t] = gamma_t
+        try:
+            states, g_mat, theta = step_all(states, wp, config.delta, gamma_t,
+                                            stream, cfg, t, feasible)
+        except SimulationError:
+            raise
+        except Exception as exc:
+            raise SimulationError(f"step failed at t={t}: {exc}") from exc
+        if g_hist is not None:
+            g_hist[t] = g_mat
+            theta_hist[t] = theta
+        x_hist[t + 1] = states.x
+        if y_hist is not None:
+            y_hist[t + 1] = states.y
 
     # everything that is not state is computed once, after the loop
     ts = np.repeat(np.arange(t_end + 1), n)

@@ -35,8 +35,6 @@ from .graph import equal_neighbor_weights, make_cycle
 from .oracle import (
     ObjectiveStream,
     OracleConfig,
-    _prefetch_chunks,
-    _prefetched_directions,
     gradient_free_oracle,
     make_stream,
     norm_stream,
@@ -229,6 +227,9 @@ def sandwich_table(n_points: int = 20, n_samples: int = 100_000, mu: float = 0.0
     return rows
 
 
+_SUM_CHUNK = 2048  # draws added per np.add.accumulate pass
+
+
 def _oracle_mean(stream: ObjectiveStream, cfg: OracleConfig, x: np.ndarray,
                  n_draws: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Empirical mean of oracle draws at x over t = 0..n-1, with per-coordinate
@@ -236,14 +237,11 @@ def _oracle_mean(stream: ObjectiveStream, cfg: OracleConfig, x: np.ndarray,
     total = np.zeros(cfg.dim)
     total_sq = np.zeros(cfg.dim)
     norm_sq = 0.0
-    for c0, c1 in _prefetch_chunks(1, n_draws):
+    for c0 in range(0, n_draws, _SUM_CHUNK):
         # row 0 carries the running sums, so np.add.accumulate adds a chunk's
         # draws onto them strictly in draw order, as one `+=` per draw would
-        g = np.empty((c1 - c0 + 1, cfg.dim))
-        with _prefetched_directions(cfg, 1, c0, c1):
-            for k, t in enumerate(range(c0, c1), start=1):
-                g[k] = gradient_free_oracle(stream, cfg, 0, t, x)
-        g[0] = total
+        g = np.array([total, *(gradient_free_oracle(stream, cfg, 0, t, x)
+                               for t in range(c0, min(c0 + _SUM_CHUNK, n_draws)))])
         sq = g * g
         # the stacked row dot has the bits of each row's g @ g
         dots = (g[:, None, :] @ g[:, :, None]).ravel()

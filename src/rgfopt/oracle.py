@@ -14,7 +14,6 @@ exact for the Gaussian law, which is the default.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import operator
@@ -393,8 +392,8 @@ _ZIGGURAT_WI = np.array([int(w, 16) for w in """
     3cc7d42df4d6ce8c 3cc839030529f234 3cc8ab0fbfaa7c14 3cc92ee0946f4496
     3cc9cbee014057ab 3cca8fdc7894775a 3ccb981f3878fdb1 3ccd3bb48209ad33
 """.split()], dtype=np.uint64).view(np.float64)
-_PREFETCH_KEYS = 2048  # keys per block in the loops that prefetch
-_prefetched = threading.local()
+_BLOCK_KEYS = 2048  # keys per block draw: all agents over max(1, 2048 // N) times
+_memo = threading.local()  # this thread's last block: (cfg, n_agents, t0, t1, rows)
 
 
 def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
@@ -412,17 +411,16 @@ def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.n
 
 
 def _direction_block(seed: int, dim: int, law: str, n_agents: int, t0: int, t1: int) -> np.ndarray:
-    """Directions of agents 0..n_agents-1 at times t0..t1-1, row
+    """Directions of agents 0..n_agents-1 at times t0..t1-1 (t1 <= 2^32), row
     (t - t0) * n_agents + agent, bit-identical to _scalar_direction.
 
-    Keys whose draw leaves the ziggurat fast path, times of two or more
-    uint32 words and zero-norm spheres are drawn by the scalar route.
+    Keys whose draw leaves the ziggurat fast path and zero-norm spheres are
+    drawn by the scalar route.
     """
-    t_split = max(t0, min(t1, 1 << 32))
     prefixes = [_direction_prefix(seed, agent) for agent in range(n_agents)]
     pool = np.array([p for p, _ in prefixes], dtype=np.uint64).T
     hc = np.array([h for _, h in prefixes], dtype=np.uint64)
-    t = np.arange(t0, t_split, dtype=np.uint64)[:, None]
+    t = np.arange(t0, t1, dtype=np.uint64)[:, None]
     s = _state_words(_absorb(tuple(pool), hc, [t])[0])
     # as in _keyed_generator: inc = initseq << 1 | 1 and
     # state = (initstate + inc) * MULT + inc, in (hi, lo) halves
@@ -442,39 +440,15 @@ def _direction_block(seed: int, dim: int, law: str, n_agents: int, t0: int, t1: 
         fast = fast & (rabs < _ZIGGURAT_KI[idx])
         v = rabs.astype(np.float64) * _ZIGGURAT_WI[idx]
         draws.append(np.where((r >> 8) & 1, -v, v))  # sign bit
-    rows = np.empty(((t1 - t0) * n_agents, dim))
-    vec = rows[:t.size * n_agents]
-    vec[:] = np.stack(draws, axis=-1).reshape(-1, dim)
+    rows = np.stack(draws, axis=-1).reshape(-1, dim)
     slow = ~np.ravel(fast)
     if law == "uniform_sphere":
-        norm = np.sqrt(vec[:, None, :] @ vec[:, :, None])[:, 0, 0]
+        norm = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
         slow |= norm == 0.0
-        vec /= np.where(slow, 1.0, norm)[:, None]
-    for k in [*np.flatnonzero(slow).tolist(), *range(vec.shape[0], rows.shape[0])]:
+        rows /= np.where(slow, 1.0, norm)[:, None]
+    for k in np.flatnonzero(slow).tolist():
         rows[k] = _scalar_direction(seed, dim, law, k % n_agents, t0 + k // n_agents)
     return rows
-
-
-def _prefetch_chunks(n_agents: int, t_end: int) -> list[tuple[int, int]]:
-    """Time ranges (t0, t1) of about _PREFETCH_KEYS keys each that cover
-    0..t_end-1 for agents 0..n_agents-1."""
-    step = max(1, _PREFETCH_KEYS // n_agents)
-    return [(t0, min(t0 + step, t_end)) for t0 in range(0, t_end, step)]
-
-
-@contextlib.contextmanager
-def _prefetched_directions(cfg: OracleConfig, n_agents: int, t0: int, t1: int):
-    """Inside this `with`, this thread's sample_direction serves agents
-    0..n_agents-1 at times t0..t1-1 of cfg's (seed, dim, law) from one block
-    draw; other keys and other threads take the scalar route.  The previous
-    block is restored on exit."""
-    previous = getattr(_prefetched, "block", None)
-    key = (cfg.rng_seed, cfg.dim, cfg.direction_law)
-    _prefetched.block = (key, n_agents, t0, t1, _direction_block(*key, n_agents, t0, t1))
-    try:
-        yield
-    finally:
-        _prefetched.block = previous
 
 
 def sample_direction(cfg: OracleConfig, agent: int, t: int) -> np.ndarray:
@@ -485,14 +459,26 @@ def sample_direction(cfg: OracleConfig, agent: int, t: int) -> np.ndarray:
     the draw of np.random.default_rng(np.random.SeedSequence(entropy=rng_seed,
     spawn_key=(1, agent, t))), so draws do not depend on call order, batching
     or thread, and equal seeds reproduce identical directions.  Negative
-    agent or t raise ValueError.
+    agent or t raise ValueError, non-integer ones TypeError.  Keys with
+    agent < cfg.mu.size and t < 2^32 are served from a block that holds every
+    agent over the aligned max(1, 2048 // cfg.mu.size) times around t; this
+    thread keeps its last block, keyed by the cfg object.
     """
-    block = getattr(_prefetched, "block", None)
-    if block is not None:
-        key, n, t0, t1, rows = block
-        if 0 <= agent < n and t0 <= t < t1 and key == (cfg.rng_seed, cfg.dim, cfg.direction_law):
+    c, n, t0, t1, rows = getattr(_memo, "block", (None,) * 5)
+    if c is cfg and t0 <= t < t1 and 0 <= agent < n:
+        try:
             return rows[(t - t0) * n + agent].copy()
-    return _scalar_direction(cfg.rng_seed, cfg.dim, cfg.direction_law, agent, t)
+        except IndexError:  # a non-integer key; operator.index raises TypeError below
+            pass
+    agent, t, n = operator.index(agent), operator.index(t), cfg.mu.size
+    if not (0 <= agent < n and 0 <= t < 1 << 32):
+        return _scalar_direction(cfg.rng_seed, cfg.dim, cfg.direction_law, agent, t)
+    step = max(1, _BLOCK_KEYS // n)
+    t0 = t - t % step
+    t1 = min(t0 + step, 1 << 32)
+    rows = _direction_block(cfg.rng_seed, cfg.dim, cfg.direction_law, n, t0, t1)
+    _memo.block = (cfg, n, t0, t1, rows)
+    return rows[(t - t0) * n + agent].copy()
 
 
 def gradient_free_oracle(stream: ObjectiveStream, cfg: OracleConfig,
@@ -611,7 +597,8 @@ def linear_probe_stream(n_agents: int, dim: int = 1, seed: int = 0,
         return float(u[agent] @ np.asarray(x, dtype=float))
 
     def aggregate_evaluate(t: int, points: np.ndarray) -> np.ndarray:
-        return points @ u.sum(axis=0)
+        # a stacked row dot rounds each row alike, however many rows are passed
+        return (points[:, None, :] @ u.sum(axis=0)[:, None])[:, 0, 0]
 
     return ObjectiveStream(
         n_agents=n_agents, dim=dim, evaluate=evaluate,

@@ -1,8 +1,10 @@
 import warnings
 
+import numpy as np
 import pytest
 
 import rgfopt as r
+from rgfopt import oracle
 
 # Pinned master seed for the reproduction runs; every threshold frozen in
 # the acceptance tests was verified against this seed.
@@ -25,6 +27,16 @@ def sv_stream():
 @pytest.fixture(scope="session")
 def sv_ledger(sv_trace, sv_stream):
     return r.build_regret_ledger(sv_trace, sv_stream)
+
+
+@pytest.fixture
+def scalar_direction_blocks(monkeypatch):
+    """A function that, once called, makes every block draw build its rows
+    key by key on the scalar route: the reference for block-served draws."""
+    def block(seed, dim, law, n_agents, t0, t1):
+        return np.array([oracle._scalar_direction(seed, dim, law, k % n_agents, t0 + k // n_agents)
+                         for k in range((t1 - t0) * n_agents)])
+    return lambda: monkeypatch.setattr(oracle, "_direction_block", block)
 
 
 def report_criterion(num: int, desc: str, passed: bool, detail: str = "") -> bool:

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import sys
 import threading
@@ -371,7 +370,7 @@ def _trace_bytes(trace):
 
 
 # Beyond the pinned digests' dim-1, seed-0 reach; 450 steps of 10 agents
-# end inside the third prefetch chunk.
+# end inside the third block of directions.
 PREFETCH_CONFIGS = {
     "dim3": RunConfig(dim=3, horizon=450, master_seed=3, check_delta_bound=False),
     "sphere": RunConfig(direction_law="uniform_sphere", dim=2, horizon=450, master_seed=4,
@@ -383,14 +382,22 @@ PREFETCH_CONFIGS = {
 
 class TestPrefetchedRun:
     @pytest.mark.parametrize("name", sorted(PREFETCH_CONFIGS))
-    def test_trace_bytes_equal_scalar_draws(self, name, monkeypatch):
+    def test_trace_bytes_equal_scalar_draws(self, name, scalar_direction_blocks):
         config = PREFETCH_CONFIGS[name]
-        assert len({t1 - t0 for t0, t1 in oracle._prefetch_chunks(config.n_agents,
-                                                                  config.horizon)}) == 2
-        prefetched = _trace_bytes(r.run(config))
-        monkeypatch.setattr(algorithm, "_prefetched_directions",
-                            lambda *args: contextlib.nullcontext())
-        assert prefetched == _trace_bytes(r.run(config))
+        steps_per_block = oracle._BLOCK_KEYS // config.n_agents
+        assert config.horizon > steps_per_block and config.horizon % steps_per_block
+        blocks = _trace_bytes(r.run(config))
+        scalar_direction_blocks()
+        assert blocks == _trace_bytes(r.run(config))
+
+    def test_runs_of_other_configs_between_do_not_change_a_run(self):
+        # each run draws through a config object of its own, so the block the
+        # previous run left in this thread is never served to the next one
+        a = PREFETCH_CONFIGS["dim3"]
+        b = RunConfig(n_agents=4, dim=2, horizon=300, master_seed=9, check_delta_bound=False)
+        first_a, first_b = _trace_bytes(r.run(a)), _trace_bytes(r.run(b))
+        assert _trace_bytes(r.run(a)) == first_a
+        assert _trace_bytes(r.run(b)) == first_b
 
     def test_threads_match_single_threaded_results(self):
         configs = [RunConfig(dim=2, horizon=300, master_seed=8, check_delta_bound=False),

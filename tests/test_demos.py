@@ -1,0 +1,24 @@
+"""Every script under demos/ runs to completion from a fresh interpreter."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert len(DEMOS) >= 5
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs_cleanly(demo, tmp_path):
+    # run in tmp_path, so files a demo writes land there
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import json
 import warnings
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 
 import rgfopt as r
-from rgfopt import experiments, oracle
+from rgfopt import experiments
 from rgfopt.experiments import (
     experiment_diagnostics,
     experiment_fig2_3,
@@ -123,16 +122,15 @@ class TestCheckHelpers:
         rows = second_moment_check(dims=(1, 3), n_draws=4000, seed=19)
         assert all(row["within"] for row in rows)
 
-    def test_oracle_mean_equals_scalar_draws(self, monkeypatch):
-        # 2500 draws end inside the second prefetch chunk
+    def test_oracle_mean_equals_scalar_draws(self, scalar_direction_blocks):
+        # 2500 draws end inside the second block of directions
         stream = experiments.quadratic_norm_stream(3)
         cfg = r.OracleConfig.uniform(1, 0.01, 3, direction_law="uniform_sphere", rng_seed=2**33)
         x = np.array([0.3, -0.2, 0.9])
-        prefetched = experiments._oracle_mean(stream, cfg, x, 2500)
-        monkeypatch.setattr(experiments, "_prefetched_directions",
-                            lambda *args: contextlib.nullcontext())
+        blocks = experiments._oracle_mean(stream, cfg, x, 2500)
+        scalar_direction_blocks()
         scalar = experiments._oracle_mean(stream, cfg, x, 2500)
-        assert [np.asarray(v).tobytes() for v in prefetched] == \
+        assert [np.asarray(v).tobytes() for v in blocks] == \
             [np.asarray(v).tobytes() for v in scalar]
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
@@ -145,7 +143,7 @@ class TestCheckHelpers:
                   "constant3": lambda: r.constant_stream(1, dim=3, value=2.0)}[name]()
         cfg = r.OracleConfig.uniform(1, 0.01, stream.dim, rng_seed=41)
         x = np.linspace(-0.7, 0.9, stream.dim)
-        n = 1 if offset is None else oracle._PREFETCH_KEYS + offset
+        n = 1 if offset is None else experiments._SUM_CHUNK + offset
         if name == "constant3":
             assert np.signbit(r.gradient_free_oracle(stream, cfg, 0, 0, x)).any()
         total, total_sq, norm_sq = np.zeros(stream.dim), np.zeros(stream.dim), 0.0

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import struct
 import sys
@@ -51,9 +50,13 @@ class TestSampleDirection:
         assert np.array_equal(sample_direction(cfg, agent, t),
                               reference_direction(seed, agent, t, 3, "gaussian"))
 
-    def test_threads_drawing_interleaved_keys_match_reference(self):
+    def test_threads_drawing_interleaved_keys_match_reference(self, monkeypatch):
+        # agents >= mu.size and times >= 2^32 are never block-served, so every
+        # draw here sets and reads this thread's generator
+        monkeypatch.setattr(oracle, "_direction_block", lambda *args: pytest.fail("block drawn"))
         cfg = OracleConfig.uniform(8, 0.1, 2, rng_seed=11)
-        keys = [(agent, t) for t in range(250) for agent in range(8)]
+        keys = [(agent + 8, t) for t in range(125) for agent in range(8)]
+        keys += [(agent, 2**32 + t) for t in range(125) for agent in range(8)]
         expected = {k: reference_direction(11, *k, 2, "gaussian") for k in keys}
         mismatches, errors = [], []
 
@@ -160,57 +163,96 @@ def _takes_slow_path(seed, agent, t, dim):
     return fast.advance(dim).state != rng.bit_generator.state
 
 
-def _prefetched_rows(seed, dim, law, n_agents, t0, t1):
+def _drawn_rows(seed, dim, law, n_agents, t0, t1):
+    """sample_direction of every agent at times t0..t1-1, on a fresh config."""
     cfg = OracleConfig.uniform(n_agents, 0.1, dim, direction_law=law, rng_seed=seed)
-    with oracle._prefetched_directions(cfg, n_agents, t0, t1):
-        return {(agent, t): sample_direction(cfg, agent, t)
-                for t in range(t0, t1) for agent in range(n_agents)}
+    return {(agent, t): sample_direction(cfg, agent, t)
+            for t in range(t0, t1) for agent in range(n_agents)}
 
 
 class TestBlockDirections:
     @settings(max_examples=120, deadline=None)
-    @given(seed=st.integers(0, 2**130), n_agents=st.integers(1, 12),
-           t0=st.integers(0, 2**32 + 10), span=st.integers(1, 16), dim=st.integers(1, 6),
-           law=st.sampled_from(["gaussian", "uniform_sphere"]))
-    @example(seed=2**32 + 1, n_agents=3, t0=2**32 - 4, span=8, dim=2, law="uniform_sphere")
-    def test_prefetched_draws_match_reference(self, seed, n_agents, t0, span, dim, law):
-        rows = _prefetched_rows(seed, dim, law, n_agents, t0, t0 + span)
+    @given(seed=st.integers(0, 2**130), n_agents=st.integers(1, 12), edge=st.integers(0, 40),
+           at_top=st.booleans(), back=st.integers(0, 16), span=st.integers(1, 32),
+           dim=st.integers(1, 6), law=st.sampled_from(["gaussian", "uniform_sphere"]))
+    @example(seed=2**32 + 1, n_agents=3, edge=0, at_top=True, back=4, span=8, dim=2,
+             law="uniform_sphere")
+    def test_prefetched_draws_match_reference(self, seed, n_agents, edge, at_top, back, span,
+                                              dim, law):
+        # the keys start up to 16 times before a block edge or before t = 2^32
+        steps_per_block = max(1, oracle._BLOCK_KEYS // n_agents)
+        t0 = max(0, (2**32 if at_top else edge * steps_per_block) - back)
+        rows = _drawn_rows(seed, dim, law, n_agents, t0, t0 + span)
         for (agent, t), xi in rows.items():
             assert xi.tobytes() == reference_direction(seed, agent, t, dim, law).tobytes()
 
     @pytest.mark.parametrize("law", ["gaussian", "uniform_sphere"])
     def test_slow_path_keys_match_reference(self, law):
-        rows = _prefetched_rows(5, 2, law, 3, 0, 200)
+        rows = _drawn_rows(5, 2, law, 3, 0, 200)
         slow = [key for key in rows if _takes_slow_path(5, *key, 2)]
         assert len(slow) >= 5
         for agent, t in slow:
             assert rows[agent, t].tobytes() == reference_direction(5, agent, t, 2, law).tobytes()
 
-    def test_keys_outside_the_block_take_the_scalar_route(self):
-        cfg = OracleConfig.uniform(4, 0.1, 2, rng_seed=3)
-        other = OracleConfig.uniform(4, 0.1, 3, rng_seed=3)
-        with oracle._prefetched_directions(cfg, 4, 10, 20):
-            for c, agent, t in [(cfg, 4, 12), (cfg, 1, 9), (cfg, 1, 20), (other, 1, 12)]:
-                assert np.array_equal(sample_direction(c, agent, t),
-                                      reference_direction(3, agent, t, c.dim, "gaussian"))
-            with pytest.raises(ValueError):
-                sample_direction(cfg, -1, 12)
+    def test_a_miss_draws_the_aligned_block_once(self, monkeypatch):
+        drawn = []
+        block = oracle._direction_block
+        monkeypatch.setattr(oracle, "_direction_block",
+                            lambda *args: drawn.append(args[3:]) or block(*args))
+        cfg = OracleConfig.uniform(4, 0.1, 2, rng_seed=3)  # 512 times per block
+        for agent, t in [(2, 700), (0, 512), (3, 1023), (1, 600), (0, 1024), (3, 2**32 - 1)]:
+            assert sample_direction(cfg, agent, t).tobytes() == \
+                reference_direction(3, agent, t, 2, "gaussian").tobytes()
+        # the block under 2^32 is cut short: 2^32 is a multiple of 512, but
+        # not of the 682 times a 3-agent block holds
+        sample_direction(OracleConfig.uniform(3, 0.1, 1), 0, 2**32 - 1)
+        assert drawn == [(4, 512, 1024), (4, 1024, 1536), (4, 2**32 - 512, 2**32),
+                         (3, 2**32 - (2**32 % 682), 2**32)]
 
-    def test_block_is_restored_on_exit(self):
-        cfg = OracleConfig.uniform(2, 0.1, 1, rng_seed=4)
-        with oracle._prefetched_directions(cfg, 2, 0, 8):
-            outer = oracle._prefetched.block
-            with pytest.raises(RuntimeError):
-                with oracle._prefetched_directions(cfg, 2, 8, 16):
-                    raise RuntimeError
-            assert oracle._prefetched.block is outer
-        assert oracle._prefetched.block is None
+    def test_keys_outside_the_block_take_the_scalar_route(self, monkeypatch):
+        cfg = OracleConfig.uniform(4, 0.1, 2, rng_seed=3)
+        sample_direction(cfg, 1, 12)  # caches the block of times 0..511
+        monkeypatch.setattr(oracle, "_direction_block", lambda *args: pytest.fail("block drawn"))
+        for agent, t in [(4, 12), (2**40, 3), (1, 2**32), (1, 2**32 + 9), (3, 2**64)]:
+            assert np.array_equal(sample_direction(cfg, agent, t),
+                                  reference_direction(3, agent, t, 2, "gaussian"))
+
+    def test_configs_and_runs_interleaved_in_one_thread_match_reference(self):
+        a = OracleConfig.uniform(5, 0.1, 2, rng_seed=21)
+        b = OracleConfig.uniform(2, 0.3, 3, direction_law="uniform_sphere", rng_seed=22)
+
+        def check(cfg, keys):
+            for agent, t in keys:
+                assert sample_direction(cfg, agent, t).tobytes() == reference_direction(
+                    cfg.rng_seed, agent, t, cfg.dim, cfg.direction_law).tobytes()
+
+        a_keys = [(agent, t) for t in range(400, 460) for agent in range(5)]
+        b_keys = [(agent, t) for t in range(1000, 1100) for agent in range(2)]
+        check(a, a_keys)
+        check(b, b_keys)
+        check(a, a_keys)
+        check(OracleConfig.uniform(5, 0.1, 2, rng_seed=21), a_keys)
+        for (i, j), t in zip([(0, 1), (4, 0), (2, 1)] * 60, range(400, 580)):
+            check(a, [(i, t)])
+            check(b, [(j, t + 600)])
+
+    @pytest.mark.parametrize("agent, t, error", [
+        (1.0, 5, TypeError), (1, 5.0, TypeError), (np.float64(1), 5, TypeError),
+        (1, 5.5, TypeError), (-1, 5, ValueError), (1, -5, ValueError)],
+        ids=["float_agent", "float_t", "numpy_float_agent", "fractional_t", "negative_agent",
+             "negative_t"])
+    def test_bad_keys_raise_before_and_after_their_block_is_cached(self, agent, t, error):
+        cfg = OracleConfig.uniform(4, 0.1, 2, rng_seed=3)
+        with pytest.raises(error):
+            sample_direction(cfg, agent, t)
+        sample_direction(cfg, 1, 5)
+        with pytest.raises(error):
+            sample_direction(cfg, agent, t)
 
     def test_returned_rows_are_copies(self):
         cfg = OracleConfig.uniform(1, 0.1, 2, rng_seed=6)
-        with oracle._prefetched_directions(cfg, 1, 0, 4):
-            sample_direction(cfg, 0, 1)[:] = 0.0
-            assert np.array_equal(sample_direction(cfg, 0, 1), reference_direction(6, 0, 1, 2, "gaussian"))
+        sample_direction(cfg, 0, 1)[:] = 0.0
+        assert np.array_equal(sample_direction(cfg, 0, 1), reference_direction(6, 0, 1, 2, "gaussian"))
 
 
 def _probe_ziggurat_tables():
@@ -329,22 +371,21 @@ class TestGradientFreeOracle:
     @pytest.mark.parametrize("prefetch", [False, True])
     def test_returns_a_fresh_array_and_leaves_x_alone(self, prefetch):
         # the estimate is the direction scaled in place, so each call must
-        # own its direction and never write to the caller's x
+        # own its direction and never write to the caller's x; t = 2 is
+        # served from the cached block, t >= 2^32 by the scalar route
+        t = 2 if prefetch else 2**32 + 2
         stream = paper_objective_stream(2, dim=3, coeff_seed=4)
         cfg = OracleConfig.uniform(2, 1e-2, 3, rng_seed=8)
         x = np.array([0.3, -1.1, 2.0])
         kept = x.tobytes()
-        block = (oracle._prefetched_directions(cfg, 2, 0, 4) if prefetch
-                 else contextlib.nullcontext())
-        with block:
-            first = gradient_free_oracle(stream, cfg, 1, 2, x)
-            expected = first.copy()
-            first[:] = 7.0
-            second = gradient_free_oracle(stream, cfg, 1, 2, x)
-            xi = sample_direction(cfg, 1, 2)
+        first = gradient_free_oracle(stream, cfg, 1, t, x)
+        expected = first.copy()
+        first[:] = 7.0
+        second = gradient_free_oracle(stream, cfg, 1, t, x)
+        xi = sample_direction(cfg, 1, t)
         assert second.tobytes() == expected.tobytes()
         assert not np.shares_memory(second, first) and not np.shares_memory(second, x)
-        assert xi.tobytes() == reference_direction(8, 1, 2, 3, "gaussian").tobytes()
+        assert xi.tobytes() == reference_direction(8, 1, t, 3, "gaussian").tobytes()
         assert x.tobytes() == kept
 
     def test_deterministic_sequences(self):
@@ -562,7 +603,7 @@ class TestBlockAggregateCost:
     @pytest.mark.parametrize("name", sorted(BLOCK_STREAMS))
     @settings(max_examples=40, deadline=None)
     @given(times=st.lists(st.integers(0, 10_000), min_size=0, max_size=12),
-           rows=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+           rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_block_equals_stacked_per_time_calls(self, name, times, rows, seed):
         # one time per row: the run records every (t, agent) row in one call,
         # where it used to make one call of N >= 2 rows per time
