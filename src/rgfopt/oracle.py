@@ -483,18 +483,32 @@ def sample_direction(cfg: OracleConfig, agent: int, t: int) -> np.ndarray:
 
 def gradient_free_oracle(stream: ObjectiveStream, cfg: OracleConfig,
                          agent: int, t: int, x: np.ndarray) -> np.ndarray:
-    """Two-point gradient estimate; makes exactly two stream evaluations."""
+    """Two-point gradient estimate; makes exactly two stream evaluations.
+
+    `x` must have shape (cfg.dim,).  At dim 1 the shift and the scale run on
+    Python floats, with the IEEE operations of the numpy route in its order.
+    """
     x = np.asarray(x, dtype=float)
+    if x.shape != (cfg.dim,):
+        raise ValueError(f"oracle point for agent {agent} at t={t} has shape {x.shape}, "
+                         f"expected ({cfg.dim},) for dim {cfg.dim}")
     mu = cfg.mu.item(agent)
     xi = sample_direction(cfg, agent, t)
-    f_shift = stream.evaluate(agent, t, x + mu * xi)
+    if cfg.dim == 1:
+        xi0 = xi.item()
+        f_shift = stream.evaluate(agent, t, np.array([x.item() + mu * xi0]))
+    else:
+        f_shift = stream.evaluate(agent, t, x + mu * xi)
     f_base = stream.evaluate(agent, t, x)
     if not (math.isfinite(f_shift) and math.isfinite(f_base)):
         raise OracleError(
             f"non-finite objective value for agent {agent} at t={t}: "
             f"f(x+mu*xi)={f_shift!r}, f(x)={f_base!r}")
     # sample_direction returns a fresh array, so it is scaled in place
-    xi *= (f_shift - f_base) / mu
+    if cfg.dim == 1:
+        xi[0] = xi0 * ((f_shift - f_base) / mu)
+    else:
+        xi *= (f_shift - f_base) / mu
     return xi
 
 
@@ -554,12 +568,20 @@ def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> 
         return float((2.0 * a * rho + 2.0 * b * 0.016 * math.sqrt(dim)).max())
 
     def evaluate(agent: int, t: int, x: np.ndarray) -> float:
-        # a_i x.x - 2 b_i d sum(x) + c_i p d^2 in this operation order, on
+        # (a_i x).x - 2 b_i d sum(x) + c_i p d^2 in this operation order, on
         # Python floats; np.add.reduce is what x.sum() runs
         d = tracking_target(t)
         x = np.asarray(x, dtype=float)
         return (float((a_py[agent] * x) @ x) - 2.0 * b_py[agent] * d * float(np.add.reduce(x))
                 + c_py[agent] * dim * d * d)
+
+    def evaluate_1d(agent: int, t: int, x: np.ndarray) -> float:
+        # the same bits at p = 1: a one-element dot is the rounded product
+        # and a one-element np.add.reduce is the element itself; at p >= 2
+        # numpy's dot uses fused multiply-adds that Python floats cannot redo
+        d = tracking_target(t)
+        v = np.asarray(x, dtype=float).item()
+        return a_py[agent] * v * v - 2.0 * b_py[agent] * d * v + c_py[agent] * dim * d * d
 
     def aggregate_evaluate(t, points: np.ndarray) -> np.ndarray:
         # d by math.sin once per distinct time; np.sin may differ in the last bit
@@ -573,7 +595,7 @@ def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> 
         return np.full(dim, tracking_target(t))
 
     return ObjectiveStream(
-        n_agents=n_agents, dim=dim, evaluate=evaluate,
+        n_agents=n_agents, dim=dim, evaluate=evaluate_1d if dim == 1 else evaluate,
         analytic_minimizer=analytic_minimizer, subgradient_bound=subgradient_bound,
         aggregate_evaluate=aggregate_evaluate, name="paper_quadratic",
         params={"coeff_seed": coeff_seed, "a": a.tolist(), "b": b.tolist(), "c": c.tolist()},

@@ -348,18 +348,37 @@ class TestGradientFreeOracle:
         assert np.allclose(g, mu * (xi @ xi) * xi, rtol=1e-12)
         assert np.linalg.norm(g) <= mu * np.linalg.norm(xi) ** 3 + 1e-15
 
-    def test_exactly_two_evaluations(self):
+    @pytest.mark.parametrize("dim", [2, 1])
+    def test_exactly_two_evaluations(self, dim):
         calls = []
 
         def counting_eval(agent, t, x):
-            calls.append((agent, t))
+            calls.append((agent, t, x.tobytes()))
             return float(np.sum(x))
 
-        stream = ObjectiveStream(n_agents=2, dim=2, evaluate=counting_eval)
-        cfg = OracleConfig.uniform(2, 0.1, 2, rng_seed=1)
-        gradient_free_oracle(stream, cfg, 1, 3, np.zeros(2))
+        stream = ObjectiveStream(n_agents=2, dim=dim, evaluate=counting_eval)
+        cfg = OracleConfig.uniform(2, 0.1, dim, rng_seed=1)
+        x = np.linspace(-0.5, 0.5, dim)
+        gradient_free_oracle(stream, cfg, 1, 3, x)
         assert len(calls) == 2
-        assert all(c == (1, 3) for c in calls)
+        assert all(c[:2] == (1, 3) for c in calls)
+        # the shifted point first, then the base point
+        shifted = x + 0.1 * sample_direction(cfg, 1, 3)
+        assert [c[2] for c in calls] == [shifted.tobytes(), x.tobytes()]
+
+    @pytest.mark.parametrize("dim, shape", [(1, (3,)), (1, ()), (1, (1, 1)), (3, (1,)), (3, (3, 1))])
+    def test_a_point_of_the_wrong_shape_is_rejected_before_drawing(self, monkeypatch, dim, shape):
+        # a dim-1 direction would broadcast across a longer x and return a
+        # one-coordinate estimate for it
+        def never(*args):
+            raise AssertionError("called for a rejected point")
+
+        monkeypatch.setattr(oracle, "sample_direction", never)
+        stream = ObjectiveStream(n_agents=2, dim=dim, evaluate=never)
+        cfg = OracleConfig.uniform(2, 0.1, dim, rng_seed=1)
+        message = rf"agent 1 at t=4 has shape \({', '.join(map(str, shape))},?\).*\({dim},\).*dim {dim}"
+        with pytest.raises(ValueError, match=message):
+            gradient_free_oracle(stream, cfg, 1, 4, np.full(shape, 0.5))
 
     def test_nonfinite_eval_raises_with_context(self):
         stream = ObjectiveStream(n_agents=1, dim=1,
@@ -369,14 +388,15 @@ class TestGradientFreeOracle:
             gradient_free_oracle(stream, cfg, 0, 7, np.zeros(1))
 
     @pytest.mark.parametrize("prefetch", [False, True])
-    def test_returns_a_fresh_array_and_leaves_x_alone(self, prefetch):
-        # the estimate is the direction scaled in place, so each call must
-        # own its direction and never write to the caller's x; t = 2 is
-        # served from the cached block, t >= 2^32 by the scalar route
+    @pytest.mark.parametrize("dim", [3, 1])
+    def test_returns_a_fresh_array_and_leaves_x_alone(self, dim, prefetch):
+        # the estimate is written into the fresh direction, so each call
+        # must own its direction and never write to the caller's x; t = 2
+        # is served from the cached block, t >= 2^32 by the scalar route
         t = 2 if prefetch else 2**32 + 2
-        stream = paper_objective_stream(2, dim=3, coeff_seed=4)
-        cfg = OracleConfig.uniform(2, 1e-2, 3, rng_seed=8)
-        x = np.array([0.3, -1.1, 2.0])
+        stream = paper_objective_stream(2, dim=dim, coeff_seed=4)
+        cfg = OracleConfig.uniform(2, 1e-2, dim, rng_seed=8)
+        x = np.array([0.3, -1.1, 2.0][:dim])
         kept = x.tobytes()
         first = gradient_free_oracle(stream, cfg, 1, t, x)
         expected = first.copy()
@@ -385,7 +405,7 @@ class TestGradientFreeOracle:
         xi = sample_direction(cfg, 1, t)
         assert second.tobytes() == expected.tobytes()
         assert not np.shares_memory(second, first) and not np.shares_memory(second, x)
-        assert xi.tobytes() == reference_direction(8, 1, t, 3, "gaussian").tobytes()
+        assert xi.tobytes() == reference_direction(8, 1, t, dim, "gaussian").tobytes()
         assert x.tobytes() == kept
 
     def test_deterministic_sequences(self):
@@ -562,6 +582,68 @@ class TestPaperStream:
             assert linear_probe_stream(2, scale=3.0).subgradient_bound(rho) == 3.0
             assert norm_stream(2, scale=2.0).subgradient_bound(rho) == 2.0
             assert constant_stream(2).subgradient_bound(rho) == 0.0
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e154, -1e154, 1e200, -1e200, math.inf, -math.inf, math.nan]
+
+
+def _numpy_paper_cost(stream):
+    """The paper cost by the numpy expression of the dim >= 2 route."""
+    a, b, c = (np.array(stream.params[k]) for k in "abc")
+
+    def f(agent, t, x):
+        d = tracking_target(t)
+        with np.errstate(all="ignore"):
+            return float(a[agent] * x @ x - 2.0 * b[agent] * d * x.sum() + c[agent] * stream.dim * d * d)
+    return f
+
+
+DIM_ONE_STREAMS = {
+    "paper_quadratic": lambda: paper_objective_stream(3, dim=1, coeff_seed=6),
+    "linear_probe": lambda: linear_probe_stream(3, dim=1, seed=6, scale=1.7),
+    "constant": lambda: constant_stream(3, dim=1, value=-2.5),
+    "norm": lambda: norm_stream(3, dim=1, scale=0.7),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestDimOneRoute:
+    """At dim 1 the paper stream and the estimator run on Python floats;
+    they must keep the bits of the numpy route at every IEEE edge value."""
+
+    @pytest.mark.parametrize("v", EDGE_VALUES, ids=repr)
+    def test_paper_evaluate_equals_the_numpy_formula_at_edge_values(self, v):
+        stream = paper_objective_stream(7, dim=1, coeff_seed=3)
+        expected = _numpy_paper_cost(stream)
+        x = np.array([v])
+        for agent in range(7):
+            for t in (0, 1, 250, 5000):
+                assert stream.evaluate(agent, t, x).hex() == expected(agent, t, x).hex()
+
+    def test_paper_evaluate_rejects_more_than_one_coordinate_at_dim_1(self):
+        stream = paper_objective_stream(2, dim=1)
+        with pytest.raises(ValueError):
+            stream.evaluate(0, 3, np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("v", EDGE_VALUES, ids=repr)
+    @pytest.mark.parametrize("name", sorted(DIM_ONE_STREAMS))
+    def test_oracle_equals_the_numpy_estimator_at_edge_values(self, name, v):
+        # the other built-in streams evaluate by numpy at every dim
+        stream = DIM_ONE_STREAMS[name]()
+        f = _numpy_paper_cost(stream) if name == "paper_quadratic" else stream.evaluate
+        x = np.array([v])
+        for mu in (1e-3, 0.5, 1e150):
+            cfg = OracleConfig.uniform(3, mu, 1, rng_seed=6)
+            for agent, t in ((0, 0), (2, 9), (1, 2**32 + 1)):
+                xi = sample_direction(cfg, agent, t)
+                f_shift, f_base = f(agent, t, x + mu * xi), f(agent, t, x)
+                if math.isfinite(f_shift) and math.isfinite(f_base):
+                    with np.errstate(all="ignore"):
+                        expected = (f_shift - f_base) / mu * xi
+                    assert gradient_free_oracle(stream, cfg, agent, t, x).tobytes() == expected.tobytes()
+                else:
+                    with pytest.raises(OracleError, match=f"agent {agent} at t={t}"):
+                        gradient_free_oracle(stream, cfg, agent, t, x)
 
 
 def _time_dependent_stream(n_agents, dim):
