@@ -48,23 +48,6 @@ from .oracle import (
     make_stream,
 )
 
-__all__ = [
-    "Box",
-    "Ball",
-    "StepSchedule",
-    "inv_sqrt_schedule",
-    "constant_schedule",
-    "AgentStates",
-    "step_all",
-    "RunConfig",
-    "Trace",
-    "run",
-    "ConfigError",
-    "SimulationError",
-    "make_graph",
-    "fit_geometric_decay",
-    "csv_text",
-]
 
 _DOMAIN_INIT = 0
 
@@ -174,14 +157,6 @@ class StepSchedule:
         if self.kind == "inv_sqrt":
             return self.gamma0 / math.sqrt(t + 1.0)
         return self.gamma0
-
-
-def inv_sqrt_schedule(gamma0: float = 1.0) -> StepSchedule:
-    return StepSchedule(kind="inv_sqrt", gamma0=gamma0)
-
-
-def constant_schedule(gamma: float) -> StepSchedule:
-    return StepSchedule(kind="constant", gamma0=gamma)
 
 
 @dataclass(frozen=True)

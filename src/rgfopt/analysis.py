@@ -22,20 +22,8 @@ from .algorithm import Trace, fit_geometric_decay
 from .graph import WeightPair, build_augmented, delta_hat, matrix_power_gap_series
 from .oracle import ObjectiveStream
 
-__all__ = [
-    "RegretLedger",
-    "build_regret_ledger",
-    "path_length",
-    "ConsensusCurves",
-    "consensus_curve",
-    "BoundInputs",
-    "BoundBreakdown",
-    "regret_bound_rhs",
-    "SpectralRow",
-    "spectral_report",
-    "theta_over_gamma",
-    "fit_constants_from_trace",
-]
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-9  # final bracket width of the numeric minimizer fallback
 
 
 @dataclass
@@ -67,17 +55,20 @@ def _minimizer_sequence(trace: Trace, stream: ObjectiveStream) -> tuple[np.ndarr
     cfg = trace.config
     if cfg.feasible_kind != "box":
         raise ValueError("numeric minimizer fallback requires a box feasible set")
-    from scipy.optimize import minimize_scalar  # slow to import; only this fallback needs it
-    lo, hi = cfg.feasible_lo, cfg.feasible_hi
-    out = np.empty((trace.horizon + 1, 1))
-    for t in range(trace.horizon + 1):
-        res = minimize_scalar(lambda v: float(stream.aggregate_cost(t, np.array([[v]]))[0]),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-6})
-        if not res.success:
-            raise RuntimeError(f"offline minimization failed at t={t}: {res.message}")
-        out[t, 0] = res.x
-    return out, "numeric"
+    # golden-section search on the box for every t at once, one aggregate_cost
+    # call per step on both interior points, until the bracket is _GOLDEN_TOL wide
+    lo, hi = float(cfg.feasible_lo), float(cfg.feasible_hi)
+    a, b = np.full(trace.horizon + 1, lo), np.full(trace.horizon + 1, hi)
+    ts = np.tile(np.arange(a.size), 2)
+    for _ in range(max(0, math.ceil(math.log(_GOLDEN_TOL / (hi - lo), _INV_PHI)))):
+        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+        f = stream.aggregate_cost(ts, np.concatenate([c, d])[:, None])
+        if not np.isfinite(f).all():
+            t = int(ts[~np.isfinite(f)].min())
+            raise RuntimeError(f"offline minimization failed at t={t}: non-finite cost")
+        left = f[:a.size] < f[a.size:]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+    return ((a + b) / 2)[:, None], "numeric"
 
 
 def build_regret_ledger(trace: Trace, stream: ObjectiveStream) -> RegretLedger:

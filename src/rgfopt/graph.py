@@ -11,23 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Digraph",
-    "WeightPair",
-    "AugmentedMatrix",
-    "GraphError",
-    "is_strongly_connected",
-    "make_cycle",
-    "make_ring",
-    "make_complete",
-    "make_random_strongly_connected",
-    "equal_neighbor_weights",
-    "build_augmented",
-    "delta_hat",
-    "limit_matrix",
-    "matrix_power_gap",
-    "matrix_power_gap_series",
-]
 
 STOCHASTIC_TOL = 1e-12
 

@@ -23,21 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "ObjectiveStream",
-    "OracleConfig",
-    "OracleError",
-    "sample_direction",
-    "gradient_free_oracle",
-    "smoothed_value_mc_stats",
-    "tracking_target",
-    "paper_objective_stream",
-    "linear_probe_stream",
-    "constant_stream",
-    "norm_stream",
-    "make_stream",
-    "STREAM_REGISTRY",
-]
 
 # Sub-stream domains under one master seed.  Directions advance the
 # spawn key by (agent, t) so a draw is a pure function of the triple.

@@ -18,11 +18,10 @@ from rgfopt.algorithm import (
     RunConfig,
     SimulationError,
     StepSchedule,
-    constant_schedule,
     csv_text,
-    inv_sqrt_schedule,
     step_all,
 )
+from rgfopt.experiments import experiment_fig2_3
 from rgfopt.graph import build_augmented, equal_neighbor_weights, make_cycle
 from rgfopt.oracle import (
     ObjectiveStream,
@@ -125,16 +124,16 @@ class TestProjection:
 
 class TestSchedules:
     def test_inv_sqrt_formula(self):
-        sched = inv_sqrt_schedule(2.0)
+        sched = StepSchedule("inv_sqrt", 2.0)
         for t in (0, 1, 8, 99):
             assert sched(t) == pytest.approx(2.0 / math.sqrt(t + 1))
 
     def test_constant(self):
-        sched = constant_schedule(0.3)
+        sched = StepSchedule("constant", 0.3)
         assert sched(0) == sched(1000) == 0.3
 
     def test_positive_and_nonincreasing(self):
-        for sched in (inv_sqrt_schedule(1.0), constant_schedule(0.5)):
+        for sched in (StepSchedule("inv_sqrt", 1.0), StepSchedule("constant", 0.5)):
             vals = [sched(t) for t in range(50)]
             assert all(v > 0 for v in vals)
             assert all(b <= a for a, b in zip(vals, vals[1:]))
@@ -145,9 +144,9 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             StepSchedule(kind="table")
         with pytest.raises(ConfigError):
-            inv_sqrt_schedule(0.0)
+            StepSchedule("inv_sqrt", 0.0)
         with pytest.raises(ConfigError):
-            constant_schedule(-0.1)
+            StepSchedule("constant", -0.1)
 
 
 class TestStates:
@@ -480,7 +479,7 @@ class TestCsvText:
         assert csv_text(["a", "b"], [np.empty(0), []]) == "a,b\n"
         assert csv_text(["a"], []) == "a\n"
         with pytest.warns(RuntimeWarning):
-            result = r.experiment_fig2_3(seed=0, horizon=0, out_dir=tmp_path)
+            result = experiment_fig2_3(seed=0, horizon=0, out_dir=tmp_path)
         regret = result.paths["regret"].read_text()
         assert regret == rowwise_csv(["t", "agent", "regret", "time_avg_regret"], [])
 
@@ -528,7 +527,7 @@ class TestCsvText:
     def test_fig2_3_csvs_equal_rowwise_reference(self, tmp_path):
         # 420 steps of 10 agents: trajectory and regret tables span two chunks
         with pytest.warns(RuntimeWarning):
-            result = r.experiment_fig2_3(seed=3, horizon=420, out_dir=tmp_path)
+            result = experiment_fig2_3(seed=3, horizon=420, out_dir=tmp_path)
         trace, ledger = result.trace, result.ledger
         x, cost, spread, star = (trace.x.tolist(), trace.cost.tolist(), trace.spread.tolist(),
                                  trace.x_star.tolist())

@@ -3,12 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rgfopt as r
+from rgfopt import analysis
 from rgfopt.algorithm import RunConfig, Trace, fit_geometric_decay
 from rgfopt.analysis import (
     BoundInputs,
@@ -85,12 +88,49 @@ class TestDynamicRegret:
         assert ledger.minimizer_source == "numeric"
         assert np.allclose(ledger.regret, analytic, atol=1e-6)
 
-    def test_scipy_optimize_imported_only_by_the_fallback(self):
-        # importing scipy.optimize costs most of the package's import time
-        code = "import sys, rgfopt; print('scipy.optimize' in sys.modules)"
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_numeric_fallback_reaches_the_box_endpoint(self, seed):
+        # linear_probe's aggregate cost is s x, least at the low end of the
+        # box when s > 0 and at the high end when s < 0 (seed 0: s = 2, seed 3: s = -6)
+        config = RunConfig(horizon=30, stream_name="linear_probe", master_seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            trace = r.run(config)
+        stream = r.make_stream("linear_probe", config.n_agents, 1, seed)
+        slope = stream.aggregate_cost(0, np.ones((1, 1)))[0]
+        end = config.feasible_lo if slope > 0 else config.feasible_hi
+        minimizers, source = analysis._minimizer_sequence(trace, stream)
+        assert source == "numeric" and minimizers.shape == (31, 1)
+        assert np.abs(minimizers - end).max() <= 1e-8
+
+    def test_numeric_fallback_names_a_non_finite_cost(self):
+        stream = r.ObjectiveStream(n_agents=1, dim=1,
+                                   evaluate=lambda i, t, x: math.nan if t == 4 else float(x @ x))
+        config = RunConfig(n_agents=1, horizon=6)
+        trace = Trace(config=config, x=np.zeros((7, 1, 1)), cost=np.zeros((7, 1)),
+                      spread=np.zeros(7), gamma=np.ones(6), x_star=None)
+        with pytest.raises(RuntimeError, match="at t=4: non-finite cost"):
+            build_regret_ledger(trace, stream)
+
+    def test_runs_without_scipy(self):
+        # scipy is a test-only dependency: the package, the numeric ledger
+        # fallback and the CLI run with every scipy import blocked
+        code = textwrap.dedent("""
+            import sys, warnings
+            sys.modules["scipy"] = None
+            import rgfopt as r
+            from rgfopt import cli
+            warnings.simplefilter("ignore", RuntimeWarning)
+            config = r.RunConfig(horizon=20, stream_name="linear_probe")
+            stream = r.make_stream("linear_probe", config.n_agents, 1, 0)
+            print(r.build_regret_ledger(r.run(config), stream).minimizer_source)
+            print(cli.main(["spectral"]))
+        """)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
-        assert out.stdout.strip() == "False"
+                             env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[0] == "numeric"
+        assert out.stdout.splitlines()[-1] == "0"
 
     def test_minimizer_outside_the_feasible_set_rejected(self):
         # every x lies in [1, 2] while x*(t) is at most 0.016: the ledger

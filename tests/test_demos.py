@@ -1,5 +1,7 @@
-"""Every script under demos/ runs to completion from a fresh interpreter."""
+"""Every script under demos/, and README's library quick start, runs to
+completion from a fresh interpreter."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +24,14 @@ def test_demo_runs_cleanly(demo, tmp_path):
                           env=env, cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the block under "## Quick start (library)", run as written
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"## Quick start \(library\)\n\n```python\n(.*?)```", readme, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout.split()[0]) >= 0.0  # the final consensus spread

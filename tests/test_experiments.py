@@ -16,6 +16,7 @@ from rgfopt.experiments import (
     second_moment_check,
     unbiasedness_check,
 )
+from rgfopt.oracle import constant_stream
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +75,9 @@ class TestAgentSweep:
         meta = json.loads(res.paths["metadata"].read_text())
         assert meta["ring_kind"] == "ring"
         assert set(meta["final_values"]) == {"4", "8"}
+        # fig4 records one config per N, so there is no single run to replay
+        with pytest.raises(ValueError, match=r"run_meta\.json records no single run.*'configs'"):
+            rerun_from_metadata(res.paths["metadata"])
 
     def test_one_way_cycle_variant_warns(self, tmp_path):
         with pytest.warns(RuntimeWarning):
@@ -140,7 +144,7 @@ class TestCheckHelpers:
         # +-0.0, so there the +0.0 start of the running sums shows in the bits
         stream = {"quadratic3": lambda: experiments.quadratic_norm_stream(3),
                   "norm2": lambda: r.norm_stream(1, dim=2, scale=1.0),
-                  "constant3": lambda: r.constant_stream(1, dim=3, value=2.0)}[name]()
+                  "constant3": lambda: constant_stream(1, dim=3, value=2.0)}[name]()
         cfg = r.OracleConfig.uniform(1, 0.01, stream.dim, rng_seed=41)
         x = np.linspace(-0.7, 0.9, stream.dim)
         n = 1 if offset is None else experiments._SUM_CHUNK + offset
