@@ -14,8 +14,8 @@ x^i.  All reads are from the time-t snapshot; writes land at t+1.
 Stacking phi = (x^1..x^N, y^1..y^N), the same round is phi+ = W phi + theta
 with W the augmented matrix and theta^i the projection residual (zero on
 surplus rows).  Because W is column-stochastic, the stacked mean obeys
-mean(phi+) - mean(phi) = (1/N) sum_i theta^i exactly, which the runner can
-verify step by step.
+mean(phi+) - mean(phi) = (1/N) sum_i theta^i exactly.  The runner does not
+check this identity; the test of acceptance criterion 9 does.
 """
 
 from __future__ import annotations
@@ -138,11 +138,9 @@ class Ball:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Positive non-increasing step sizes gamma(t).
-
-    Kinds `inv_sqrt` (gamma0/sqrt(t+1)) and `constant` are non-summable by
-    construction.
-    """
+    """Positive non-increasing step sizes gamma(t), at a time t or at every
+    entry of an array of times.  Kinds `inv_sqrt` (gamma0/sqrt(t+1)) and
+    `constant` are non-summable by construction."""
 
     kind: str
     gamma0: float = 1.0
@@ -153,10 +151,10 @@ class StepSchedule:
         if self.gamma0 <= 0:
             raise ConfigError(f"gamma0 must be positive, got {self.gamma0}")
 
-    def __call__(self, t: int) -> float:
+    def __call__(self, t):
         if self.kind == "inv_sqrt":
-            return self.gamma0 / math.sqrt(t + 1.0)
-        return self.gamma0
+            return self.gamma0 / np.sqrt(np.add(t, 1.0))
+        return np.full(np.shape(t), self.gamma0, dtype=float)[()]
 
 
 @dataclass(frozen=True)
@@ -186,6 +184,28 @@ class AgentStates:
         return (self.x.sum(axis=0) + self.y.sum(axis=0)) / self.n_agents
 
 
+def _advance(x: np.ndarray, y: np.ndarray, wp: WeightPair, delta: float, gamma_t: float,
+             stream: ObjectiveStream, cfg: OracleConfig, t: int, feasible,
+             g: np.ndarray, theta: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """One synchronous round on plain (N, p) arrays, shared by run() and step_all:
+    fills `g` and, unless None, `theta` in place and returns the new (x, y)."""
+    if gamma_t <= 0:
+        raise ConfigError(f"gamma(t) must be positive, got {gamma_t}")
+    for i, x_i in enumerate(x):
+        g[i] = gradient_free_oracle(stream, cfg, i, t, x_i)
+    mixed = wp.w_row @ x
+    delta_y = delta * y
+    x_new = feasible.project(mixed + delta_y - gamma_t * g)
+    y_new = wp.w_col @ y - mixed + x - delta_y
+    # x . (0 y) is nan when an entry of x or y is not finite, and +-0 otherwise
+    if not math.isfinite(x_new.ravel().dot(y_new.ravel() * 0.0)):
+        bad = np.where(~(np.isfinite(x_new).all(axis=1) & np.isfinite(y_new).all(axis=1)))[0]
+        raise SimulationError(f"non-finite state for agent(s) {bad.tolist()} after step t={t}")
+    if theta is not None:
+        np.subtract(x_new - mixed, delta_y, out=theta)
+    return x_new, y_new
+
+
 def step_all(states: AgentStates, wp: WeightPair, delta: float, gamma_t: float,
              stream: ObjectiveStream, cfg: OracleConfig, t: int,
              feasible) -> tuple[AgentStates, np.ndarray, np.ndarray]:
@@ -196,21 +216,9 @@ def step_all(states: AgentStates, wp: WeightPair, delta: float, gamma_t: float,
     residuals theta^i = x^i+ - (W_r x)^i - delta y^i (N, p); residuals on
     surplus rows are identically zero and are not materialized.
     """
-    if gamma_t <= 0:
-        raise ConfigError(f"gamma(t) must be positive, got {gamma_t}")
-    x, y = states.x, states.y
-    g = np.empty_like(x)
-    for i, x_i in enumerate(x):
-        g[i] = gradient_free_oracle(stream, cfg, i, t, x_i)
-    mixed = wp.w_row @ x
-    delta_y = delta * y
-    x_new = feasible.project(mixed + delta_y - gamma_t * g)
-    y_new = wp.w_col @ y - mixed + x - delta_y
-    if not np.isfinite(x_new).all() or not np.isfinite(y_new).all():
-        bad = np.where(~(np.isfinite(x_new).all(axis=1) & np.isfinite(y_new).all(axis=1)))[0]
-        raise SimulationError(f"non-finite state for agent(s) {bad.tolist()} after step t={t}")
-    theta = x_new - mixed - delta_y
-    return AgentStates(x=x_new, y=y_new), g, theta
+    g, theta = np.empty_like(states.x), np.empty_like(states.x)
+    x, y = _advance(states.x, states.y, wp, delta, gamma_t, stream, cfg, t, feasible, g, theta)
+    return AgentStates(x=x, y=y), g, theta
 
 
 # Field annotation -> (description, check).  Integers accept numpy ints but
@@ -491,39 +499,35 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     n, p, t_end = config.n_agents, config.dim, config.horizon
     rng_init = np.random.default_rng(
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(_DOMAIN_INIT,)))
-    x0 = feasible.sample_uniform(rng_init, (n, p))
-    states = AgentStates(x=x0, y=np.zeros((n, p)))
+    x, y = feasible.sample_uniform(rng_init, (n, p)), np.zeros((n, p))
 
     x_hist = np.empty((t_end + 1, n, p))
-    gamma_hist = np.empty(t_end)
+    gamma_hist = schedule(np.arange(t_end))
     y_hist = np.empty((t_end + 1, n, p)) if config.record_surplus else None
     g_hist = np.empty((t_end, n, p)) if config.record_oracle else None
     theta_hist = np.empty((t_end, n, p)) if config.record_oracle else None
+    # unrecorded estimates go to one scratch row, reused every step
+    g_rows = repeat(np.empty((n, p))) if g_hist is None else iter(g_hist)
+    theta_rows = repeat(None) if theta_hist is None else iter(theta_hist)
 
-    x_hist[0] = states.x
+    x_hist[0] = x
     if y_hist is not None:
-        y_hist[0] = states.y
-    for t in range(t_end):
-        gamma_t = schedule(t)
-        gamma_hist[t] = gamma_t
+        y_hist[0] = y
+    for t, (gamma_t, g_t, theta_t) in enumerate(zip(gamma_hist.tolist(), g_rows, theta_rows)):
         try:
-            states, g_mat, theta = step_all(states, wp, config.delta, gamma_t,
-                                            stream, cfg, t, feasible)
+            x, y = _advance(x, y, wp, config.delta, gamma_t, stream, cfg, t, feasible, g_t, theta_t)
         except SimulationError:
             raise
         except Exception as exc:
             raise SimulationError(f"step failed at t={t}: {exc}") from exc
-        if g_hist is not None:
-            g_hist[t] = g_mat
-            theta_hist[t] = theta
-        x_hist[t + 1] = states.x
+        x_hist[t + 1] = x
         if y_hist is not None:
-            y_hist[t + 1] = states.y
+            y_hist[t + 1] = y
 
     # everything that is not state is computed once, after the loop
     ts = np.repeat(np.arange(t_end + 1), n)
     cost = stream.aggregate_cost(ts, x_hist.reshape(-1, p)).reshape(t_end + 1, n)
-    x_star = None if stream.analytic_minimizer is None else np.array(
+    x_star = None if stream.analytic_minimizer is None else np.concatenate(
         [stream.analytic_minimizer(t) for t in range(t_end + 1)], dtype=float).reshape(-1, p)
     g_norm = np.linalg.norm(g_hist, axis=2) if g_hist is not None else None
     spread = np.linalg.norm(x_hist - x_hist.mean(axis=1, keepdims=True), axis=2).max(axis=1)

@@ -184,7 +184,7 @@ def quadratic_norm_stream(dim: int) -> ObjectiveStream:
     """Single-agent squared-norm cost ||x||^2, used by the moment diagnostics."""
     def evaluate(agent: int, t: int, x: np.ndarray) -> float:
         x = np.asarray(x)
-        return float(x @ x)
+        return float(x.dot(x))
 
     return ObjectiveStream(
         n_agents=1, dim=dim, evaluate=evaluate, analytic_minimizer=lambda t: np.zeros(dim),

@@ -8,6 +8,7 @@ the node itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -186,16 +187,12 @@ def equal_neighbor_weights(g: Digraph) -> WeightPair:
     if not is_strongly_connected(g):
         raise GraphError("equal_neighbor_weights requires a strongly connected digraph")
     n = g.n_agents
+    # edge (j, i) puts j in in(i) and i in out(j): row i, column j of both
+    src, dst = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp).reshape(-1, 2).T
     w_row = np.zeros((n, n))
     w_col = np.zeros((n, n))
-    for i in range(n):
-        nin = g.in_neighbors(i)
-        for j in nin:
-            w_row[i, j] = 1.0 / len(nin)
-    for j in range(n):
-        nout = g.out_neighbors(j)
-        for i in nout:
-            w_col[i, j] = 1.0 / len(nout)
+    w_row[dst, src] = 1.0 / np.bincount(dst, minlength=n)[dst]
+    w_col[dst, src] = 1.0 / np.bincount(src, minlength=n)[src]
     return WeightPair(w_row=w_row, w_col=w_col)
 
 

@@ -451,17 +451,15 @@ def sample_direction(cfg: OracleConfig, agent: int, t: int) -> np.ndarray:
     """
     c, n, t0, t1, rows = getattr(_memo, "block", (None,) * 5)
     if c is cfg and t0 <= t < t1 and 0 <= agent < n:
-        try:
-            return rows[(t - t0) * n + agent].copy()
-        except IndexError:  # a non-integer key; operator.index raises TypeError below
-            pass
+        return rows[(t - t0) * n + agent].copy()  # a non-integer key raises TypeError
     agent, t, n = operator.index(agent), operator.index(t), cfg.mu.size
     if not (0 <= agent < n and 0 <= t < 1 << 32):
         return _scalar_direction(cfg.rng_seed, cfg.dim, cfg.direction_law, agent, t)
     step = max(1, _BLOCK_KEYS // n)
     t0 = t - t % step
     t1 = min(t0 + step, 1 << 32)
-    rows = _direction_block(cfg.rng_seed, cfg.dim, cfg.direction_law, n, t0, t1)
+    # a list of row views: indexing it is cheaper than indexing the array
+    rows = list(_direction_block(cfg.rng_seed, cfg.dim, cfg.direction_law, n, t0, t1))
     _memo.block = (cfg, n, t0, t1, rows)
     return rows[(t - t0) * n + agent].copy()
 
@@ -473,13 +471,14 @@ def gradient_free_oracle(stream: ObjectiveStream, cfg: OracleConfig,
     `x` must have shape (cfg.dim,).  At dim 1 the shift and the scale run on
     Python floats, with the IEEE operations of the numpy route in its order.
     """
+    dim = cfg.dim
     x = np.asarray(x, dtype=float)
-    if x.shape != (cfg.dim,):
+    if x.shape != (dim,):
         raise ValueError(f"oracle point for agent {agent} at t={t} has shape {x.shape}, "
-                         f"expected ({cfg.dim},) for dim {cfg.dim}")
+                         f"expected ({dim},) for dim {dim}")
     mu = cfg.mu.item(agent)
     xi = sample_direction(cfg, agent, t)
-    if cfg.dim == 1:
+    if dim == 1:
         xi0 = xi.item()
         f_shift = stream.evaluate(agent, t, np.array([x.item() + mu * xi0]))
     else:
@@ -490,7 +489,7 @@ def gradient_free_oracle(stream: ObjectiveStream, cfg: OracleConfig,
             f"non-finite objective value for agent {agent} at t={t}: "
             f"f(x+mu*xi)={f_shift!r}, f(x)={f_base!r}")
     # sample_direction returns a fresh array, so it is scaled in place
-    if cfg.dim == 1:
+    if dim == 1:
         xi[0] = xi0 * ((f_shift - f_base) / mu)
     else:
         xi *= (f_shift - f_base) / mu
@@ -552,21 +551,26 @@ def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> 
         # ||2 a_i x - 2 b_i d 1|| <= 2 a_i rho + 2 b_i |d| sqrt(p), |d| <= 0.016
         return float((2.0 * a * rho + 2.0 * b * 0.016 * math.sqrt(dim)).max())
 
-    def evaluate(agent: int, t: int, x: np.ndarray) -> float:
-        # (a_i x).x - 2 b_i d sum(x) + c_i p d^2 in this operation order, on
-        # Python floats; np.add.reduce is what x.sum() runs
-        d = tracking_target(t)
-        x = np.asarray(x, dtype=float)
-        return (float((a_py[agent] * x) @ x) - 2.0 * b_py[agent] * d * float(np.add.reduce(x))
-                + c_py[agent] * dim * d * d)
+    # (t, d(t)) of the last time evaluated, shared by both evaluations of a
+    # draw; the tuple is replaced whole, so no thread reads a torn pair
+    last = [(None, 0.0)]
 
-    def evaluate_1d(agent: int, t: int, x: np.ndarray) -> float:
-        # the same bits at p = 1: a one-element dot is the rounded product
-        # and a one-element np.add.reduce is the element itself; at p >= 2
-        # numpy's dot uses fused multiply-adds that Python floats cannot redo
-        d = tracking_target(t)
-        v = np.asarray(x, dtype=float).item()
-        return a_py[agent] * v * v - 2.0 * b_py[agent] * d * v + c_py[agent] * dim * d * d
+    def evaluate(agent: int, t: int, x: np.ndarray) -> float:
+        s, d = last[0]
+        if s != t:
+            d = tracking_target(t)
+            last[0] = (t, d)
+        if dim == 1:
+            # the bits of the p >= 2 formula: a one-element dot is the rounded
+            # product and a one-element np.add.reduce is the element itself; at
+            # p >= 2 numpy's dot uses fused multiply-adds that floats cannot redo
+            v = np.asarray(x, dtype=float).item()
+            return a_py[agent] * v * v - 2.0 * b_py[agent] * d * v + c_py[agent] * dim * d * d
+        # (a_i x).x - 2 b_i d sum(x) + c_i p d^2 in this operation order, on
+        # Python floats; np.add.reduce is what x.sum() runs, .dot what `@` runs
+        x = np.asarray(x, dtype=float)
+        return (float((a_py[agent] * x).dot(x)) - 2.0 * b_py[agent] * d * float(np.add.reduce(x))
+                + c_py[agent] * dim * d * d)
 
     def aggregate_evaluate(t, points: np.ndarray) -> np.ndarray:
         # d by math.sin once per distinct time; np.sin may differ in the last bit
@@ -577,10 +581,10 @@ def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> 
                 + c.sum() * dim * d * d)
 
     def analytic_minimizer(t: int) -> np.ndarray:
-        return np.full(dim, tracking_target(t))
+        return np.array([tracking_target(t)] * dim)
 
     return ObjectiveStream(
-        n_agents=n_agents, dim=dim, evaluate=evaluate_1d if dim == 1 else evaluate,
+        n_agents=n_agents, dim=dim, evaluate=evaluate,
         analytic_minimizer=analytic_minimizer, subgradient_bound=subgradient_bound,
         aggregate_evaluate=aggregate_evaluate, name="paper_quadratic",
         params={"coeff_seed": coeff_seed, "a": a.tolist(), "b": b.tolist(), "c": c.tolist()},
@@ -599,9 +603,11 @@ def linear_probe_stream(n_agents: int, dim: int = 1, seed: int = 0,
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     u *= scale
     u.flags.writeable = False
+    # .dot is `@` with less dispatch, except that `@` on one element turns -0.0 into +0.0
+    dot = np.ndarray.dot if dim > 1 else np.matmul
 
     def evaluate(agent: int, t: int, x: np.ndarray) -> float:
-        return float(u[agent] @ np.asarray(x, dtype=float))
+        return float(dot(u[agent], np.asarray(x, dtype=float)))
 
     def aggregate_evaluate(t: int, points: np.ndarray) -> np.ndarray:
         # a stacked row dot rounds each row alike, however many rows are passed

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -238,6 +239,17 @@ class TestStepAll:
                 step_all(states, wp, delta, 1.0, stream, cfg, 0, feasible)
 
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", ["x", "y"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_any_nonfinite_entry_is_reported(self, dim, where, value):
+        wp, stream, cfg, feasible, delta = _setup(n=5, dim=dim)
+        arrays = {"x": np.zeros((5, dim)), "y": np.zeros((5, dim))}
+        arrays[where][3, dim - 1] = value
+        with np.errstate(invalid="ignore"), pytest.raises(SimulationError, match="agent"):
+            step_all(AgentStates(**arrays), wp, delta, 1.0, stream, cfg, 0, feasible)
+
+
 class TestThetaResidual:
     def test_interior_step_equals_oracle_term(self):
         # no clipping inside a huge box: theta = -gamma * g exactly
@@ -437,6 +449,110 @@ class TestPrefetchedRun:
         assert errors == []
         assert got == expected
         assert all(drawn[k].tobytes() == scalar[k].tobytes() for k in keys)
+
+
+def _step_all_loop(config):
+    """run()'s set-up followed by one public step_all call per step: the
+    reference for run()'s plain-array loop.  Returns the stacked x, y, g,
+    theta and gamma."""
+    n, p = config.n_agents, config.dim
+    wp = equal_neighbor_weights(algorithm.make_graph(config.graph_kind, n, config.graph_seed,
+                                                     config.extra_edge_prob))
+    stream = r.make_stream(config.stream_name, n, p, config.master_seed)
+    feasible = config.feasible_set()
+    schedule = StepSchedule(config.schedule_kind, config.gamma0)
+    cfg = OracleConfig.uniform(n, config.mu_hat, p, direction_law=config.direction_law,
+                               rng_seed=config.master_seed)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=config.master_seed, spawn_key=(algorithm._DOMAIN_INIT,)))
+    states = AgentStates(x=feasible.sample_uniform(rng, (n, p)), y=np.zeros((n, p)))
+    xs, ys, gs, thetas, gammas = [states.x], [states.y], [], [], []
+    for t in range(config.horizon):
+        gammas.append(schedule(t))
+        states, g, theta = step_all(states, wp, config.delta, gammas[-1], stream, cfg, t, feasible)
+        xs.append(states.x)
+        ys.append(states.y)
+        gs.append(g)
+        thetas.append(theta)
+    return {"x": np.array(xs), "y": np.array(ys), "g": np.array(gs), "theta": np.array(thetas),
+            "gamma": np.array(gammas)}
+
+
+# dims 1-3, box and ball, every topology kind, both schedules, both
+# direction laws, and each recording switch off; 250 steps of 10 agents
+# cross a block of directions
+LOOP_CONFIGS = {
+    "dim1_box_random": RunConfig(horizon=250, master_seed=1),
+    "dim2_ball_ring": RunConfig(dim=2, graph_kind="ring", feasible_kind="ball", ball_radius=3.0,
+                                horizon=250, master_seed=2, record_surplus=False),
+    "dim3_box_cycle": RunConfig(n_agents=5, dim=3, graph_kind="cycle", feasible_lo=-1.0,
+                                feasible_hi=2.0, horizon=250, master_seed=3, record_oracle=False),
+    "dim3_ball_sphere": RunConfig(n_agents=7, dim=3, feasible_kind="ball", ball_radius=0.5,
+                                  direction_law="uniform_sphere", schedule_kind="constant",
+                                  gamma0=0.3, horizon=250, master_seed=4),
+    "dim2_linear_unrecorded": RunConfig(n_agents=4, dim=2, graph_kind="ring",
+                                        stream_name="linear_probe", horizon=250, master_seed=5,
+                                        record_surplus=False, record_oracle=False),
+    "dim1_complete_constant": RunConfig(n_agents=3, graph_kind="complete", stream_name="constant",
+                                        schedule_kind="constant", horizon=250, master_seed=6),
+}
+
+
+class TestPlainArrayLoop:
+    @pytest.mark.parametrize("name", sorted(LOOP_CONFIGS))
+    def test_run_equals_a_loop_of_step_all_calls(self, name):
+        config = dataclasses.replace(LOOP_CONFIGS[name], check_delta_bound=False)
+        trace, ref = r.run(config), _step_all_loop(config)
+        assert trace.x.tobytes() == ref["x"].tobytes()
+        assert trace.gamma.tobytes() == ref["gamma"].tobytes()
+        assert (trace.y is None) == (not config.record_surplus)
+        if trace.y is not None:
+            assert trace.y.tobytes() == ref["y"].tobytes()
+        assert (trace.theta is None) == (not config.record_oracle)
+        if trace.theta is not None:
+            assert trace.theta.tobytes() == ref["theta"].tobytes()
+            assert trace.g_norm.tobytes() == np.linalg.norm(ref["g"], axis=2).tobytes()
+
+    @pytest.mark.parametrize("kind", ["inv_sqrt", "constant"])
+    def test_gamma_has_the_bits_of_the_scalar_schedule(self, kind):
+        config = RunConfig(schedule_kind=kind, gamma0=0.7, horizon=300, check_delta_bound=False)
+        schedule = StepSchedule(kind, 0.7)
+        scalar = [0.7 / math.sqrt(t + 1.0) if kind == "inv_sqrt" else 0.7 for t in range(300)]
+        assert r.run(config).gamma.tobytes() == np.array(scalar).tobytes()
+        assert np.array([schedule(t) for t in range(300)]).tobytes() == np.array(scalar).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_x_star_bytes_equal_the_per_step_minimizers(self, dim):
+        trace = r.run(RunConfig(n_agents=4, dim=dim, horizon=300, master_seed=2,
+                                check_delta_bound=False))
+        ref = np.array([np.full(dim, oracle.tracking_target(t)) for t in range(301)])
+        assert trace.x_star.tobytes() == ref.tobytes()
+
+    def test_nonfinite_surplus_names_agents_and_step(self):
+        # surplus coupling diverges on a one-way cycle at a large gain
+        config = RunConfig(n_agents=4, graph_kind="cycle", delta=5.0, horizon=3000,
+                           check_delta_bound=False)
+        with np.errstate(all="ignore"), pytest.raises(SimulationError) as err:
+            r.run(config)
+        assert str(err.value) == "non-finite state for agent(s) [0, 1, 2, 3] after step t=441"
+        assert err.value.__cause__ is None
+
+    def test_oracle_error_is_wrapped_with_its_step(self):
+        stream = ObjectiveStream(n_agents=10, dim=1,
+                                 evaluate=lambda i, t, x: math.nan if t >= 3 else float(x[0] ** 2),
+                                 aggregate_evaluate=lambda t, pts: (pts ** 2).sum(axis=1) * 10)
+        with pytest.raises(SimulationError) as err:
+            r.run(RunConfig(horizon=10, check_delta_bound=False), stream=stream)
+        assert str(err.value) == ("step failed at t=3: non-finite objective value for agent 0 "
+                                  "at t=3: f(x+mu*xi)=nan, f(x)=nan")
+        assert isinstance(err.value.__cause__, oracle.OracleError)
+
+    def test_underflowing_step_size_fails_at_its_step(self):
+        # 5e-324 / sqrt(t + 1) rounds to 0.0 from t = 3 on
+        with pytest.raises(SimulationError) as err:
+            r.run(RunConfig(gamma0=5e-324, horizon=10, check_delta_bound=False))
+        assert str(err.value) == "step failed at t=3: gamma(t) must be positive, got 0.0"
+        assert isinstance(err.value.__cause__, ConfigError)
 
 
 class TestConsensusContraction:

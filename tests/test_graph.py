@@ -158,6 +158,23 @@ class TestEqualNeighborWeights:
         assert np.abs(wp.w_row.sum(axis=1) - 1.0).max() < TOL
         assert np.abs(wp.w_col.sum(axis=0) - 1.0).max() < TOL
 
+    @pytest.mark.parametrize("n", [2, 3, 10, 57, 200])
+    @pytest.mark.parametrize("kind", ["cycle", "ring", "complete", "random"])
+    def test_bytes_equal_the_per_node_construction(self, kind, n):
+        # the former construction, node by node from the neighbor lists
+        g = {"cycle": make_cycle, "ring": make_ring, "complete": make_complete,
+             "random": lambda n: make_random_strongly_connected(n, 0.3, seed=n)}[kind](n)
+        w_row, w_col = np.zeros((n, n)), np.zeros((n, n))
+        for i in range(n):
+            nin, nout = g.in_neighbors(i), g.out_neighbors(i)
+            for j in nin:
+                w_row[i, j] = 1.0 / len(nin)
+            for j in nout:
+                w_col[j, i] = 1.0 / len(nout)
+        wp = equal_neighbor_weights(g)
+        assert wp.w_row.tobytes() == w_row.tobytes()
+        assert wp.w_col.tobytes() == w_col.tobytes()
+
     def test_rejects_not_strongly_connected(self):
         g = Digraph(3, frozenset({(0, 1), (1, 2)}))
         with pytest.raises(GraphError):

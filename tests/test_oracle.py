@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rgfopt import oracle
+from rgfopt import experiments, oracle
 from rgfopt.oracle import (
     ObjectiveStream,
     OracleConfig,
@@ -577,6 +577,44 @@ class TestPaperStream:
             expected = float(a[agent] * x @ x - 2.0 * b[agent] * d * x.sum() + c[agent] * dim * d * d)
             assert stream.evaluate(agent, t, x).hex() == expected.hex()
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_threads_evaluating_interleaved_times_match_the_formula(self, dim):
+        # the threads visit a few shared times, each in its own random order,
+        # so each often reads the d(t) memo right after another thread moved it
+        stream = paper_objective_stream(5, dim=dim, coeff_seed=4)
+        a, b, c = (stream.params[k] for k in "abc")
+        x = np.linspace(-1.3, 0.7, dim)
+        keys = [(agent, t) for agent in range(5) for t in (0, 1, 7, 250, 4999)] * 80
+
+        def expected(agent, t):
+            d = tracking_target(t)
+            return (float((a[agent] * x) @ x) - 2.0 * b[agent] * d * float(np.add.reduce(x))
+                    + c[agent] * dim * d * d)
+        reference = {k: expected(*k).hex() for k in keys}
+        mismatches, errors = [], []
+
+        def worker(offset):
+            try:
+                for i in np.random.default_rng(offset).permutation(len(keys)).tolist():
+                    k = keys[i]
+                    if stream.evaluate(*k, x).hex() != reference[k]:
+                        mismatches.append(k)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == [] and mismatches == []
+
     def test_bound_of_other_streams_ignores_radius(self):
         for rho in (1.0, 50.0):
             assert linear_probe_stream(2, scale=3.0).subgradient_bound(rho) == 3.0
@@ -585,6 +623,35 @@ class TestPaperStream:
 
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e154, -1e154, 1e200, -1e200, math.inf, -math.inf, math.nan]
+
+_DOT_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                         1e200, -1e200]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.lists(_DOT_FLOATS, min_size=1, max_size=7), t=st.integers(0, 10_000))
+@example(x=[0.0], t=0)  # `@` on one element returns +0.0 where its product is -0.0
+@example(x=[-0.0, 0.0, 5e-324], t=3)
+def test_dot_evaluates_equal_the_matmul_formula(x, t):
+    # the streams' 1-D dot products run ndarray.dot; `@` is the reference
+    x = np.array(x)
+    dim = x.size
+    paper = paper_objective_stream(3, dim=dim, coeff_seed=dim)
+    probe = linear_probe_stream(3, dim=dim, seed=dim)
+    a, b, c = (paper.params[k] for k in "abc")
+    d = tracking_target(t)
+    with np.errstate(all="ignore"):
+        square = experiments.quadratic_norm_stream(dim).evaluate(0, t, x)
+        assert square.hex() == float(x @ x).hex()
+        for agent in range(3):
+            if dim > 1:  # dim 1 takes the float route, pinned by TestDimOneRoute
+                expected = (float((a[agent] * x) @ x) - 2.0 * b[agent] * d * float(np.add.reduce(x))
+                            + c[agent] * dim * d * d)
+                assert paper.evaluate(agent, t, x).hex() == expected.hex()
+            # a one-hot point's dot is the coefficient itself, whatever the order
+            u = np.array([probe.evaluate(agent, t, e) for e in np.eye(dim)])
+            assert probe.evaluate(agent, t, x).hex() == float(u @ x).hex()
 
 
 def _numpy_paper_cost(stream):

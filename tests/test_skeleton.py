@@ -1,0 +1,75 @@
+"""The per-draw call skeleton that the traced benchmark counts: one
+`gradient_free_oracle` call per draw, making one `sample_direction` call and
+two `stream.evaluate` calls, each resolved through the module global or the
+stream field that the benchmark's span wrappers replace."""
+
+import dataclasses
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import rgfopt as r
+from rgfopt import algorithm, experiments, oracle
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counters on the estimator as `module` resolves it, on
+    `oracle.sample_direction` and on a stream's `evaluate`.  Direction
+    and evaluation calls made outside an estimator call count as strays."""
+    counts = Counter()
+    depth = [0]
+
+    def install(module, stream):
+        estimator, direction = module.gradient_free_oracle, oracle.sample_direction
+
+        def counted_estimator(*args, **kwargs):
+            counts["estimator"] += 1
+            depth[0] += 1
+            try:
+                return estimator(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        def counted_direction(*args, **kwargs):
+            counts["direction" if depth[0] == 1 else "stray"] += 1
+            return direction(*args, **kwargs)
+
+        def counted_evaluate(*args, **kwargs):
+            counts["evaluate" if depth[0] == 1 else "stray"] += 1
+            return stream.evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(module, "gradient_free_oracle", counted_estimator)
+        monkeypatch.setattr(oracle, "sample_direction", counted_direction)
+        return counts, dataclasses.replace(stream, evaluate=counted_evaluate)
+    return install
+
+
+def _trace_arrays(trace):
+    return [None if a is None else a.tobytes()
+            for a in (trace.x, trace.y, trace.g_norm, trace.theta, trace.cost)]
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_run_makes_one_draw_per_agent_and_step(counted, dim, record):
+    config = r.RunConfig(n_agents=6, dim=dim, horizon=400, master_seed=3, check_delta_bound=False,
+                         record_surplus=record, record_oracle=record)
+    stream = r.make_stream(config.stream_name, 6, dim, config.master_seed)
+    expected = _trace_arrays(r.run(config, stream=stream))
+    counts, counting_stream = counted(algorithm, stream)
+    trace = r.run(config, stream=counting_stream)
+    draws = config.n_agents * config.horizon
+    assert counts == {"estimator": draws, "direction": draws, "evaluate": 2 * draws}
+    assert _trace_arrays(trace) == expected
+
+
+def test_oracle_mean_makes_one_estimator_call_per_draw(counted):
+    stream = experiments.quadratic_norm_stream(3)
+    cfg = r.OracleConfig.uniform(1, 0.01, 3, rng_seed=5)
+    x = np.array([0.3, -0.2, 0.9])
+    counts, counting_stream = counted(experiments, stream)
+    n_draws = experiments._SUM_CHUNK + 5
+    experiments._oracle_mean(counting_stream, cfg, x, n_draws)
+    assert counts == {"estimator": n_draws, "direction": n_draws, "evaluate": 2 * n_draws}
