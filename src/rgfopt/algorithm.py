@@ -138,9 +138,11 @@ class Ball:
 
 @dataclass(frozen=True)
 class StepSchedule:
-    """Positive non-increasing step sizes gamma(t), at a time t or at every
-    entry of an array of times.  Kinds `inv_sqrt` (gamma0/sqrt(t+1)) and
-    `constant` are non-summable by construction."""
+    """Positive non-increasing step sizes gamma(t).
+
+    Kinds `inv_sqrt` (gamma0/sqrt(t+1)) and `constant` are non-summable by
+    construction.
+    """
 
     kind: str
     gamma0: float = 1.0
@@ -151,10 +153,10 @@ class StepSchedule:
         if self.gamma0 <= 0:
             raise ConfigError(f"gamma0 must be positive, got {self.gamma0}")
 
-    def __call__(self, t):
+    def __call__(self, t: int) -> float:
         if self.kind == "inv_sqrt":
-            return self.gamma0 / np.sqrt(np.add(t, 1.0))
-        return np.full(np.shape(t), self.gamma0, dtype=float)[()]
+            return self.gamma0 / math.sqrt(t + 1.0)
+        return self.gamma0
 
 
 @dataclass(frozen=True)
@@ -502,7 +504,7 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     x, y = feasible.sample_uniform(rng_init, (n, p)), np.zeros((n, p))
 
     x_hist = np.empty((t_end + 1, n, p))
-    gamma_hist = schedule(np.arange(t_end))
+    gamma_hist = np.array([schedule(t) for t in range(t_end)], dtype=float)
     y_hist = np.empty((t_end + 1, n, p)) if config.record_surplus else None
     g_hist = np.empty((t_end, n, p)) if config.record_oracle else None
     theta_hist = np.empty((t_end, n, p)) if config.record_oracle else None
@@ -527,7 +529,7 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     # everything that is not state is computed once, after the loop
     ts = np.repeat(np.arange(t_end + 1), n)
     cost = stream.aggregate_cost(ts, x_hist.reshape(-1, p)).reshape(t_end + 1, n)
-    x_star = None if stream.analytic_minimizer is None else np.concatenate(
+    x_star = None if stream.analytic_minimizer is None else np.array(
         [stream.analytic_minimizer(t) for t in range(t_end + 1)], dtype=float).reshape(-1, p)
     g_norm = np.linalg.norm(g_hist, axis=2) if g_hist is not None else None
     spread = np.linalg.norm(x_hist - x_hist.mean(axis=1, keepdims=True), axis=2).max(axis=1)

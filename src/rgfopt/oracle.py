@@ -603,11 +603,9 @@ def linear_probe_stream(n_agents: int, dim: int = 1, seed: int = 0,
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     u *= scale
     u.flags.writeable = False
-    # .dot is `@` with less dispatch, except that `@` on one element turns -0.0 into +0.0
-    dot = np.ndarray.dot if dim > 1 else np.matmul
 
     def evaluate(agent: int, t: int, x: np.ndarray) -> float:
-        return float(dot(u[agent], np.asarray(x, dtype=float)))
+        return float(u[agent] @ np.asarray(x, dtype=float))
 
     def aggregate_evaluate(t: int, points: np.ndarray) -> np.ndarray:
         # a stacked row dot rounds each row alike, however many rows are passed

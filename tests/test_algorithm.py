@@ -452,9 +452,10 @@ class TestPrefetchedRun:
 
 
 def _step_all_loop(config):
-    """run()'s set-up followed by one public step_all call per step: the
-    reference for run()'s plain-array loop.  Returns the stacked x, y, g,
-    theta and gamma."""
+    """run()'s set-up followed by one public step_all call per step.  Both
+    advance through the same round function, so comparing them checks run()'s
+    own bookkeeping: history rows, the scratch row of unrecorded estimates and
+    the step sizes.  Returns the stacked x, y, g, theta and gamma."""
     n, p = config.n_agents, config.dim
     wp = equal_neighbor_weights(algorithm.make_graph(config.graph_kind, n, config.graph_seed,
                                                      config.extra_edge_prob))
@@ -478,29 +479,20 @@ def _step_all_loop(config):
             "gamma": np.array(gammas)}
 
 
-# dims 1-3, box and ball, every topology kind, both schedules, both
-# direction laws, and each recording switch off; 250 steps of 10 agents
-# cross a block of directions
+# one config with each recording switch off
 LOOP_CONFIGS = {
-    "dim1_box_random": RunConfig(horizon=250, master_seed=1),
-    "dim2_ball_ring": RunConfig(dim=2, graph_kind="ring", feasible_kind="ball", ball_radius=3.0,
-                                horizon=250, master_seed=2, record_surplus=False),
-    "dim3_box_cycle": RunConfig(n_agents=5, dim=3, graph_kind="cycle", feasible_lo=-1.0,
-                                feasible_hi=2.0, horizon=250, master_seed=3, record_oracle=False),
-    "dim3_ball_sphere": RunConfig(n_agents=7, dim=3, feasible_kind="ball", ball_radius=0.5,
-                                  direction_law="uniform_sphere", schedule_kind="constant",
-                                  gamma0=0.3, horizon=250, master_seed=4),
-    "dim2_linear_unrecorded": RunConfig(n_agents=4, dim=2, graph_kind="ring",
-                                        stream_name="linear_probe", horizon=250, master_seed=5,
-                                        record_surplus=False, record_oracle=False),
-    "dim1_complete_constant": RunConfig(n_agents=3, graph_kind="complete", stream_name="constant",
-                                        schedule_kind="constant", horizon=250, master_seed=6),
+    "surplus_unrecorded": RunConfig(dim=2, graph_kind="ring", feasible_kind="ball",
+                                    ball_radius=3.0, horizon=60, master_seed=2,
+                                    record_surplus=False),
+    "oracle_unrecorded": RunConfig(n_agents=5, dim=3, graph_kind="cycle", feasible_lo=-1.0,
+                                   feasible_hi=2.0, horizon=60, master_seed=3,
+                                   record_oracle=False),
 }
 
 
 class TestPlainArrayLoop:
     @pytest.mark.parametrize("name", sorted(LOOP_CONFIGS))
-    def test_run_equals_a_loop_of_step_all_calls(self, name):
+    def test_run_keeps_the_rows_of_a_step_all_loop(self, name):
         config = dataclasses.replace(LOOP_CONFIGS[name], check_delta_bound=False)
         trace, ref = r.run(config), _step_all_loop(config)
         assert trace.x.tobytes() == ref["x"].tobytes()
@@ -527,6 +519,16 @@ class TestPlainArrayLoop:
                                 check_delta_bound=False))
         ref = np.array([np.full(dim, oracle.tracking_target(t)) for t in range(301)])
         assert trace.x_star.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("minimizer", [lambda t: 0.25 * t, lambda t: np.array(0.25 * t)],
+                             ids=["float", "0-d array"])
+    def test_scalar_minimizer_at_dim_one(self, minimizer):
+        # a dim-1 plug-in stream may return its minimizer as a scalar
+        stream = ObjectiveStream(n_agents=10, dim=1, evaluate=lambda i, t, x: float(x[0] ** 2),
+                                 aggregate_evaluate=lambda t, pts: (pts ** 2).sum(axis=1) * 10,
+                                 analytic_minimizer=minimizer)
+        trace = r.run(RunConfig(horizon=20, check_delta_bound=False), stream=stream)
+        assert trace.x_star.tobytes() == (0.25 * np.arange(21.0)).reshape(21, 1).tobytes()
 
     def test_nonfinite_surplus_names_agents_and_step(self):
         # surplus coupling diverges on a one-way cycle at a large gain
