@@ -113,7 +113,17 @@ class Ball:
         offset = v - self.center
         norms = np.linalg.norm(offset, axis=-1, keepdims=True)
         scale = np.where(norms > self.ball_radius, self.ball_radius / np.maximum(norms, 1e-300), 1.0)
-        return self.center + offset * scale
+        out = self.center + offset * scale
+        huge = np.isinf(norms[..., 0])
+        if huge.any():
+            # the norm overflowed: take the offset's direction from its
+            # infinite coordinates, or from the offset scaled by its largest one
+            d = offset[huge]
+            inf = np.isinf(d)
+            d = np.where(inf.any(axis=-1, keepdims=True), np.where(inf, np.sign(d), 0.0), d)
+            d /= np.abs(d).max(axis=-1, keepdims=True)
+            out[huge] = self.center + d * (self.ball_radius / np.linalg.norm(d, axis=-1, keepdims=True))
+        return out
 
     def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
         return bool((np.linalg.norm(v - self.center, axis=-1) <= self.ball_radius + tol).all())
@@ -261,7 +271,8 @@ class RunConfig:
     check_delta_bound: bool = True
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields as plain Python values (numpy scalars unwrapped), ready for JSON."""
+        return {k: v.item() if isinstance(v, np.generic) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -302,6 +313,10 @@ class RunConfig:
         if self.direction_law not in ("gaussian", "uniform_sphere"):
             raise ConfigError(f"direction_law must be 'gaussian' or 'uniform_sphere', "
                               f"got {self.direction_law!r}")
+        # the step sizes never increase, so the last one is the smallest
+        if self.horizon and StepSchedule(self.schedule_kind, self.gamma0)(self.horizon - 1) == 0.0:
+            raise ConfigError(f"gamma0={self.gamma0!r} is too small: the {self.schedule_kind} "
+                              f"step size rounds to 0.0 by t={self.horizon - 1}")
 
     def feasible_set(self):
         """The configured feasible set: a box or a ball centred at the origin."""

@@ -14,7 +14,6 @@ exact for the Gaussian law, which is the default.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import threading
@@ -31,12 +30,12 @@ _DOMAIN_COEFF = 2
 
 # A direction is the draw of np.random.default_rng(np.random.SeedSequence(
 # entropy=rng_seed, spawn_key=(_DOMAIN_DIRECTION, agent, t))).  Building those
-# two objects costs more than the draw itself, so the key-to-state map is
-# computed here in Python ints instead: SeedSequence's uint32 hashing
-# (numpy/random/bit_generator.pyx) followed by PCG64's seeding arithmetic
-# (pcg64.h).  Only the resulting state is handed to numpy.
+# two objects per key costs more than the draw itself, so a block of keys
+# takes the pool of SeedSequence(rng_seed, spawn_key=(_DOMAIN_DIRECTION,))
+# from numpy and finishes the key-to-state map on uint64 arrays:
+# SeedSequence's uint32 hashing of the agent and t words
+# (numpy/random/bit_generator.pyx), then PCG64's seeding arithmetic (pcg64.h).
 _M32 = 0xFFFF_FFFF
-_M128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -56,7 +55,6 @@ def _generate_state_constants() -> tuple[tuple[int, int], ...]:
 
 
 _STATE_HASH = _generate_state_constants()
-_thread_rng = threading.local()
 
 
 class OracleError(RuntimeError):
@@ -137,33 +135,22 @@ class OracleConfig:
                    direction_law=direction_law, rng_seed=rng_seed)
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian uint32 words of a non-negative integer, split as
-    SeedSequence splits entropy and spawn keys (0 is one word)."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"expected non-negative integer, got {n}")
-    words = [n & _M32]
-    while n := n >> 32:
-        words.append(n & _M32)
-    return words
-
-
-def _hashmix(value: int, hc: int) -> tuple[int, int]:
-    """SeedSequence's hashmix: the hashed value and the advanced multiplier
-    (Python ints, or uint64 arrays holding uint32 values)."""
+def _hashmix(value: np.ndarray, hc: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix on uint64 arrays holding uint32 values: the
+    hashed value and the advanced multiplier."""
     value = value ^ hc
     hc = hc * _MULT_A & _M32
     value = value * hc & _M32
     return value ^ (value >> 16), hc
 
 
-def _mix(x: int, y: int) -> int:
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
     return r ^ (r >> 16)
 
 
-def _absorb(pool: tuple[int, ...], hc: int, words: list[int]) -> tuple[tuple[int, ...], int]:
+def _absorb(pool: tuple[np.ndarray, ...], hc: int,
+            words: list[np.ndarray]) -> tuple[tuple[np.ndarray, ...], int]:
     """Mix entropy words beyond the pool size into every pool word."""
     pool = list(pool)
     for word in words:
@@ -173,29 +160,8 @@ def _absorb(pool: tuple[int, ...], hc: int, words: list[int]) -> tuple[tuple[int
     return tuple(pool), hc
 
 
-@functools.lru_cache(maxsize=4096)
-def _direction_prefix(seed: int, agent: int) -> tuple[tuple[int, ...], int]:
-    """Pool and hash multiplier of SeedSequence(seed, spawn_key=(1, agent,
-    ...)) once every word before t has been mixed in."""
-    entropy = _uint32_words(seed)
-    # with a spawn key, short run entropy is zero-padded to the pool size
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    hc, pool = _INIT_A, []
-    for word in entropy[:_POOL_SIZE]:
-        h, hc = _hashmix(word, hc)
-        pool.append(h)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                h, hc = _hashmix(pool[src], hc)
-                pool[dst] = _mix(pool[dst], h)
-    rest = entropy[_POOL_SIZE:] + [_DOMAIN_DIRECTION] + _uint32_words(agent)
-    return _absorb(tuple(pool), hc, rest)
-
-
-def _state_words(pool):
-    """The 8 uint32 words of generate_state(4, uint64) from an absorbed pool
-    (Python ints, or uint64 arrays holding uint32 values)."""
+def _state_words(pool: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """The 8 uint32 words of generate_state(4, uint64) from an absorbed pool."""
     words = []
     for k, (pre, post) in enumerate(_STATE_HASH):
         v = (pool[k % _POOL_SIZE] ^ pre) * post & _M32
@@ -203,29 +169,8 @@ def _state_words(pool):
     return words
 
 
-def _keyed_generator(seed: int, agent: int, t: int) -> np.random.Generator:
-    """This thread's generator, set to the PCG64 state that
-    default_rng(SeedSequence(seed, spawn_key=(1, agent, t))) starts from."""
-    # index() first, so a float key cannot hit the cache entry of an int
-    prefix = _direction_prefix(operator.index(seed), operator.index(agent))
-    s = _state_words(_absorb(*prefix, _uint32_words(t))[0])
-    # uint64 words w_j = s[2j] | s[2j+1] << 32; PCG64 seeds with
-    # initstate = w0 << 64 | w1 and initseq = w2 << 64 | w3
-    initstate = s[0] << 64 | s[1] << 96 | s[2] | s[3] << 32
-    initseq = s[4] << 64 | s[5] << 96 | s[6] | s[7] << 32
-    inc = (initseq << 1 | 1) & _M128
-    state = ((inc + initstate) * _PCG64_MULT + inc) & _M128
-    rng = getattr(_thread_rng, "generator", None)
-    if rng is None:
-        rng = _thread_rng.generator = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    return rng
-
-
-def _scalar_direction(seed: int, dim: int, law: str, agent: int, t: int) -> np.ndarray:
-    """One direction drawn by numpy from its keyed generator: the reference."""
-    rng = _keyed_generator(seed, agent, t)
+def _draw(rng: np.random.Generator, dim: int, law: str) -> np.ndarray:
+    """One direction drawn by numpy from a generator set to its key's state."""
     xi = rng.standard_normal(dim)
     if law == "uniform_sphere":
         norm = np.linalg.norm(xi)
@@ -236,9 +181,9 @@ def _scalar_direction(seed: int, dim: int, law: str, agent: int, t: int) -> np.n
     return xi
 
 
-# Block draws redo the scalar route on uint64 arrays: the SeedSequence
-# absorb of a one-word t, PCG64 seeding and steps on (hi, lo) halves with
-# XSL-RR output, and the fast path of numpy's double ziggurat (Marsaglia &
+# Block draws redo numpy's route on uint64 arrays: the SeedSequence absorb
+# of one-word agents and times, PCG64 seeding and steps on (hi, lo) halves
+# with XSL-RR output, and the fast path of numpy's double ziggurat (Marsaglia &
 # Tsang 2000; numpy/random/src/distributions/distributions.c).  numpy does
 # not export the ziggurat tables, so they are embedded here as hex words
 # (wi as IEEE-754 bits); tests/test_oracle.py recovers them again by probing
@@ -396,24 +341,27 @@ def _pcg64_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.n
 
 
 def _direction_block(seed: int, dim: int, law: str, n_agents: int, t0: int, t1: int) -> np.ndarray:
-    """Directions of agents 0..n_agents-1 at times t0..t1-1 (t1 <= 2^32), row
-    (t - t0) * n_agents + agent, bit-identical to _scalar_direction.
+    """Directions of agents 0..n_agents-1 at times t0..t1-1 (n_agents, t1 <=
+    2^32), row (t - t0) * n_agents + agent, bit-identical to numpy's route.
 
     Keys whose draw leaves the ziggurat fast path and zero-norm spheres are
-    drawn by the scalar route.
+    drawn by a numpy generator set to the key's seeded PCG64 state.
     """
-    prefixes = [_direction_prefix(seed, agent) for agent in range(n_agents)]
-    pool = np.array([p for p, _ in prefixes], dtype=np.uint64).T
-    hc = np.array([h for _, h in prefixes], dtype=np.uint64)
+    pool = np.random.SeedSequence(seed, spawn_key=(_DOMAIN_DIRECTION,)).pool
+    # the pool has taken max(4, words of seed) entropy words and the domain
+    # word, four hashmix steps per word
+    words = max(_POOL_SIZE, -(-int(seed).bit_length() // 32)) + 1
+    hc = _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 1 << 32) & _M32
+    agents = np.arange(n_agents, dtype=np.uint64)
     t = np.arange(t0, t1, dtype=np.uint64)[:, None]
-    s = _state_words(_absorb(tuple(pool), hc, [t])[0])
-    # as in _keyed_generator: inc = initseq << 1 | 1 and
+    s = _state_words(_absorb(tuple(pool.astype(np.uint64)[:, None]), hc, [agents, t])[0])
+    # PCG64 seeding: inc = initseq << 1 | 1 and
     # state = (initstate + inc) * MULT + inc, in (hi, lo) halves
     seq_hi, seq_lo = s[4] | s[5] << 32, s[6] | s[7] << 32
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
     lo = (s[2] | s[3] << 32) + inc_lo
     hi = (s[0] | s[1] << 32) + inc_hi + (lo < inc_lo)
-    hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+    hi, lo = seeded = _pcg64_step(hi, lo, inc_hi, inc_lo)
     draws, fast = [], True
     for _ in range(dim):  # one output per coordinate on the fast path
         hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
@@ -431,8 +379,15 @@ def _direction_block(seed: int, dim: int, law: str, n_agents: int, t0: int, t1: 
         norm = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
         slow |= norm == 0.0
         rows /= np.where(slow, 1.0, norm)[:, None]
-    for k in np.flatnonzero(slow).tolist():
-        rows[k] = _scalar_direction(seed, dim, law, k % n_agents, t0 + k // n_agents)
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        rng = np.random.Generator(np.random.PCG64(0))
+        halves = [np.ravel(a)[slow].tolist() for a in (*seeded, inc_hi, inc_lo)]
+        for k, s_hi, s_lo, i_hi, i_lo in zip(slow.tolist(), *halves):
+            rng.bit_generator.state = {
+                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
+            rows[k] = _draw(rng, dim, law)
     return rows
 
 
@@ -454,7 +409,8 @@ def sample_direction(cfg: OracleConfig, agent: int, t: int) -> np.ndarray:
         return rows[(t - t0) * n + agent].copy()  # a non-integer key raises TypeError
     agent, t, n = operator.index(agent), operator.index(t), cfg.mu.size
     if not (0 <= agent < n and 0 <= t < 1 << 32):
-        return _scalar_direction(cfg.rng_seed, cfg.dim, cfg.direction_law, agent, t)
+        seq = np.random.SeedSequence(cfg.rng_seed, spawn_key=(_DOMAIN_DIRECTION, agent, t))
+        return _draw(np.random.default_rng(seq), cfg.dim, cfg.direction_law)
     step = max(1, _BLOCK_KEYS // n)
     t0 = t - t % step
     t1 = min(t0 + step, 1 << 32)

@@ -29,12 +29,19 @@ def sv_ledger(sv_trace, sv_stream):
     return r.build_regret_ledger(sv_trace, sv_stream)
 
 
+def reference_direction(seed, agent, t, dim, law):
+    """The numpy route that sample_direction reproduces bit for bit."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, agent, t)))
+    xi = rng.standard_normal(dim)
+    return xi / np.linalg.norm(xi) if law == "uniform_sphere" else xi
+
+
 @pytest.fixture
 def scalar_direction_blocks(monkeypatch):
     """A function that, once called, makes every block draw build its rows
-    key by key on the scalar route: the reference for block-served draws."""
+    key by key with reference_direction: the reference for block-served draws."""
     def block(seed, dim, law, n_agents, t0, t1):
-        return np.array([oracle._scalar_direction(seed, dim, law, k % n_agents, t0 + k // n_agents)
+        return np.array([reference_direction(seed, k % n_agents, t0 + k // n_agents, dim, law)
                          for k in range((t1 - t0) * n_agents)])
     return lambda: monkeypatch.setattr(oracle, "_direction_block", block)
 

@@ -220,7 +220,7 @@ def _cli(argv, cwd):
 
 # (argv, exit code, error kind, message fragment); OUT is the --out directory
 # that must not appear, CFG_DIR a directory, CFG_BYTES a non-UTF-8 file,
-# CFG_LIST a JSON list.
+# CFG_LIST a JSON list, CFG_TINY_GAMMA a config whose step size underflows.
 FAILURE_CONTRACT = [
     (["experiment", "diagnostics", "--samples", "0", "--out", "OUT"],
      EXIT_VALIDATION, "validation", "n_samples >= 1"),
@@ -238,6 +238,8 @@ FAILURE_CONTRACT = [
      "--samples applies to diagnostics only"),
     (["experiment", "fig4", "--samples", "7", "--out", "OUT"], EXIT_PARSE, "config",
      "--samples applies to diagnostics only"),
+    (["run", "--config", "CFG_TINY_GAMMA", "--out", "OUT"], EXIT_VALIDATION, "validation",
+     "gamma0=5e-324 is too small"),
 ]
 
 
@@ -248,8 +250,10 @@ def test_failure_exits_with_one_json_error_line(tmp_path, argv, code, kind, frag
     (tmp_path / "cfg_dir").mkdir()
     (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{")
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "tiny_gamma.json").write_text('{"gamma0": 5e-324}')
     slots = {"OUT": tmp_path / "out", "CFG_DIR": tmp_path / "cfg_dir",
-             "CFG_BYTES": tmp_path / "bytes.json", "CFG_LIST": tmp_path / "list.json"}
+             "CFG_BYTES": tmp_path / "bytes.json", "CFG_LIST": tmp_path / "list.json",
+             "CFG_TINY_GAMMA": tmp_path / "tiny_gamma.json"}
     proc = _cli([str(slots.get(a, a)) for a in argv], tmp_path)
     assert proc.returncode == code, proc.stderr
     lines = proc.stderr.splitlines()

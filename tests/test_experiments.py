@@ -53,6 +53,15 @@ class TestTrackingExperiment:
         assert np.array_equal(replay.x, fig23_small.trace.x)
         assert replay.to_csv_text() == fig23_small.paths["trajectories"].read_text()
 
+    def test_numpy_integer_seed_writes_a_replayable_closure(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = experiment_fig2_3(seed=np.int64(1), horizon=5, out_dir=tmp_path)
+            replay = rerun_from_metadata(res.paths["metadata"])
+        assert json.loads(res.paths["metadata"].read_text())["config"]["master_seed"] == 1
+        assert replay.x.tobytes() == res.trace.x.tobytes()
+        assert replay.to_csv_text() == res.paths["trajectories"].read_text()
+
     def test_metadata_records_graph_and_params(self, fig23_small):
         meta = json.loads(fig23_small.paths["metadata"].read_text())
         assert meta["experiment"] == "fig2_3"

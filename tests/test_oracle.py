@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_direction
 from rgfopt import experiments, oracle
 from rgfopt.oracle import (
     ObjectiveStream,
@@ -23,13 +24,6 @@ from rgfopt.oracle import (
     smoothed_value_mc_stats,
     tracking_target,
 )
-
-
-def reference_direction(seed, agent, t, dim, law):
-    """The numpy route that sample_direction reproduces bit for bit."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, agent, t)))
-    xi = rng.standard_normal(dim)
-    return xi / np.linalg.norm(xi) if law == "uniform_sphere" else xi
 
 
 class TestSampleDirection:
@@ -52,7 +46,7 @@ class TestSampleDirection:
 
     def test_threads_drawing_interleaved_keys_match_reference(self, monkeypatch):
         # agents >= mu.size and times >= 2^32 are never block-served, so every
-        # draw here sets and reads this thread's generator
+        # draw here builds its own numpy generator from the key
         monkeypatch.setattr(oracle, "_direction_block", lambda *args: pytest.fail("block drawn"))
         cfg = OracleConfig.uniform(8, 0.1, 2, rng_seed=11)
         keys = [(agent + 8, t) for t in range(125) for agent in range(8)]
