@@ -1,5 +1,6 @@
 """Per-step update law for all agents, with projections, step-size
-schedules, and the deterministic run loop.
+schedules, and the deterministic run loop.  `run()` is the one entry to the
+round, `_advance`, which it calls once per step on plain (N, p) arrays.
 
 Each agent keeps a decision x^i constrained to a convex compact set and a
 free surplus y^i.  One synchronous round, given mixing matrices (W_r row-
@@ -34,7 +35,6 @@ from .graph import (
     build_augmented,
     delta_hat,
     equal_neighbor_weights,
-    is_strongly_connected,
     make_complete,
     make_cycle,
     make_random_strongly_connected,
@@ -169,40 +169,12 @@ class StepSchedule:
         return self.gamma0
 
 
-@dataclass(frozen=True)
-class AgentStates:
-    """Immutable snapshot of all agents: decisions x (N, p) and surpluses y (N, p)."""
-
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.shape != y.shape or x.ndim != 2:
-            raise ValueError(f"x and y must both be (N, p), got {x.shape} and {y.shape}")
-        x.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @property
-    def n_agents(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def stacked_mean(self) -> np.ndarray:
-        """(1/N) * (sum_i x^i + sum_i y^i), the conserved augmented mean."""
-        return (self.x.sum(axis=0) + self.y.sum(axis=0)) / self.n_agents
-
-
 def _advance(x: np.ndarray, y: np.ndarray, wp: WeightPair, delta: float, gamma_t: float,
              stream: ObjectiveStream, cfg: OracleConfig, t: int, feasible,
              g: np.ndarray, theta: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous round on plain (N, p) arrays, shared by run() and step_all:
-    fills `g` and, unless None, `theta` in place and returns the new (x, y)."""
-    if gamma_t <= 0:
-        raise ConfigError(f"gamma(t) must be positive, got {gamma_t}")
+    """run()'s round on plain (N, p) arrays: fills `g` with one oracle estimate per
+    agent and, unless None, `theta` with the projection residuals x^i+ - (W_r x)^i
+    - delta y^i, in place, and returns the new (x, y)."""
     for i, x_i in enumerate(x):
         g[i] = gradient_free_oracle(stream, cfg, i, t, x_i)
     mixed = wp.w_row @ x
@@ -216,21 +188,6 @@ def _advance(x: np.ndarray, y: np.ndarray, wp: WeightPair, delta: float, gamma_t
     if theta is not None:
         np.subtract(x_new - mixed, delta_y, out=theta)
     return x_new, y_new
-
-
-def step_all(states: AgentStates, wp: WeightPair, delta: float, gamma_t: float,
-             stream: ObjectiveStream, cfg: OracleConfig, t: int,
-             feasible) -> tuple[AgentStates, np.ndarray, np.ndarray]:
-    """One synchronous round for all agents; exactly one oracle draw (two
-    evaluations) per agent.
-
-    Returns the new states, the oracle estimates g (N, p) and the projection
-    residuals theta^i = x^i+ - (W_r x)^i - delta y^i (N, p); residuals on
-    surplus rows are identically zero and are not materialized.
-    """
-    g, theta = np.empty_like(states.x), np.empty_like(states.x)
-    x, y = _advance(states.x, states.y, wp, delta, gamma_t, stream, cfg, t, feasible, g, theta)
-    return AgentStates(x=x, y=y), g, theta
 
 
 # Field annotation -> (description, check).  Integers accept numpy ints but
@@ -306,6 +263,10 @@ class RunConfig:
             raise ConfigError(f"need at least 2 agents, got {self.n_agents}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
+        if self.graph_kind not in _GRAPH_KINDS:
+            raise ConfigError(f"unknown graph kind {self.graph_kind!r}")
+        if self.weight_rule != "equal_neighbor":
+            raise ConfigError(f"unknown weight rule {self.weight_rule!r}")
         if self.schedule_kind not in ("inv_sqrt", "constant"):
             raise ConfigError(f"unknown schedule kind {self.schedule_kind!r}")
         if self.feasible_kind not in ("box", "ball"):
@@ -325,17 +286,20 @@ class RunConfig:
         return Ball(np.zeros(self.dim), self.ball_radius)
 
 
+# kind -> constructor(n, seed, extra_edge_prob); each is strongly connected.
+_GRAPH_KINDS = {
+    "cycle": lambda n, seed, prob: make_cycle(n),
+    "ring": lambda n, seed, prob: make_ring(n),
+    "complete": lambda n, seed, prob: make_complete(n),
+    "random": lambda n, seed, prob: make_random_strongly_connected(n, prob, seed),
+}
+
+
 def make_graph(kind: str, n: int, seed: int = 0, extra_edge_prob: float = 0.3) -> Digraph:
     """Named topology constructor used by configs."""
-    if kind == "cycle":
-        return make_cycle(n)
-    if kind == "ring":
-        return make_ring(n)
-    if kind == "complete":
-        return make_complete(n)
-    if kind == "random":
-        return make_random_strongly_connected(n, extra_edge_prob, seed)
-    raise ConfigError(f"unknown graph kind {kind!r}")
+    if kind not in _GRAPH_KINDS:
+        raise ConfigError(f"unknown graph kind {kind!r}")
+    return _GRAPH_KINDS[kind](n, seed, extra_edge_prob)
 
 
 def fit_geometric_decay(gaps: np.ndarray, t_start: int = 5, t_end: int = 200):
@@ -475,10 +439,6 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     """
     config.validate()
     g = make_graph(config.graph_kind, config.n_agents, config.graph_seed, config.extra_edge_prob)
-    if not is_strongly_connected(g):
-        raise ConfigError("communication digraph must be strongly connected")
-    if config.weight_rule != "equal_neighbor":
-        raise ConfigError(f"unknown weight rule {config.weight_rule!r}")
     wp = equal_neighbor_weights(g)
 
     if stream is None:

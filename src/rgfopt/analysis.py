@@ -219,47 +219,40 @@ def regret_bound_rhs(inputs: BoundInputs) -> BoundBreakdown:
 
 @dataclass
 class SpectralRow:
-    """One gain value's convergence diagnostics."""
+    """One gain value's convergence diagnostics; the fit fields are None on an error row."""
 
     delta: float
     delta_hat_value: float
-    c_fit: float | None
-    lambda_fit: float | None
-    r_squared: float | None
-    geometric: bool
-    gap_first: float | None
-    gap_last: float | None
+    c_fit: float | None = None
+    lambda_fit: float | None = None
+    r_squared: float | None = None
+    geometric: bool = False
+    gap_first: float | None = None
+    gap_last: float | None = None
     error: str | None = None
 
 
-def spectral_report(wp: WeightPair, delta_grid, t_max: int = 200,
-                    fit_window: tuple[int, int] = (5, 200)) -> list[SpectralRow]:
+def spectral_report(wp: WeightPair, delta_grid) -> list[SpectralRow]:
     """Power-convergence diagnostics of the augmented matrix per gain value.
 
-    Each row fits gap(t) ~ C lambda^t over the window and flags whether the
+    Each row fits gap(t) ~ C lambda^t over t = 5..200 and flags whether the
     decay is geometric: fitted rate below 1 and the end of the series below
     its start.  Failures are reported per row, not raised.
     """
     rows = []
     dh = delta_hat(wp)
     for d in delta_grid:
-        if not 0 < d < math.inf:
-            error = "delta must be positive" if d <= 0 else "delta must be finite"
-            rows.append(SpectralRow(delta=float(d), delta_hat_value=dh, c_fit=None,
-                                    lambda_fit=None, r_squared=None, geometric=False,
-                                    gap_first=None, gap_last=None, error=error))
-            continue
+        row = SpectralRow(delta=float(d), delta_hat_value=dh)
         try:
-            gaps = matrix_power_gap_series(build_augmented(wp, float(d)), t_max)
-            c_fit, lam_fit, r2 = fit_geometric_decay(gaps, fit_window[0], min(fit_window[1], t_max))
-            geometric = bool(0.0 < lam_fit < 1.0 and gaps[-1] < gaps[fit_window[0] - 1])
-            rows.append(SpectralRow(delta=float(d), delta_hat_value=dh, c_fit=c_fit,
-                                    lambda_fit=lam_fit, r_squared=r2, geometric=geometric,
-                                    gap_first=float(gaps[0]), gap_last=float(gaps[-1])))
+            if not 0 < d < math.inf:
+                raise ValueError("delta must be positive" if d <= 0 else "delta must be finite")
+            gaps = matrix_power_gap_series(build_augmented(wp, row.delta), 200)
+            row.c_fit, row.lambda_fit, row.r_squared = fit_geometric_decay(gaps, 5, 200)
+            row.geometric = bool(0.0 < row.lambda_fit < 1.0 and gaps[-1] < gaps[4])
+            row.gap_first, row.gap_last = float(gaps[0]), float(gaps[-1])
         except Exception as exc:
-            rows.append(SpectralRow(delta=float(d), delta_hat_value=dh, c_fit=None,
-                                    lambda_fit=None, r_squared=None, geometric=False,
-                                    gap_first=None, gap_last=None, error=str(exc)))
+            row = SpectralRow(delta=row.delta, delta_hat_value=dh, error=str(exc))
+        rows.append(row)
     return rows
 
 

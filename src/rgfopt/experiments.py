@@ -141,12 +141,14 @@ def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int
     """
     if horizon < 1 or seed < 0:
         raise ConfigError(f"fig4 needs horizon >= 1 and seed >= 0, got horizon={horizon}, seed={seed}")
+    configs = [RunConfig(n_agents=n, graph_kind=ring_kind, graph_seed=seed,
+                         horizon=horizon, master_seed=seed,
+                         record_surplus=False, record_oracle=False) for n in agent_counts]
+    for config in configs:
+        config.validate()
     directory = _out_dir("fig4", out_dir)
     mean_curves, finals, traces = {}, {}, {}
-    for n in agent_counts:
-        config = RunConfig(n_agents=n, graph_kind=ring_kind, graph_seed=seed,
-                           horizon=horizon, master_seed=seed,
-                           record_surplus=False, record_oracle=False)
+    for n, config in zip(agent_counts, configs):
         trace = run(config)
         stream = make_stream(config.stream_name, n, config.dim, config.master_seed)
         ledger = build_regret_ledger(trace, stream)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import rgfopt as r
 from rgfopt import algorithm, oracle
 from rgfopt.algorithm import (
-    AgentStates,
     Ball,
     Box,
     ConfigError,
@@ -21,7 +20,6 @@ from rgfopt.algorithm import (
     SimulationError,
     StepSchedule,
     csv_text,
-    step_all,
 )
 from rgfopt.experiments import experiment_fig2_3
 from rgfopt.graph import build_augmented, equal_neighbor_weights, make_cycle
@@ -181,21 +179,6 @@ class TestSchedules:
             StepSchedule("constant", -0.1)
 
 
-class TestStates:
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            AgentStates(x=np.zeros((3, 1)), y=np.zeros((4, 1)))
-
-    def test_arrays_immutable(self):
-        s = AgentStates(x=np.zeros((2, 1)), y=np.zeros((2, 1)))
-        with pytest.raises(ValueError):
-            s.x[0, 0] = 1.0
-
-    def test_stacked_mean(self):
-        s = AgentStates(x=np.array([[1.0], [3.0]]), y=np.array([[2.0], [2.0]]))
-        assert s.stacked_mean[0] == pytest.approx((1 + 3 + 2 + 2) / 2)
-
-
 def _setup(n=6, dim=1, stream=None, delta=0.05, seed=0):
     g = make_cycle(n)
     wp = equal_neighbor_weights(g)
@@ -205,20 +188,21 @@ def _setup(n=6, dim=1, stream=None, delta=0.05, seed=0):
     return wp, stream, cfg, feasible, delta
 
 
-class TestStepAll:
+def _round(x, y, wp, delta, gamma_t, stream, cfg, t, feasible):
+    """One call of run()'s round function on plain (N, p) arrays; returns the
+    new x and y, the oracle estimates g and the projection residuals theta."""
+    g, theta = np.empty_like(x), np.empty_like(x)
+    x, y = algorithm._advance(x, y, wp, delta, gamma_t, stream, cfg, t, feasible, g, theta)
+    return x, y, g, theta
+
+
+class TestRound:
     def test_consensus_fixed_point(self):
         wp, stream, cfg, feasible, delta = _setup()
         x = np.full((6, 1), 1.7)
-        states = AgentStates(x=x, y=np.zeros((6, 1)))
-        out, _, _ = step_all(states, wp, delta, 0.5, stream, cfg, 0, feasible)
-        assert np.allclose(out.x, 1.7, atol=1e-15)
-        assert np.allclose(out.y, 0.0, atol=1e-15)
-
-    def test_rejects_nonpositive_gamma(self):
-        wp, stream, cfg, feasible, delta = _setup()
-        states = AgentStates(x=np.zeros((6, 1)), y=np.zeros((6, 1)))
-        with pytest.raises(ConfigError):
-            step_all(states, wp, delta, 0.0, stream, cfg, 0, feasible)
+        x, y, _, _ = _round(x, np.zeros((6, 1)), wp, delta, 0.5, stream, cfg, 0, feasible)
+        assert np.allclose(x, 1.7, atol=1e-15)
+        assert np.allclose(y, 0.0, atol=1e-15)
 
     def test_mean_conservation_each_step(self):
         # (1/N) sum phi(t+1) - (1/N) sum phi(t) == (1/N) sum theta(t)
@@ -226,12 +210,12 @@ class TestStepAll:
         stream = linear_probe_stream(8, dim=2, seed=9, scale=2.0)
         cfg = OracleConfig.uniform(8, 1e-4, 2, rng_seed=4)
         rng = np.random.default_rng(1)
-        states = AgentStates(x=rng.uniform(-5, 5, (8, 2)), y=np.zeros((8, 2)))
+        x, y = rng.uniform(-5, 5, (8, 2)), np.zeros((8, 2))
         for t in range(50):
-            before = states
-            states, _, theta = step_all(states, wp, delta, 1.0 / math.sqrt(t + 1), stream, cfg, t,
-                                        feasible)
-            lhs = states.stacked_mean - before.stacked_mean
+            before = (x.sum(axis=0) + y.sum(axis=0)) / 8
+            x, y, _, theta = _round(x, y, wp, delta, 1.0 / math.sqrt(t + 1), stream, cfg, t,
+                                    feasible)
+            lhs = (x.sum(axis=0) + y.sum(axis=0)) / 8 - before
             rhs = theta.sum(axis=0) / 8
             assert np.abs(lhs - rhs).max() < 1e-10
 
@@ -242,21 +226,20 @@ class TestStepAll:
         wp, stream, cfg, feasible, delta = _setup(n=10, delta=0.01)
         rng = np.random.default_rng(1)
         x0 = rng.uniform(-5, 5, (10, 1))
-        states = AgentStates(x=x0, y=np.zeros((10, 1)))
+        x, y = x0, np.zeros((10, 1))
         w_aug = build_augmented(wp, delta).w_aug
         phi0 = np.vstack([x0, np.zeros((10, 1))])
         snapshots = {}
         for t in range(2000):
-            states, _, _ = step_all(states, wp, delta, 1.0 / math.sqrt(t + 1), stream, cfg, t,
-                                    feasible)
+            x, y, _, _ = _round(x, y, wp, delta, 1.0 / math.sqrt(t + 1), stream, cfg, t, feasible)
             if t + 1 in (1, 5, 50, 500, 2000):
-                snapshots[t + 1] = states.x
-        for t, x in snapshots.items():
+                snapshots[t + 1] = x
+        for t, x_t in snapshots.items():
             ref = (np.linalg.matrix_power(w_aug, t) @ phi0)[:10]
-            assert np.abs(x - ref).max() < 1e-10
-        spread = np.abs(states.x - states.x.mean()).max()
+            assert np.abs(x_t - ref).max() < 1e-10
+        spread = np.abs(x - x.mean()).max()
         assert spread < 1e-10
-        assert np.allclose(states.x, x0.mean(), atol=1e-10)
+        assert np.allclose(x, x0.mean(), atol=1e-10)
 
     def test_nonfinite_state_reported_with_context(self):
         # a corrupted surplus propagates through the linear update and must
@@ -264,10 +247,9 @@ class TestStepAll:
         wp, stream, cfg, feasible, delta = _setup(n=4)
         y = np.zeros((4, 1))
         y[2, 0] = np.inf
-        states = AgentStates(x=np.zeros((4, 1)), y=y)
         with np.errstate(invalid="ignore"):
             with pytest.raises(SimulationError, match="agent"):
-                step_all(states, wp, delta, 1.0, stream, cfg, 0, feasible)
+                _round(np.zeros((4, 1)), y, wp, delta, 1.0, stream, cfg, 0, feasible)
 
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -278,7 +260,7 @@ class TestStepAll:
         arrays = {"x": np.zeros((5, dim)), "y": np.zeros((5, dim))}
         arrays[where][3, dim - 1] = value
         with np.errstate(invalid="ignore"), pytest.raises(SimulationError, match="agent"):
-            step_all(AgentStates(**arrays), wp, delta, 1.0, stream, cfg, 0, feasible)
+            _round(arrays["x"], arrays["y"], wp, delta, 1.0, stream, cfg, 0, feasible)
 
 
 class TestThetaResidual:
@@ -290,19 +272,19 @@ class TestThetaResidual:
         cfg = OracleConfig.uniform(n, 1e-3, dim, rng_seed=8)
         feasible = Box(-100.0, 100.0, dim)
         rng = np.random.default_rng(3)
-        states = AgentStates(x=rng.uniform(-1, 1, (n, dim)), y=np.zeros((n, dim)))
+        x, y = rng.uniform(-1, 1, (n, dim)), np.zeros((n, dim))
         gamma = 0.2
         t = 0
-        after, g_step, theta = step_all(states, wp, 0.05, gamma, stream, cfg, t, feasible)
-        g = np.stack([gradient_free_oracle(stream, cfg, i, t, states.x[i]) for i in range(n)])
+        x_after, _, g_step, theta = _round(x, y, wp, 0.05, gamma, stream, cfg, t, feasible)
+        g = np.stack([gradient_free_oracle(stream, cfg, i, t, x[i]) for i in range(n)])
         assert np.array_equal(g_step, g)
         assert np.allclose(theta, -gamma * g, atol=1e-12)
-        assert np.allclose(theta, after.x - wp.w_row @ states.x - 0.05 * states.y, atol=1e-15)
+        assert np.allclose(theta, x_after - wp.w_row @ x - 0.05 * y, atol=1e-15)
 
     def test_constant_stream_zero_surplus_gives_zero(self):
         wp, stream, cfg, feasible, delta = _setup(n=4)
-        states = AgentStates(x=np.full((4, 1), 0.3), y=np.zeros((4, 1)))
-        _, _, theta = step_all(states, wp, delta, 1.0, stream, cfg, 0, feasible)
+        _, _, _, theta = _round(np.full((4, 1), 0.3), np.zeros((4, 1)), wp, delta, 1.0, stream,
+                                cfg, 0, feasible)
         assert np.allclose(theta, 0.0, atol=1e-15)
         assert np.linalg.norm(theta, axis=1).sum() == 0.0
 
@@ -352,6 +334,13 @@ class TestRun:
             r.run(RunConfig(stream_name="nope", check_delta_bound=False))
         with pytest.raises(ConfigError):
             r.run(RunConfig(graph_kind="torus"))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("graph_kind", "torus", "unknown graph kind 'torus'"),
+        ("weight_rule", "metropolis", "unknown weight rule 'metropolis'")])
+    def test_validate_rejects_unknown_graph_kind_and_weight_rule(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**{field: value}).validate()
 
     def test_nan_stream_raises_simulation_error(self):
         stream = ObjectiveStream(
@@ -489,9 +478,9 @@ class TestPrefetchedRun:
         assert all(drawn[k].tobytes() == scalar[k].tobytes() for k in keys)
 
 
-def _step_all_loop(config):
-    """run()'s set-up followed by one public step_all call per step.  Both
-    advance through the same round function, so comparing them checks run()'s
+def _round_loop(config):
+    """run()'s set-up followed by one direct call of its round function per
+    step.  Both advance through `_advance`, so comparing them checks run()'s
     own bookkeeping: history rows, the scratch row of unrecorded estimates and
     the step sizes.  Returns the stacked x, y, g, theta and gamma."""
     n, p = config.n_agents, config.dim
@@ -504,13 +493,13 @@ def _step_all_loop(config):
                                rng_seed=config.master_seed)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(algorithm._DOMAIN_INIT,)))
-    states = AgentStates(x=feasible.sample_uniform(rng, (n, p)), y=np.zeros((n, p)))
-    xs, ys, gs, thetas, gammas = [states.x], [states.y], [], [], []
+    x, y = feasible.sample_uniform(rng, (n, p)), np.zeros((n, p))
+    xs, ys, gs, thetas, gammas = [x], [y], [], [], []
     for t in range(config.horizon):
         gammas.append(schedule(t))
-        states, g, theta = step_all(states, wp, config.delta, gammas[-1], stream, cfg, t, feasible)
-        xs.append(states.x)
-        ys.append(states.y)
+        x, y, g, theta = _round(x, y, wp, config.delta, gammas[-1], stream, cfg, t, feasible)
+        xs.append(x)
+        ys.append(y)
         gs.append(g)
         thetas.append(theta)
     return {"x": np.array(xs), "y": np.array(ys), "g": np.array(gs), "theta": np.array(thetas),
@@ -530,9 +519,9 @@ LOOP_CONFIGS = {
 
 class TestPlainArrayLoop:
     @pytest.mark.parametrize("name", sorted(LOOP_CONFIGS))
-    def test_run_keeps_the_rows_of_a_step_all_loop(self, name):
+    def test_run_keeps_the_rows_of_a_round_loop(self, name):
         config = dataclasses.replace(LOOP_CONFIGS[name], check_delta_bound=False)
-        trace, ref = r.run(config), _step_all_loop(config)
+        trace, ref = r.run(config), _round_loop(config)
         assert trace.x.tobytes() == ref["x"].tobytes()
         assert trace.gamma.tobytes() == ref["gamma"].tobytes()
         assert (trace.y is None) == (not config.record_surplus)

@@ -297,6 +297,10 @@ class TestSpectralReport:
         rows = spectral_report(wp, [-0.5, 0.02, math.nan, math.inf])
         for bad in (rows[0], rows[2], rows[3]):
             assert bad.error is not None and bad.geometric is False
+            assert (bad.c_fit, bad.lambda_fit, bad.r_squared, bad.gap_first, bad.gap_last) == (
+                None, None, None, None, None)
+        assert [row.error for row in rows] == [
+            "delta must be positive", None, "delta must be finite", "delta must be finite"]
         assert rows[1].error is None
 
     def test_fit_recovers_exact_geometric_sequence(self):

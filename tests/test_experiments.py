@@ -88,6 +88,14 @@ class TestAgentSweep:
         with pytest.raises(ValueError, match=r"run_meta\.json records no single run.*'configs'"):
             rerun_from_metadata(res.paths["metadata"])
 
+    @pytest.mark.parametrize("kwargs", [
+        {"agent_counts": (1,)}, {"ring_kind": "torus"}, {"horizon": 50.0}, {"seed": True}])
+    def test_invalid_per_n_config_creates_no_directory(self, tmp_path, kwargs):
+        out = tmp_path / "fig4"
+        with pytest.raises(r.ConfigError):
+            experiment_fig4(**{"agent_counts": (4,), "horizon": 50, **kwargs}, out_dir=out)
+        assert not out.exists()
+
     def test_one_way_cycle_variant_warns(self, tmp_path):
         with pytest.warns(RuntimeWarning):
             res = experiment_fig4(seed=2, agent_counts=(6,), horizon=50,

@@ -4,7 +4,9 @@ two `stream.evaluate` calls, each resolved through the module global or the
 stream field that the benchmark's span wrappers replace."""
 
 import dataclasses
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,3 +75,33 @@ def test_oracle_mean_makes_one_estimator_call_per_draw(counted):
     n_draws = experiments._SUM_CHUNK + 5
     experiments._oracle_mean(counting_stream, cfg, x, n_draws)
     assert counts == {"estimator": n_draws, "direction": n_draws, "evaluate": 2 * n_draws}
+
+
+def _bench_spans():
+    """The traced benchmark's span module, loaded from its file without
+    being changed or installed anywhere."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans_readonly", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# A wrap point that no caller resolves today: no experiment calls delta_hat.
+_UNRESOLVED_WRAP_POINTS = {("rgfopt.experiments", "delta_hat")}
+
+
+def test_every_bench_wrap_point_resolves():
+    # The tracer skips a name that its caller no longer resolves, so a
+    # refactor that moves a call would silently zero that layer's spans.
+    spans = _bench_spans()
+    points = [(path, attr) for path, attr, _name, _count in spans._PLAIN] + spans._STREAM_FACTORIES
+    missing = []
+    for path, attr in points:
+        owner = spans._owner(path)
+        found = (owner is not None
+                 and (attr in owner.__dict__ if isinstance(owner, type) else hasattr(owner, attr)))
+        if not found and (path, attr) not in _UNRESOLVED_WRAP_POINTS:
+            missing.append(f"{path}.{attr}")
+    assert missing == []
+    assert all(not hasattr(spans._owner(path), attr) for path, attr in _UNRESOLVED_WRAP_POINTS)
