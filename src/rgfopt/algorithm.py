@@ -1,5 +1,5 @@
-"""Per-step update law for all agents, with projections, step-size
-schedules, and the deterministic run loop.  `run()` is the one entry to the
+"""Per-step update law for all agents, with projections, the run
+configuration, and the deterministic run loop.  `run()` is the one entry to the
 round, `_advance`, which it calls once per step on plain (N, p) arrays.
 
 Each agent keeps a decision x^i constrained to a convex compact set and a
@@ -42,6 +42,8 @@ from .graph import (
     matrix_power_gap_series,
 )
 from .oracle import (
+    DIRECTION_LAWS,
+    STREAM_REGISTRY,
     ObjectiveStream,
     OracleConfig,
     gradient_free_oracle,
@@ -108,6 +110,7 @@ class Ball:
     def dim(self) -> int:
         return self.center.size
 
+    @np.errstate(over="ignore", invalid="ignore")  # overflowing norms are handled below
     def project(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         offset = v - self.center
@@ -146,29 +149,6 @@ class Ball:
         return out.reshape(shape)
 
 
-@dataclass(frozen=True)
-class StepSchedule:
-    """Positive non-increasing step sizes gamma(t).
-
-    Kinds `inv_sqrt` (gamma0/sqrt(t+1)) and `constant` are non-summable by
-    construction.
-    """
-
-    kind: str
-    gamma0: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("inv_sqrt", "constant"):
-            raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if self.gamma0 <= 0:
-            raise ConfigError(f"gamma0 must be positive, got {self.gamma0}")
-
-    def __call__(self, t: int) -> float:
-        if self.kind == "inv_sqrt":
-            return self.gamma0 / math.sqrt(t + 1.0)
-        return self.gamma0
-
-
 def _advance(x: np.ndarray, y: np.ndarray, wp: WeightPair, delta: float, gamma_t: float,
              stream: ObjectiveStream, cfg: OracleConfig, t: int, feasible,
              g: np.ndarray, theta: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +183,7 @@ _FIELD_CHECKS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete, JSON-serializable description of one simulation run."""
+    """Complete, JSON-serializable description of one simulation run, valid once built."""
 
     n_agents: int = 10
     graph_kind: str = "random"          # cycle | ring | complete | random
@@ -226,6 +206,9 @@ class RunConfig:
     record_surplus: bool = True
     record_oracle: bool = True
     check_delta_bound: bool = True
+
+    def __post_init__(self):
+        self.validate()
 
     def to_dict(self) -> dict:
         """The fields as plain Python values (numpy scalars unwrapped), ready for JSON."""
@@ -263,31 +246,41 @@ class RunConfig:
             raise ConfigError(f"need at least 2 agents, got {self.n_agents}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.graph_kind not in _GRAPH_KINDS:
+        if self.graph_kind not in GRAPH_KINDS:
             raise ConfigError(f"unknown graph kind {self.graph_kind!r}")
         if self.weight_rule != "equal_neighbor":
             raise ConfigError(f"unknown weight rule {self.weight_rule!r}")
         if self.schedule_kind not in ("inv_sqrt", "constant"):
             raise ConfigError(f"unknown schedule kind {self.schedule_kind!r}")
-        if self.feasible_kind not in ("box", "ball"):
-            raise ConfigError(f"unknown feasible kind {self.feasible_kind!r}")
-        if self.direction_law not in ("gaussian", "uniform_sphere"):
-            raise ConfigError(f"direction_law must be 'gaussian' or 'uniform_sphere', "
+        self.feasible_set()
+        if self.direction_law not in DIRECTION_LAWS:
+            raise ConfigError(f"direction_law must be {' or '.join(map(repr, DIRECTION_LAWS))}, "
                               f"got {self.direction_law!r}")
+        if self.stream_name not in STREAM_REGISTRY:
+            raise ConfigError(f"unknown stream {self.stream_name!r}; "
+                              f"registered: {sorted(STREAM_REGISTRY)}")
         # the step sizes never increase, so the last one is the smallest
-        if self.horizon and StepSchedule(self.schedule_kind, self.gamma0)(self.horizon - 1) == 0.0:
+        if self.horizon and self.step_size(self.horizon - 1) == 0.0:
             raise ConfigError(f"gamma0={self.gamma0!r} is too small: the {self.schedule_kind} "
                               f"step size rounds to 0.0 by t={self.horizon - 1}")
+
+    def step_size(self, t: int) -> float:
+        """gamma(t), positive, non-increasing and non-summable."""
+        if self.schedule_kind == "inv_sqrt":
+            return self.gamma0 / math.sqrt(t + 1.0)
+        return self.gamma0
 
     def feasible_set(self):
         """The configured feasible set: a box or a ball centred at the origin."""
         if self.feasible_kind == "box":
             return Box(self.feasible_lo, self.feasible_hi, self.dim)
-        return Ball(np.zeros(self.dim), self.ball_radius)
+        if self.feasible_kind == "ball":
+            return Ball(np.zeros(self.dim), self.ball_radius)
+        raise ConfigError(f"unknown feasible kind {self.feasible_kind!r}")
 
 
 # kind -> constructor(n, seed, extra_edge_prob); each is strongly connected.
-_GRAPH_KINDS = {
+GRAPH_KINDS = {
     "cycle": lambda n, seed, prob: make_cycle(n),
     "ring": lambda n, seed, prob: make_ring(n),
     "complete": lambda n, seed, prob: make_complete(n),
@@ -296,10 +289,8 @@ _GRAPH_KINDS = {
 
 
 def make_graph(kind: str, n: int, seed: int = 0, extra_edge_prob: float = 0.3) -> Digraph:
-    """Named topology constructor used by configs."""
-    if kind not in _GRAPH_KINDS:
-        raise ConfigError(f"unknown graph kind {kind!r}")
-    return _GRAPH_KINDS[kind](n, seed, extra_edge_prob)
+    """Named topology constructor used by configs; `kind` is a key of GRAPH_KINDS."""
+    return GRAPH_KINDS[kind](n, seed, extra_edge_prob)
 
 
 def fit_geometric_decay(gaps: np.ndarray, t_start: int = 5, t_end: int = 200):
@@ -437,20 +428,15 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     A delta above the conservative spectral bound (or above the fitted
     practical ceiling) triggers a warning, never an abort.
     """
-    config.validate()
     g = make_graph(config.graph_kind, config.n_agents, config.graph_seed, config.extra_edge_prob)
     wp = equal_neighbor_weights(g)
 
     if stream is None:
-        try:
-            stream = make_stream(config.stream_name, config.n_agents, config.dim, config.master_seed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        stream = make_stream(config.stream_name, config.n_agents, config.dim, config.master_seed)
     if stream.n_agents != config.n_agents or stream.dim != config.dim:
         raise ConfigError("stream shape does not match config")
 
     feasible = config.feasible_set()
-    schedule = StepSchedule(config.schedule_kind, config.gamma0)
     cfg = OracleConfig.uniform(config.n_agents, config.mu_hat, config.dim,
                                direction_law=config.direction_law, rng_seed=config.master_seed)
 
@@ -479,7 +465,7 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     x, y = feasible.sample_uniform(rng_init, (n, p)), np.zeros((n, p))
 
     x_hist = np.empty((t_end + 1, n, p))
-    gamma_hist = np.array([schedule(t) for t in range(t_end)], dtype=float)
+    gamma_hist = np.array([config.step_size(t) for t in range(t_end)], dtype=float)
     y_hist = np.empty((t_end + 1, n, p)) if config.record_surplus else None
     g_hist = np.empty((t_end, n, p)) if config.record_oracle else None
     theta_hist = np.empty((t_end, n, p)) if config.record_oracle else None

@@ -24,6 +24,7 @@ from .oracle import ObjectiveStream
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-9  # final bracket width of the numeric minimizer fallback
+DELTA_GRID = (0.01, 0.05, 0.1, 0.2)  # default gains of the spectral reports
 
 
 @dataclass

@@ -17,8 +17,8 @@ import sys
 import warnings
 from pathlib import Path
 
-from .algorithm import ConfigError, RunConfig, SimulationError, csv_text, make_graph, run
-from .analysis import spectral_report
+from .algorithm import GRAPH_KINDS, ConfigError, RunConfig, SimulationError, csv_text, make_graph, run
+from .analysis import DELTA_GRID, spectral_report
 from .experiments import _write_json, experiment_diagnostics, experiment_fig2_3, experiment_fig4
 from .graph import GraphError, equal_neighbor_weights
 from .oracle import OracleError
@@ -94,10 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_diag.set_defaults(handler=_cmd_experiment, name="diagnostics")
 
     p_spec = sub.add_parser("spectral", help="emit the spectral convergence report")
-    p_spec.add_argument("--graph", choices=["cycle", "ring", "complete", "random"], default="cycle")
+    p_spec.add_argument("--graph", choices=list(GRAPH_KINDS), default="cycle")
     p_spec.add_argument("--n", type=int, default=10)
     p_spec.add_argument("--graph-seed", type=int, default=7)
-    p_spec.add_argument("--delta-grid", default="0.01,0.05,0.1,0.2",
+    p_spec.add_argument("--delta-grid", default=",".join(map(str, DELTA_GRID)),
                         help="comma-separated gain values")
     p_spec.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_spec.set_defaults(handler=_cmd_spectral)
@@ -110,14 +110,14 @@ def _cmd_run(args) -> int:
         data = json.loads(config_path.read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise _ParseError(f"cannot read config {config_path}: {exc}") from None
-    RunConfig.from_dict(data)  # a non-object or an unknown key fails before the overrides
+    if not isinstance(data, dict) or not data.keys() <= RunConfig.__dataclass_fields__.keys():
+        RunConfig.from_dict(data)  # a non-object or an unknown key fails before the overrides
     for item in args.set:
         key, value = _parse_override(item)
         data[key] = value
     if args.seed is not None or "master_seed" not in data:
         data["master_seed"] = _default_seed(args.seed)
     config = RunConfig.from_dict(data)
-    config.validate()
 
     trace = run(config)
     out = Path(args.out) if args.out else Path("out") / "run"

@@ -25,6 +25,7 @@ import numpy as np
 
 from .algorithm import ConfigError, RunConfig, Trace, csv_text, make_graph, run
 from .analysis import (
+    DELTA_GRID,
     RegretLedger,
     build_regret_ledger,
     consensus_curve,
@@ -139,13 +140,11 @@ def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int
     seed value is reused for every N (coefficient shapes differ per N, so
     streams are regenerated; the policy is recorded in metadata).
     """
-    if horizon < 1 or seed < 0:
-        raise ConfigError(f"fig4 needs horizon >= 1 and seed >= 0, got horizon={horizon}, seed={seed}")
     configs = [RunConfig(n_agents=n, graph_kind=ring_kind, graph_seed=seed,
                          horizon=horizon, master_seed=seed,
                          record_surplus=False, record_oracle=False) for n in agent_counts]
-    for config in configs:
-        config.validate()
+    if horizon < 1:
+        raise ConfigError(f"fig4 needs horizon >= 1, got horizon={horizon}")
     directory = _out_dir("fig4", out_dir)
     mean_curves, finals, traces = {}, {}, {}
     for n, config in zip(agent_counts, configs):
@@ -324,7 +323,6 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
     reports with the conservative gain bound per topology, and the
     residual-over-step-size study along a full tracking run."""
     config = RunConfig(horizon=horizon, master_seed=seed)
-    config.validate()
     if horizon < 10 or n_samples < 1:
         # the residual-ratio window starts at t = 10
         raise ConfigError(f"diagnostics needs horizon >= 10 and n_samples >= 1, "
@@ -339,8 +337,7 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
         "random_10": equal_neighbor_weights(make_graph(config.graph_kind, config.n_agents,
                                                        config.graph_seed, config.extra_edge_prob)),
     }
-    grid = [0.01, 0.05, 0.1, 0.2]
-    spectral = {name: spectral_report(wp, grid) for name, wp in topologies.items()}
+    spectral = {name: spectral_report(wp, DELTA_GRID) for name, wp in topologies.items()}
     dh_values = {name: report[0].delta_hat_value for name, report in spectral.items()}
 
     trace = run(config)

@@ -23,6 +23,8 @@ from typing import Callable
 import numpy as np
 
 
+DIRECTION_LAWS = ("gaussian", "uniform_sphere")  # what OracleConfig and RunConfig accept
+
 # Sub-stream domains under one master seed.  Directions advance the
 # spawn key by (agent, t) so a draw is a pure function of the triple.
 _DOMAIN_DIRECTION = 1
@@ -114,7 +116,7 @@ class OracleConfig:
             raise ValueError(f"mu must be 1-D with one value per agent, got shape {mu.shape}")
         if not (np.isfinite(mu) & (mu > 0)).all():
             raise ValueError("all smoothing parameters mu must be positive and finite")
-        if self.direction_law not in ("gaussian", "uniform_sphere"):
+        if self.direction_law not in DIRECTION_LAWS:
             raise ValueError(f"unknown direction law {self.direction_law!r}")
         for name, low in (("dim", 1), ("rng_seed", 0)):
             v = getattr(self, name)

@@ -18,7 +18,6 @@ from rgfopt.algorithm import (
     ConfigError,
     RunConfig,
     SimulationError,
-    StepSchedule,
     csv_text,
 )
 from rgfopt.experiments import experiment_fig2_3
@@ -108,13 +107,15 @@ class TestProjection:
 
     def test_ball_projects_overflowing_offsets_onto_the_boundary(self):
         h = math.sqrt(0.5)
+        errstate = np.geterr()
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's norm overflows
+            warnings.simplefilter("error")  # project silences numpy's overflow warnings
             got = Ball(np.zeros(2), 1.0).project(
                 np.array([[1e300, 1e300], [np.inf, 0.0], [-np.inf, np.inf], [3.0, 4.0]]))
             one = Ball(np.array([1.0, -2.0, 0.5]), 2.0).project(np.array([-1e200, 1e200, 5.0]))
         assert np.allclose(got, [[h, h], [1.0, 0.0], [-h, h], [0.6, 0.8]], rtol=0.0, atol=1e-15)
         assert np.allclose(one, [1.0 - math.sqrt(2.0), math.sqrt(2.0) - 2.0, 0.5])
+        assert np.geterr() == errstate
 
     @settings(max_examples=150, deadline=None)
     @given(center=st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=5),
@@ -152,31 +153,36 @@ class TestProjection:
         assert ball.contains(pts)
 
 
+def _schedule(kind, gamma0=1.0):
+    return RunConfig(schedule_kind=kind, gamma0=gamma0).step_size
+
+
 class TestSchedules:
     def test_inv_sqrt_formula(self):
-        sched = StepSchedule("inv_sqrt", 2.0)
+        sched = _schedule("inv_sqrt", 2.0)
         for t in (0, 1, 8, 99):
             assert sched(t) == pytest.approx(2.0 / math.sqrt(t + 1))
 
     def test_constant(self):
-        sched = StepSchedule("constant", 0.3)
+        sched = _schedule("constant", 0.3)
         assert sched(0) == sched(1000) == 0.3
 
     def test_positive_and_nonincreasing(self):
-        for sched in (StepSchedule("inv_sqrt", 1.0), StepSchedule("constant", 0.5)):
+        for sched in (_schedule("inv_sqrt", 1.0), _schedule("constant", 0.5)):
             vals = [sched(t) for t in range(50)]
             assert all(v > 0 for v in vals)
             assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_invalid_schedules_rejected(self):
+        # rejected when the RunConfig is built
         with pytest.raises(ConfigError):
-            StepSchedule(kind="geometric")
+            _schedule("geometric")
         with pytest.raises(ConfigError):
-            StepSchedule(kind="table")
+            _schedule("table")
         with pytest.raises(ConfigError):
-            StepSchedule("inv_sqrt", 0.0)
+            _schedule("inv_sqrt", 0.0)
         with pytest.raises(ConfigError):
-            StepSchedule("constant", -0.1)
+            _schedule("constant", -0.1)
 
 
 def _setup(n=6, dim=1, stream=None, delta=0.05, seed=0):
@@ -342,6 +348,19 @@ class TestRun:
         with pytest.raises(ConfigError, match=message):
             RunConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"feasible_lo": 2.0, "feasible_hi": 2.0}, r"box needs lo < hi, got \[2.0, 2.0\]"),
+        ({"feasible_lo": 3.0, "feasible_hi": -3.0}, "box needs lo < hi"),
+        ({"feasible_kind": "ball", "ball_radius": 0.0}, "ball radius must be positive, got 0.0"),
+        ({"feasible_kind": "ball", "ball_radius": -1.0}, "ball radius must be positive"),
+        ({"feasible_kind": "simplex"}, "unknown feasible kind 'simplex'"),
+        ({"stream_name": "nope"}, r"unknown stream 'nope'; registered: \["),
+    ], ids=["box_tie", "box_reversed", "ball_zero", "ball_negative", "feasible_kind",
+            "stream_name"])
+    def test_feasible_set_and_stream_rejected_when_the_config_is_built(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(**fields)
+
     def test_nan_stream_raises_simulation_error(self):
         stream = ObjectiveStream(
             n_agents=10, dim=1,
@@ -488,7 +507,6 @@ def _round_loop(config):
                                                      config.extra_edge_prob))
     stream = r.make_stream(config.stream_name, n, p, config.master_seed)
     feasible = config.feasible_set()
-    schedule = StepSchedule(config.schedule_kind, config.gamma0)
     cfg = OracleConfig.uniform(n, config.mu_hat, p, direction_law=config.direction_law,
                                rng_seed=config.master_seed)
     rng = np.random.default_rng(
@@ -496,7 +514,7 @@ def _round_loop(config):
     x, y = feasible.sample_uniform(rng, (n, p)), np.zeros((n, p))
     xs, ys, gs, thetas, gammas = [x], [y], [], [], []
     for t in range(config.horizon):
-        gammas.append(schedule(t))
+        gammas.append(config.step_size(t))
         x, y, g, theta = _round(x, y, wp, config.delta, gammas[-1], stream, cfg, t, feasible)
         xs.append(x)
         ys.append(y)
@@ -535,10 +553,10 @@ class TestPlainArrayLoop:
     @pytest.mark.parametrize("kind", ["inv_sqrt", "constant"])
     def test_gamma_has_the_bits_of_the_scalar_schedule(self, kind):
         config = RunConfig(schedule_kind=kind, gamma0=0.7, horizon=300, check_delta_bound=False)
-        schedule = StepSchedule(kind, 0.7)
         scalar = [0.7 / math.sqrt(t + 1.0) if kind == "inv_sqrt" else 0.7 for t in range(300)]
         assert r.run(config).gamma.tobytes() == np.array(scalar).tobytes()
-        assert np.array([schedule(t) for t in range(300)]).tobytes() == np.array(scalar).tobytes()
+        assert np.array([config.step_size(t) for t in range(300)]).tobytes() == \
+            np.array(scalar).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_x_star_bytes_equal_the_per_step_minimizers(self, dim):

@@ -106,7 +106,8 @@ class TestDynamicRegret:
     def test_numeric_fallback_names_a_non_finite_cost(self):
         stream = r.ObjectiveStream(n_agents=1, dim=1,
                                    evaluate=lambda i, t, x: math.nan if t == 4 else float(x @ x))
-        config = RunConfig(n_agents=1, horizon=6)
+        # the fallback reads only the feasible set and the horizon of the config
+        config = RunConfig(n_agents=2, horizon=6)
         trace = Trace(config=config, x=np.zeros((7, 1, 1)), cost=np.zeros((7, 1)),
                       spread=np.zeros(7), gamma=np.ones(6), x_star=None)
         with pytest.raises(RuntimeError, match="at t=4: non-finite cost"):

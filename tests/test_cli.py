@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -130,13 +131,39 @@ BAD_FIELDS = [
 
 @pytest.mark.parametrize("key, value", BAD_FIELDS, ids=[k for k, _ in BAD_FIELDS])
 def test_bad_field_rejected_by_validate_and_cli(tmp_path, capsys, key, value):
-    with pytest.raises(ConfigError, match=key):
-        RunConfig(**{key: value}).validate()
+    # validate() runs when a RunConfig is built, by any route
+    for build in (lambda: RunConfig(**{key: value}),
+                  lambda: dataclasses.replace(RunConfig(), **{key: value}),
+                  lambda: RunConfig.from_dict({key: value})):
+        with pytest.raises(ConfigError, match=key):
+            build()
     cfg = write_config(tmp_path / "c.json", **{key: value})
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_VALIDATION
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "validation" and key in err["message"]
     assert not (tmp_path / "o").exists()
+
+
+# `rgfopt run` rejects a non-object file or an unknown key before applying
+# --set, then reads RGF_SEED, then checks the values of the effective config
+@pytest.mark.parametrize("data, sets, env_seed, code", [
+    ({"horizon": -1, "check_delta_bound": False}, ["horizon=5"], None, EXIT_OK),
+    ([1, 2], ["horizon=5"], None, EXIT_VALIDATION),
+    ({"warp": 9}, [], "abc", EXIT_VALIDATION),
+    ({"horizon": -1}, [], "abc", EXIT_PARSE),
+], ids=["bad_value_replaced_by_set", "list_file", "unknown_key_before_env_seed",
+        "env_seed_before_bad_value"])
+def test_run_failure_order(tmp_path, capsys, monkeypatch, data, sets, env_seed, code):
+    if env_seed is None:
+        monkeypatch.delenv("RGF_SEED", raising=False)
+    else:
+        monkeypatch.setenv("RGF_SEED", env_seed)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(data))
+    argv = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main(argv + [a for s in sets for a in ("--set", s)]) == code
+    capsys.readouterr()
+    assert (tmp_path / "o").exists() == (code == EXIT_OK)
 
 
 @pytest.mark.parametrize("argv", [["run", "--config", "CFG"],
@@ -197,6 +224,14 @@ class TestSpectralCommand:
                      "--graph-seed", "4", "--delta-grid", "0.1", "--out", str(target)])
         assert code == EXIT_OK
         assert target.read_text().count("\n") == 2
+
+    def test_default_grid_and_graph_choices(self, capsys):
+        assert main(["spectral"]) == EXIT_OK
+        default = capsys.readouterr().out
+        assert main(["spectral", "--delta-grid", "0.01,0.05,0.1,0.2"]) == EXIT_OK
+        assert capsys.readouterr().out == default
+        assert main(["spectral", "--help"]) == EXIT_OK
+        assert "{cycle,ring,complete,random}" in capsys.readouterr().out
 
     def test_bad_grid(self, capsys):
         assert main(["spectral", "--delta-grid", "a,b"]) == EXIT_PARSE

@@ -89,7 +89,8 @@ class TestAgentSweep:
             rerun_from_metadata(res.paths["metadata"])
 
     @pytest.mark.parametrize("kwargs", [
-        {"agent_counts": (1,)}, {"ring_kind": "torus"}, {"horizon": 50.0}, {"seed": True}])
+        {"agent_counts": (1,)}, {"ring_kind": "torus"}, {"horizon": 50.0}, {"seed": True},
+        {"horizon": "50"}, {"seed": None}, {"seed": -1}, {"horizon": 0}])
     def test_invalid_per_n_config_creates_no_directory(self, tmp_path, kwargs):
         out = tmp_path / "fig4"
         with pytest.raises(r.ConfigError):
