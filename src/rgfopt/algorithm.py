@@ -236,6 +236,8 @@ class RunConfig:
                               f"master_seed={self.master_seed}")
         if self.horizon < 0:
             raise ConfigError(f"horizon must be >= 0, got {self.horizon}")
+        if not 0.0 <= self.extra_edge_prob <= 1.0:
+            raise ConfigError(f"extra_edge_prob must be in [0, 1], got {self.extra_edge_prob}")
         if self.delta <= 0:
             raise ConfigError(f"delta must be positive, got {self.delta}")
         if self.mu_hat <= 0:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rgfopt.algorithm import ConfigError, RunConfig
+from rgfopt.algorithm import GRAPH_KINDS, ConfigError, RunConfig
 from rgfopt.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -126,6 +126,8 @@ BAD_FIELDS = [
     ("graph_seed", -2),
     ("master_seed", -1),
     ("direction_law", "cauchy"),
+    ("extra_edge_prob", 2.0),
+    ("extra_edge_prob", -1.0),
 ]
 
 
@@ -164,6 +166,22 @@ def test_run_failure_order(tmp_path, capsys, monkeypatch, data, sets, env_seed, 
     assert main(argv + [a for s in sets for a in ("--set", s)]) == code
     capsys.readouterr()
     assert (tmp_path / "o").exists() == (code == EXIT_OK)
+
+
+@pytest.mark.parametrize("kind", list(GRAPH_KINDS))
+def test_extra_edge_prob_rejected_before_graph_set_up(tmp_path, capsys, monkeypatch, kind):
+    def no_graph(*args):
+        raise AssertionError("graph set-up reached")
+
+    monkeypatch.setattr("rgfopt.algorithm.make_graph", no_graph)
+    cfg = tmp_path / "c.json"
+    cfg.write_text("{}")
+    argv = ["run", "--config", str(cfg), "--set", f"graph_kind={kind}",
+            "--set", "extra_edge_prob=2.0", "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "validation", "message": "extra_edge_prob must be in [0, 1], got 2.0"}
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [["run", "--config", "CFG"],
@@ -245,6 +263,15 @@ class TestSpectralCommand:
         assert hashlib.sha256(out).hexdigest() == \
             "e1399416288b28c9a220d7cee7ce2668f681fead1e3bcc8fe25f77f067ab5508"
 
+    @pytest.mark.parametrize("graph, n, digest", [
+        ("ring", "100", "bdd544d49f9ee1480aaa291e33ebe5a82907bb307834f3c6c5e902218093dc0a"),
+        ("cycle", "37", "f00222d9c42bb40696c830db5e3b3cef897b3f6c414f4d2dccf8c0eaf5063cbd"),
+    ])
+    def test_default_grid_bytes_are_pinned_at_larger_n(self, capsys, graph, n, digest):
+        # every fitted column comes from the 200-power gap series of a 2N x 2N matrix
+        assert main(["spectral", "--graph", graph, "--n", n]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 def _cli(argv, cwd):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -255,7 +282,8 @@ def _cli(argv, cwd):
 
 # (argv, exit code, error kind, message fragment); OUT is the --out directory
 # that must not appear, CFG_DIR a directory, CFG_BYTES a non-UTF-8 file,
-# CFG_LIST a JSON list, CFG_TINY_GAMMA a config whose step size underflows.
+# CFG_LIST a JSON list, CFG_TINY_GAMMA a config whose step size underflows,
+# CFG_EMPTY the config `{}`.
 FAILURE_CONTRACT = [
     (["experiment", "diagnostics", "--samples", "0", "--out", "OUT"],
      EXIT_VALIDATION, "validation", "n_samples >= 1"),
@@ -275,6 +303,8 @@ FAILURE_CONTRACT = [
      "--samples applies to diagnostics only"),
     (["run", "--config", "CFG_TINY_GAMMA", "--out", "OUT"], EXIT_VALIDATION, "validation",
      "gamma0=5e-324 is too small"),
+    (["run", "--config", "CFG_EMPTY", "--set", "extra_edge_prob=2.0", "--out", "OUT"],
+     EXIT_VALIDATION, "validation", "extra_edge_prob must be in [0, 1], got 2.0"),
 ]
 
 
@@ -286,9 +316,10 @@ def test_failure_exits_with_one_json_error_line(tmp_path, argv, code, kind, frag
     (tmp_path / "bytes.json").write_bytes(b"\xff\xfe{")
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "tiny_gamma.json").write_text('{"gamma0": 5e-324}')
+    (tmp_path / "empty.json").write_text("{}")
     slots = {"OUT": tmp_path / "out", "CFG_DIR": tmp_path / "cfg_dir",
              "CFG_BYTES": tmp_path / "bytes.json", "CFG_LIST": tmp_path / "list.json",
-             "CFG_TINY_GAMMA": tmp_path / "tiny_gamma.json"}
+             "CFG_TINY_GAMMA": tmp_path / "tiny_gamma.json", "CFG_EMPTY": tmp_path / "empty.json"}
     proc = _cli([str(slots.get(a, a)) for a in argv], tmp_path)
     assert proc.returncode == code, proc.stderr
     lines = proc.stderr.splitlines()

@@ -275,6 +275,17 @@ class TestDeltaHat:
         assert all(b < a for a, b in zip(values, values[1:]))
 
 
+def _fresh_product_gap_series(am: AugmentedMatrix, t_max: int) -> np.ndarray:
+    """Reference for the buffered series: fresh arrays for every power."""
+    lim = limit_matrix(am.n_agents)
+    out = np.empty(t_max)
+    p = np.eye(2 * am.n_agents)
+    for t in range(1, t_max + 1):
+        p = p @ am.w_aug
+        out[t - 1] = np.abs(p - lim).sum(axis=1).max()
+    return out
+
+
 class TestMatrixPowerGap:
     def test_limit_matrix_has_zero_gap(self):
         lim = limit_matrix(4)
@@ -292,6 +303,23 @@ class TestMatrixPowerGap:
         series = matrix_power_gap_series(am, 12)
         for t in (1, 5, 12):
             assert series[t - 1] == pytest.approx(matrix_power_gap(am, t), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 10, 57, 120])
+    @pytest.mark.parametrize("kind", ["cycle", "ring", "complete", "random"])
+    def test_series_bits_equal_fresh_per_power_products(self, kind, n):
+        make = {"cycle": make_cycle, "ring": make_ring, "complete": make_complete,
+                "random": lambda n: make_random_strongly_connected(n, 0.3, seed=7)}[kind]
+        wp = equal_neighbor_weights(make(n))
+        for delta in (0.0, 1e-3, 0.1, 0.5):
+            am = build_augmented(wp, delta)
+            w_before = am.w_aug.tobytes()
+            reference = _fresh_product_gap_series(am, 200)
+            series = {t_max: matrix_power_gap_series(am, t_max) for t_max in (1, 2, 120, 200)}
+            for t_max, gaps in series.items():
+                assert gaps.tobytes() == reference[:t_max].tobytes(), (delta, t_max)
+                assert gaps.flags.owndata and gaps.base is None
+            assert series[120].tobytes() == series[200][:120].tobytes()
+            assert am.w_aug.tobytes() == w_before
 
     def test_gap_halving_under_stable_gain(self):
         # cycle(10) at gain 0.01 sits inside the empirically stable region
