@@ -23,7 +23,7 @@ g = make_cycle(6)
 print("edges (self-loops implicit):",
       sorted((i, j) for i, j in g.edges if i != j))
 print("strongly connected:", is_strongly_connected(g))
-print("in-neighbors of agent 0:", g.in_neighbors(0))
+print("in-neighbors of agent 0:", sorted(i for i, j in g.edges if j == 0))
 
 wp = equal_neighbor_weights(g)
 print("\nrow-stochastic mixing matrix W_r:")
@@ -50,4 +50,5 @@ print("strongly connected:", is_strongly_connected(rg))
 print("\n=== a bidirectional ring ===")
 ring = make_ring(8)
 print("edges per node (excluding self-loop):",
-      len(ring.in_neighbors(0)) - 1, "in,", len(ring.out_neighbors(0)) - 1, "out")
+      sum(1 for i, j in ring.edges if j == 0 and i != 0), "in,",
+      sum(1 for i, j in ring.edges if i == 0 and j != 0), "out")

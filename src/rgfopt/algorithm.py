@@ -295,7 +295,7 @@ def make_graph(kind: str, n: int, seed: int = 0, extra_edge_prob: float = 0.3) -
     return GRAPH_KINDS[kind](n, seed, extra_edge_prob)
 
 
-def fit_geometric_decay(gaps: np.ndarray, t_start: int = 5, t_end: int = 200):
+def fit_geometric_decay(gaps: np.ndarray, t_start: int, t_end: int):
     """Least-squares fit of log(gap_t) ~ log C + t log lambda over [t_start, t_end].
 
     `gaps[k]` is the value at power t = k+1.  Returns (C, lambda, r_squared).
@@ -314,6 +314,14 @@ def fit_geometric_decay(gaps: np.ndarray, t_start: int = 5, t_end: int = 200):
         ss_res = float(residual[0]) if len(residual) else float(((a @ coef - ys) ** 2).sum())
         r2 = 1.0 - ss_res / ss_tot
     return c, lam, r2
+
+
+def gain_fit(wp: WeightPair, delta: float, t_max: int):
+    """The power-gap series of W(delta) at t = 1..t_max and its geometric fit
+    over t = 5..t_max: (gaps, C, lambda, r_squared).  The one place the series
+    is computed and fitted."""
+    gaps = matrix_power_gap_series(build_augmented(wp, delta), t_max)
+    return (gaps, *fit_geometric_decay(gaps, 5, t_max))
 
 
 @dataclass
@@ -410,18 +418,6 @@ def csv_text(header: list[str], columns) -> str:
     return "".join(parts)
 
 
-def _fit_practical_gain_bound(wp: WeightPair, delta: float, n: int):
-    """Fit (C, lambda) of the augmented power decay at this delta and report
-    the practical gain ceiling min(delta_hat, (1-lambda)/(2 sqrt(3) N C lambda))."""
-    gaps = matrix_power_gap_series(build_augmented(wp, delta), 120)
-    c_fit, lam_fit, _ = fit_geometric_decay(gaps, 5, 120)
-    if 0.0 < lam_fit < 1.0 and c_fit > 0.0:
-        practical = (1.0 - lam_fit) / (2.0 * math.sqrt(3.0) * n * c_fit * lam_fit)
-    else:
-        practical = 0.0
-    return c_fit, lam_fit, practical
-
-
 def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     """Execute the update law for t = 0..T-1 and record the trajectory.
 
@@ -446,7 +442,11 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     run_warnings = []
     lam_fit = c_fit = None
     if config.check_delta_bound:
-        c_fit, lam_fit, practical = _fit_practical_gain_bound(wp, config.delta, config.n_agents)
+        _, c_fit, lam_fit, _ = gain_fit(wp, config.delta, 120)
+        # the practical ceiling (1 - lambda) / (2 sqrt(3) N C lambda) of the fitted decay
+        practical = 0.0
+        if 0.0 < lam_fit < 1.0 and c_fit > 0.0:
+            practical = (1.0 - lam_fit) / (2.0 * math.sqrt(3.0) * config.n_agents * c_fit * lam_fit)
         ceiling = min(dh, practical)
         if config.delta > ceiling:
             msg = (f"delta={config.delta:g} exceeds the guaranteed gain ceiling "

@@ -8,7 +8,9 @@ optimum x*(t).  The regret upper bound mirrors the known structure
     (T+1) sqrt(p) N mu_hat D + c1 + (2 N rho omega_T / gamma0 + c2) sqrt(T+1)
 
 with existential constants replaced by labeled, fitted stand-ins; it is a
-reporting device, not a pass/fail test.
+reporting device, not a pass/fail test.  The spectral constants (C, lambda)
+come from `algorithm.gain_fit`, the one place the power-gap series of the
+augmented matrix is computed and fitted.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithm import Trace, fit_geometric_decay
-from .graph import WeightPair, build_augmented, delta_hat, matrix_power_gap_series
+from .algorithm import Trace, gain_fit
+from .graph import WeightPair, delta_hat
 from .oracle import ObjectiveStream
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -247,8 +249,7 @@ def spectral_report(wp: WeightPair, delta_grid) -> list[SpectralRow]:
         try:
             if not 0 < d < math.inf:
                 raise ValueError("delta must be positive" if d <= 0 else "delta must be finite")
-            gaps = matrix_power_gap_series(build_augmented(wp, row.delta), 200)
-            row.c_fit, row.lambda_fit, row.r_squared = fit_geometric_decay(gaps, 5, 200)
+            gaps, row.c_fit, row.lambda_fit, row.r_squared = gain_fit(wp, row.delta, 200)
             row.geometric = bool(0.0 < row.lambda_fit < 1.0 and gaps[-1] < gaps[4])
             row.gap_first, row.gap_last = float(gaps[0]), float(gaps[-1])
         except Exception as exc:
@@ -273,8 +274,7 @@ def fit_constants_from_trace(trace: Trace, wp: WeightPair,
     configured feasible set, else from the largest observed oracle norm (a
     valid empirical proxy)."""
     cfg = trace.config
-    gaps = matrix_power_gap_series(build_augmented(wp, cfg.delta), 200)
-    c_fit, lam_fit, _ = fit_geometric_decay(gaps, 5, 200)
+    _, c_fit, lam_fit, _ = gain_fit(wp, cfg.delta, 200)
     lam_fit = min(lam_fit, 1.0 - 1e-9)
     ratio = theta_over_gamma(trace)
     g1 = float(ratio.max())

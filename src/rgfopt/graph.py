@@ -1,4 +1,6 @@
-"""Directed communication topologies and their stochastic weighting matrices.
+"""Directed communication topologies, their stochastic weighting matrices,
+and the augmented matrix W(delta) with its power-gap series.  The series is
+fitted in one place, `algorithm.gain_fit`.
 
 Edge convention: an edge (i, j) means agent j receives from agent i.
 Every node always has a self-loop, so in- and out-neighbor sets contain
@@ -40,14 +42,6 @@ class Digraph:
         with_loops = frozenset(self.edges) | {(i, i) for i in range(self.n_agents)}
         object.__setattr__(self, "edges", with_loops)
 
-    def in_neighbors(self, i: int) -> list[int]:
-        """Agents j whose messages reach i (includes i)."""
-        return sorted(j for j in range(self.n_agents) if (j, i) in self.edges)
-
-    def out_neighbors(self, i: int) -> list[int]:
-        """Agents j that receive from i (includes i)."""
-        return sorted(j for j in range(self.n_agents) if (i, j) in self.edges)
-
 
 @dataclass(frozen=True)
 class WeightPair:
@@ -84,7 +78,6 @@ class AugmentedMatrix:
     """2N x 2N coupling of decision and surplus dynamics at gain delta."""
 
     w_aug: np.ndarray
-    delta: float
 
     def __post_init__(self):
         w = np.asarray(self.w_aug, dtype=float)
@@ -210,7 +203,7 @@ def build_augmented(wp: WeightPair, delta: float) -> AugmentedMatrix:
         [wp.w_row, delta * eye],
         [eye - wp.w_row, wp.w_col - delta * eye],
     ])
-    return AugmentedMatrix(w_aug=w, delta=float(delta))
+    return AugmentedMatrix(w_aug=w)
 
 
 def delta_hat(wp: WeightPair) -> float:
@@ -238,31 +231,18 @@ def delta_hat(wp: WeightPair) -> float:
     return float(((1.0 - sigma3) / (20.0 + 8.0 * n)) ** n)
 
 
-def limit_matrix(n: int) -> np.ndarray:
-    """Target of the augmented matrix powers: [[11^T/N, 11^T/N], [0, 0]]."""
-    lim = np.zeros((2 * n, 2 * n))
-    lim[:n, :] = 1.0 / n
-    return lim
-
-
-def matrix_power_gap(am: AugmentedMatrix, t: int) -> float:
-    """Max-absolute-row-sum distance between W^t and the limit matrix."""
-    if t < 1:
-        raise GraphError(f"power must be >= 1, got {t}")
-    p = np.linalg.matrix_power(am.w_aug, t)
-    diff = p - limit_matrix(am.n_agents)
-    return float(np.abs(diff).sum(axis=1).max())
-
-
 def matrix_power_gap_series(am: AugmentedMatrix, t_max: int) -> np.ndarray:
-    """Gap at every power t = 1..t_max, computed by cumulative multiplication.
+    """Max-absolute-row-sum distance between W^t and its limit
+    [[11^T/N, 11^T/N], [0, 0]] at every power t = 1..t_max, computed by
+    cumulative multiplication.  `algorithm.gain_fit` is its one caller in
+    the package, and fits the series.
 
     Reuses two 2N x 2N buffers allocated once per call: W^t is written into
     one, and its elementwise gap |W^t - limit| into the other, which held
     W^(t-1) and is spent.  The limit is 1/N on the top N rows and 0 below,
     so the bottom gap is |W^t| (`x - 0.0` differs from `x` only in the sign
     of -0.0, which `abs` erases).  Each value has the same bits as a fresh
-    `p = p @ w_aug; np.abs(p - limit_matrix(N)).sum(axis=1).max()` per power.
+    `p = p @ w_aug; np.abs(p - limit).sum(axis=1).max()` per power.
     """
     if t_max < 1:
         raise GraphError(f"t_max must be >= 1, got {t_max}")

@@ -12,7 +12,7 @@ import pytest
 
 import rgfopt as r
 from rgfopt import analysis
-from rgfopt.algorithm import RunConfig, Trace, fit_geometric_decay
+from rgfopt.algorithm import RunConfig, Trace, fit_geometric_decay, gain_fit
 from rgfopt.analysis import (
     BoundInputs,
     build_regret_ledger,
@@ -311,6 +311,30 @@ class TestSpectralReport:
         assert c == pytest.approx(3.0, rel=1e-9)
         assert lam == pytest.approx(0.9, rel=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["cycle", "random"])
+    def test_every_caller_reads_gain_fit(self, kind):
+        # gain_fit is the series and its fit over 5..t_max, bit for bit, and
+        # run(), spectral_report and fit_constants_from_trace report its values
+        config = RunConfig(graph_kind=kind, horizon=5)
+        wp = equal_neighbor_weights(r.algorithm.make_graph(
+            kind, config.n_agents, config.graph_seed, config.extra_edge_prob))
+        fits = {}
+        for t_max in (120, 200):
+            gaps, c, lam, r2 = fits[t_max] = gain_fit(wp, 0.1, t_max)
+            reference = matrix_power_gap_series(build_augmented(wp, 0.1), t_max)
+            assert gaps.tobytes() == reference.tobytes()
+            assert (c, lam, r2) == fit_geometric_decay(reference, 5, t_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            trace = r.run(config)
+        assert (trace.c_fit, trace.lambda_fit) == fits[120][1:3]
+        row, = spectral_report(wp, [0.1])
+        gaps, c, lam, r2 = fits[200]
+        assert (row.c_fit, row.lambda_fit, row.r_squared) == (c, lam, r2)
+        assert (row.gap_first, row.gap_last) == (gaps[0], gaps[-1])
+        inputs = fit_constants_from_trace(trace, wp)
+        assert (inputs.c_fit, inputs.lambda_fit) == (c, min(lam, 1.0 - 1e-9))
 
 
 class TestFittedConstants:

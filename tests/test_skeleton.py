@@ -5,6 +5,7 @@ stream field that the benchmark's span wrappers replace."""
 
 import dataclasses
 import importlib.util
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import rgfopt as r
-from rgfopt import algorithm, experiments, oracle
+from rgfopt import algorithm, analysis, experiments, oracle
 
 
 @pytest.fixture
@@ -87,8 +88,15 @@ def _bench_spans():
     return module
 
 
-# A wrap point that no caller resolves today: no experiment calls delta_hat.
-_UNRESOLVED_WRAP_POINTS = {("rgfopt.experiments", "delta_hat")}
+# Wrap points that no caller resolves today: no experiment calls delta_hat,
+# and analysis reaches the power-gap series and its fit only through
+# `algorithm.gain_fit`, whose calls the `rgfopt.algorithm` points wrap
+# (test_spectral_spans_fire_through_gain_fit).
+_UNRESOLVED_WRAP_POINTS = {
+    ("rgfopt.experiments", "delta_hat"),
+    ("rgfopt.analysis", "matrix_power_gap_series"),
+    ("rgfopt.analysis", "fit_geometric_decay"),
+}
 
 
 def test_every_bench_wrap_point_resolves():
@@ -105,3 +113,36 @@ def test_every_bench_wrap_point_resolves():
             missing.append(f"{path}.{attr}")
     assert missing == []
     assert all(not hasattr(spans._owner(path), attr) for path, attr in _UNRESOLVED_WRAP_POINTS)
+
+
+_UNCHECKED = r.RunConfig(horizon=5, check_delta_bound=False)
+
+# caller -> (call on the unchecked run's trace and weights,
+#            (power-gap spans, fit spans, powers))
+_SPECTRAL_CALLS = {
+    "spectral_report": (lambda trace, wp: analysis.spectral_report(wp, analysis.DELTA_GRID),
+                        (4, 4, 800)),
+    "run": (lambda trace, wp: r.run(r.RunConfig(horizon=5)), (1, 1, 120)),
+    "fit_constants_from_trace": (lambda trace, wp: analysis.fit_constants_from_trace(trace, wp),
+                                 (1, 1, 200)),
+    "run_unchecked": (lambda trace, wp: r.run(_UNCHECKED), (0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_SPECTRAL_CALLS))
+def test_spectral_spans_fire_through_gain_fit(caller):
+    # Under the benchmark's wrappers each power-gap series and each fit is
+    # one span, and the series adds its powers to a counter; a call path
+    # that bypasses the wrapped names would read zero here.
+    call, expected = _SPECTRAL_CALLS[caller]
+    trace = r.run(_UNCHECKED)
+    wp = r.equal_neighbor_weights(algorithm.make_graph(
+        _UNCHECKED.graph_kind, _UNCHECKED.n_agents, _UNCHECKED.graph_seed, _UNCHECKED.extra_edge_prob))
+    spans = _bench_spans()
+    rec = spans.Recorder()
+    with spans.traced(rec), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        call(trace, wp)
+    names = [rec.names[i] for i in rec.name_id]
+    assert (names.count("graph.power_gap"), names.count("algorithm.fit_decay"),
+            rec.counts[0]["graph.power_gap.powers"]) == expected
