@@ -31,7 +31,7 @@ mean = total / n
 print("oracle mean of", n, "draws:", np.round(mean, 4))
 print("gradient of the smoothed cost (= 2x for a quadratic):", 2 * x)
 
-est, se = smoothed_value_mc_stats(stream, 0, 0, x, mu, 50_000, seed=7)
+est, se = smoothed_value_mc_stats(lambda pts: (pts ** 2).sum(axis=1), x, mu, 50_000, seed=7)
 exact = float(x @ x) + mu ** 2 * dim
 print(f"smoothed value estimate {est:.6f} +- {se:.1e} "
       f"(closed form {exact:.6f})")

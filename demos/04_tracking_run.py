@@ -39,8 +39,7 @@ for t in (100, 500, 1500):
     print(f"time-averaged regret at t={t:>5}: "
           f"min {ta.min():.4f}, max {ta.max():.4f}")
 
-curves = consensus_curve(trace)
-print("\naugmented-mean spread at the end:", f"{curves.spread_augmented[-1]:.2e}")
+print("\naugmented-mean spread at the end:", f"{consensus_curve(trace)[-1]:.2e}")
 ratio = theta_over_gamma(trace)
 print("projection-residual ratio Theta/gamma: "
       f"max {ratio.max():.2f} (bounded, as the step-size theory demands)")

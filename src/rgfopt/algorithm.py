@@ -80,8 +80,8 @@ class Box:
         # keeps v (-0.0 against a bound of 0.0).
         return np.minimum(self.hi, np.maximum(self.lo, v))
 
-    def contains(self, v: np.ndarray, tol: float = 1e-12) -> bool:
-        return bool((v >= self.lo - tol).all() and (v <= self.hi + tol).all())
+    def contains(self, v: np.ndarray) -> bool:
+        return bool((v >= self.lo - 1e-12).all() and (v <= self.hi + 1e-12).all())
 
     @property
     def radius(self) -> float:
@@ -128,8 +128,8 @@ class Ball:
             out[huge] = self.center + d * (self.ball_radius / np.linalg.norm(d, axis=-1, keepdims=True))
         return out
 
-    def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool((np.linalg.norm(v - self.center, axis=-1) <= self.ball_radius + tol).all())
+    def contains(self, v: np.ndarray) -> bool:
+        return bool((np.linalg.norm(v - self.center, axis=-1) <= self.ball_radius + 1e-9).all())
 
     @property
     def radius(self) -> float:

@@ -106,21 +106,15 @@ def path_length(minimizers: np.ndarray) -> float:
     return float(np.linalg.norm(np.diff(minimizers, axis=0), axis=1).sum())
 
 
-@dataclass
-class ConsensusCurves:
-    """Disagreement measured against the agent mean and the augmented mean."""
-
-    spread: np.ndarray                     # (T+1,) max_i ||x^i - mean_j x^j||
-    spread_augmented: np.ndarray | None    # (T+1,) max_i ||x^i - stacked mean||, needs y
-
-
-def consensus_curve(trace: Trace) -> ConsensusCurves:
+def consensus_curve(trace: Trace) -> np.ndarray | None:
+    """Disagreement against the augmented mean, (T+1,) max_i ||x^i - stacked
+    mean||, or None when the trace recorded no surpluses.  The spread against
+    the agent mean is `trace.spread`."""
+    if trace.y is None:
+        return None
     x = trace.x
-    spread_aug = None
-    if trace.y is not None:
-        phi_bar = (x.sum(axis=1) + trace.y.sum(axis=1)) / trace.n_agents   # (T+1, p)
-        spread_aug = np.linalg.norm(x - phi_bar[:, None, :], axis=2).max(axis=1)
-    return ConsensusCurves(spread=trace.spread, spread_augmented=spread_aug)
+    phi_bar = (x.sum(axis=1) + trace.y.sum(axis=1)) / trace.n_agents   # (T+1, p)
+    return np.linalg.norm(x - phi_bar[:, None, :], axis=2).max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -140,7 +134,6 @@ class BoundInputs:
     path_length_value: float
     g2_fit: float | None = None
     g3_fit: float | None = None
-    nu_hat: float | None = None
 
     def __post_init__(self):
         positives = {
@@ -176,7 +169,7 @@ def regret_bound_rhs(inputs: BoundInputs) -> BoundBreakdown:
 
     Stand-ins (labeled in the result): G1 is the measured Theta/gamma
     ceiling; G2 defaults to G1^2; G3 defaults to N (p+4) D G1; nu_hat
-    defaults to 2 rho^2 (the worst squared half-distance inside the set);
+    is 2 rho^2 (the worst squared half-distance inside the set);
     the smoothed-gradient Lipschitz constant is sqrt(p) D / mu_hat.
     """
     n, p = inputs.n_agents, inputs.dim
@@ -187,7 +180,7 @@ def regret_bound_rhs(inputs: BoundInputs) -> BoundBreakdown:
     g1 = inputs.g1_fit
     g2 = inputs.g2_fit if inputs.g2_fit is not None else g1 ** 2
     g3 = inputs.g3_fit if inputs.g3_fit is not None else n * (p + 4) * d_bound * g1
-    nu_hat = inputs.nu_hat if inputs.nu_hat is not None else 2.0 * rho ** 2
+    nu_hat = 2.0 * rho ** 2
     l_hat = math.sqrt(p) * d_bound / mu_hat
     t1 = inputs.horizon + 1
 
@@ -212,7 +205,7 @@ def regret_bound_rhs(inputs: BoundInputs) -> BoundBreakdown:
             "G1": ("measured Theta/gamma ceiling", g1),
             "G2": ("G1 squared" if inputs.g2_fit is None else "measured", g2),
             "G3": ("N (p+4) D G1" if inputs.g3_fit is None else "measured", g3),
-            "nu_hat": ("2 rho^2" if inputs.nu_hat is None else "measured", nu_hat),
+            "nu_hat": ("2 rho^2", nu_hat),
             "L_hat": ("sqrt(p) D / mu_hat", l_hat),
             "C_hat": ("max(C_fit, 1)", c_hat),
             "lambda": ("fitted decay rate", lam),

@@ -87,7 +87,7 @@ def experiment_fig2_3(seed: int = 0, horizon: int = 5000, out_dir=None) -> Track
     directory = _out_dir("fig2_3", out_dir)
     stream = make_stream(config.stream_name, config.n_agents, config.dim, config.master_seed)
     ledger = build_regret_ledger(trace, stream)
-    curves = consensus_curve(trace)
+    spread_aug = consensus_curve(trace)
 
     paths = {}
     paths["trajectories"] = directory / "trajectories.csv"
@@ -101,11 +101,10 @@ def experiment_fig2_3(seed: int = 0, horizon: int = 5000, out_dir=None) -> Track
         [np.repeat(t_axis, config.n_agents), np.tile(np.arange(config.n_agents), horizon),
          rc.ravel(), (rc / t_axis[:, None]).ravel()]))
 
-    aug = (np.full(horizon + 1, math.nan) if curves.spread_augmented is None
-           else curves.spread_augmented)
+    aug = np.full(horizon + 1, math.nan) if spread_aug is None else spread_aug
     paths["consensus"] = directory / "consensus.csv"
     paths["consensus"].write_text(csv_text(["t", "spread", "spread_augmented"],
-                                           [np.arange(horizon + 1), curves.spread, aug]))
+                                           [np.arange(horizon + 1), trace.spread, aug]))
 
     meta = trace.metadata()
     meta["experiment"] = "fig2_3"
@@ -188,27 +187,31 @@ def quadratic_norm_stream(dim: int) -> ObjectiveStream:
         return float(x.dot(x))
 
     return ObjectiveStream(
-        n_agents=1, dim=dim, evaluate=evaluate, analytic_minimizer=lambda t: np.zeros(dim),
-        subgradient_bound=None, name="squared_norm",
-    )
+        n_agents=1, dim=dim, evaluate=evaluate, analytic_minimizer=lambda t: np.zeros(dim))
+
+
+def _row_norms(points: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row; the stacked row dot has the bits of each
+    row's x.dot(x), so row k equals norm_stream(1, p).evaluate(0, 0, points[k])."""
+    return np.sqrt((points[:, None, :] @ points[:, :, None]).ravel())
 
 
 def sandwich_table(n_points: int = 20, n_samples: int = 100_000, mu: float = 0.05,
-                   seed: int = 2024, x_lo: float = -2.0, x_hi: float = 2.0) -> list[dict]:
-    """Smoothing sandwich check rows on a 1-D unit-Lipschitz convex stream.
+                   seed: int = 2024) -> list[dict]:
+    """Smoothing sandwich check rows for f(x) = |x| at points uniform in [-2, 2].
 
     Each row compares the Monte Carlo smoothed value against the bracket
     [f(x) - 3 se, f(x) + sqrt(p) mu D + 3 se].
     """
     stream = norm_stream(1, dim=1, scale=1.0)
-    d_bound = stream.subgradient_bound(max(abs(x_lo), abs(x_hi)))
+    d_bound = stream.subgradient_bound(2.0)
     rng = np.random.default_rng(seed)
-    points = rng.uniform(x_lo, x_hi, n_points)
+    points = rng.uniform(-2.0, 2.0, n_points)
     rows = []
     for k, xv in enumerate(points):
         x = np.array([xv])
         f_val = stream.evaluate(0, 0, x)
-        est, se = smoothed_value_mc_stats(stream, 0, 0, x, mu, n_samples, seed=seed + 1 + k)
+        est, se = smoothed_value_mc_stats(_row_norms, x, mu, n_samples, seed=seed + 1 + k)
         upper = f_val + math.sqrt(stream.dim) * mu * d_bound
         rows.append({
             "x": float(xv), "f": f_val, "f_mu_est": est, "stderr": se,
@@ -246,21 +249,19 @@ def _oracle_mean(stream: ObjectiveStream, cfg: OracleConfig, x: np.ndarray,
     return mean, stderr, norm_sq / n_draws
 
 
-def _smoothed_square_norm(x: np.ndarray, mu: float, n_samples: int, seed: int) -> float:
-    """Monte Carlo mean of ||x + mu xi||^2 over standard normal xi, written
-    here rather than taken from the stream, so the finite-difference reference
-    keeps its own formula and its pinned bits."""
-    pts = x + mu * np.random.default_rng(seed).standard_normal((n_samples, x.size))
-    return float((pts ** 2).sum(axis=1).mean())
+def _square_norms(points: np.ndarray) -> np.ndarray:
+    # the finite-difference reference's own formula, not the stream's row dot,
+    # so its pinned bits stay
+    return (points ** 2).sum(axis=1)
 
 
 def unbiasedness_check(dim: int = 3, n_points: int = 5, n_draws: int = 100_000,
-                       mu: float = 0.01, fd_step: float = 0.1, fd_samples: int = 100_000,
+                       mu: float = 0.01, fd_samples: int = 100_000,
                        seed: int = 11) -> list[dict]:
     """Oracle-mean versus smoothed-gradient rows for the squared-norm cost.
 
-    The reference gradient is a central finite difference of the Monte Carlo
-    smoothed value, computed with seeds independent of the oracle stream.
+    The reference gradient is a central finite difference (step 0.1) of the
+    Monte Carlo smoothed value, with seeds independent of the oracle stream.
     """
     stream = quadratic_norm_stream(dim)
     cfg = OracleConfig.uniform(1, mu, dim, rng_seed=seed)
@@ -272,10 +273,11 @@ def unbiasedness_check(dim: int = 3, n_points: int = 5, n_draws: int = 100_000,
         fd = np.empty(dim)
         for j in range(dim):
             e = np.zeros(dim)
-            e[j] = fd_step
-            hi = _smoothed_square_norm(x + e, mu, fd_samples, seed + 1000 + 2 * (k * dim + j))
-            lo = _smoothed_square_norm(x - e, mu, fd_samples, seed + 1001 + 2 * (k * dim + j))
-            fd[j] = (hi - lo) / (2.0 * fd_step)
+            e[j] = 0.1
+            fd_seed = seed + 1000 + 2 * (k * dim + j)
+            hi, _ = smoothed_value_mc_stats(_square_norms, x + e, mu, fd_samples, fd_seed)
+            lo, _ = smoothed_value_mc_stats(_square_norms, x - e, mu, fd_samples, fd_seed + 1)
+            fd[j] = (hi - lo) / (2.0 * 0.1)
         sigmas = np.abs(mean - fd) / np.maximum(stderr, 1e-300)
         rows.append({
             "x": x.tolist(), "oracle_mean": mean.tolist(), "fd_gradient": fd.tolist(),

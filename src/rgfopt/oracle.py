@@ -72,10 +72,9 @@ class ObjectiveStream:
     streams).  No gradient is ever exposed.  `subgradient_bound(rho)`, when
     given, bounds every agent's subgradient norm over points of norm <= rho.
 
-    Optional hooks speed up batch work without changing semantics:
-    `evaluate_batch(agent, t, X)` maps an (m, p) block of points to (m,)
-    values; `aggregate_evaluate(t, X)` returns the summed-over-agents cost
-    at each row of X, where `t` is one time for every row or an int array
+    The optional hook `aggregate_evaluate(t, X)` speeds up batch work
+    without changing semantics: it returns the summed-over-agents cost at
+    each row of X, where `t` is one time for every row or an int array
     holding one time per row.
     """
 
@@ -84,9 +83,7 @@ class ObjectiveStream:
     evaluate: Callable[[int, int, np.ndarray], float]
     analytic_minimizer: Callable[[int], np.ndarray] | None = None
     subgradient_bound: Callable[[float], float] | None = None
-    evaluate_batch: Callable[[int, int, np.ndarray], np.ndarray] | None = None
     aggregate_evaluate: Callable[[int, np.ndarray], np.ndarray] | None = None
-    name: str = "custom"
     params: dict = field(default_factory=dict)
 
     def aggregate_cost(self, t, points: np.ndarray) -> np.ndarray:
@@ -454,23 +451,20 @@ def gradient_free_oracle(stream: ObjectiveStream, cfg: OracleConfig,
     return xi
 
 
-def smoothed_value_mc_stats(stream: ObjectiveStream, agent: int, t: int,
-                            x: np.ndarray, mu: float, n_samples: int,
-                            seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of the Gaussian-smoothed value and its standard error.
+def smoothed_value_mc_stats(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                            mu: float, n_samples: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo estimate of the Gaussian-smoothed value f_mu(x) = E f(x + mu xi)
+    and its standard error: (mean of f(x + mu * xi_k), sample std / sqrt(n)).
 
-    Returns (mean of f(x + mu * xi_k), sample std / sqrt(n)).
+    `f` maps an (m, p) block of points to (m,) values; it is called once, on
+    all n_samples points.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(seed)
     xi = rng.standard_normal((n_samples, x.size))
-    points = x[None, :] + mu * xi
-    if stream.evaluate_batch is not None:
-        vals = np.asarray(stream.evaluate_batch(agent, t, points), dtype=float)
-    else:
-        vals = np.array([stream.evaluate(agent, t, points[k]) for k in range(n_samples)])
+    vals = np.asarray(f(x[None, :] + mu * xi), dtype=float)
     stderr = float(vals.std(ddof=1) / math.sqrt(n_samples)) if n_samples > 1 else 0.0
     return float(vals.mean()), stderr
 
@@ -544,7 +538,7 @@ def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> 
     return ObjectiveStream(
         n_agents=n_agents, dim=dim, evaluate=evaluate,
         analytic_minimizer=analytic_minimizer, subgradient_bound=subgradient_bound,
-        aggregate_evaluate=aggregate_evaluate, name="paper_quadratic",
+        aggregate_evaluate=aggregate_evaluate,
         params={"coeff_seed": coeff_seed, "a": a.tolist(), "b": b.tolist(), "c": c.tolist()},
     )
 
@@ -570,9 +564,8 @@ def linear_probe_stream(n_agents: int, dim: int = 1, seed: int = 0,
         return (points[:, None, :] @ u.sum(axis=0)[:, None])[:, 0, 0]
 
     return ObjectiveStream(
-        n_agents=n_agents, dim=dim, evaluate=evaluate,
+        n_agents=n_agents, dim=dim, evaluate=evaluate, params={"seed": seed, "scale": scale},
         subgradient_bound=lambda rho: float(scale), aggregate_evaluate=aggregate_evaluate,
-        name="linear_probe", params={"seed": seed, "scale": scale},
     )
 
 
@@ -586,9 +579,8 @@ def constant_stream(n_agents: int, dim: int = 1, value: float = 0.0) -> Objectiv
         return np.full(points.shape[0], float(value) * n_agents)
 
     return ObjectiveStream(
-        n_agents=n_agents, dim=dim, evaluate=evaluate,
+        n_agents=n_agents, dim=dim, evaluate=evaluate, params={"value": value},
         subgradient_bound=lambda rho: 0.0, aggregate_evaluate=aggregate_evaluate,
-        name="constant", params={"value": value},
     )
 
 
@@ -600,32 +592,26 @@ def norm_stream(n_agents: int, dim: int = 1, scale: float = 1.0) -> ObjectiveStr
         x = np.asarray(x, dtype=float).ravel()
         return float(scale * math.sqrt(x.dot(x)))
 
-    def evaluate_batch(agent: int, t: int, points: np.ndarray) -> np.ndarray:
-        # the stacked row dot has the bits of each row's x.dot(x)
-        points = np.asarray(points, dtype=float)
-        return scale * np.sqrt((points[:, None, :] @ points[:, :, None]).ravel())
-
     def analytic_minimizer(t: int) -> np.ndarray:
         return np.zeros(dim)
 
     return ObjectiveStream(
-        n_agents=n_agents, dim=dim, evaluate=evaluate,
+        n_agents=n_agents, dim=dim, evaluate=evaluate, params={"scale": scale},
         analytic_minimizer=analytic_minimizer, subgradient_bound=lambda rho: float(scale),
-        evaluate_batch=evaluate_batch, name="norm", params={"scale": scale},
     )
 
 
-STREAM_REGISTRY: dict[str, Callable[..., ObjectiveStream]] = {
-    "paper_quadratic": lambda n, dim, seed, **kw: paper_objective_stream(n, dim, coeff_seed=seed, **kw),
-    "linear_probe": lambda n, dim, seed, **kw: linear_probe_stream(n, dim, seed=seed, **kw),
-    "constant": lambda n, dim, seed, **kw: constant_stream(n, dim, **kw),
+STREAM_REGISTRY: dict[str, Callable[[int, int, int], ObjectiveStream]] = {
+    "paper_quadratic": lambda n, dim, seed: paper_objective_stream(n, dim, coeff_seed=seed),
+    "linear_probe": lambda n, dim, seed: linear_probe_stream(n, dim, seed=seed),
+    "constant": lambda n, dim, seed: constant_stream(n, dim),
 }
 
 
-def make_stream(name: str, n_agents: int, dim: int, seed: int, **kwargs) -> ObjectiveStream:
+def make_stream(name: str, n_agents: int, dim: int, seed: int) -> ObjectiveStream:
     """Instantiate a registered stream by name."""
     try:
         factory = STREAM_REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown stream {name!r}; registered: {sorted(STREAM_REGISTRY)}") from None
-    return factory(n_agents, dim, seed, **kwargs)
+    return factory(n_agents, dim, seed)

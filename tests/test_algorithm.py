@@ -702,7 +702,7 @@ class TestCsvText:
             ["t", "agent", "regret", "time_avg_regret"],
             ([t, i, v, v / t] for t, row in enumerate(ledger.regret_curve[1:].tolist(), start=1)
              for i, v in enumerate(row)))
-        aug = r.consensus_curve(trace).spread_augmented.tolist()
+        aug = r.consensus_curve(trace).tolist()
         consensus = rowwise_csv(["t", "spread", "spread_augmented"],
                                 ([t, spread[t], aug[t]] for t in range(421)))
         assert result.paths["trajectories"].read_text() == trajectories

@@ -198,26 +198,25 @@ class TestConsensusCurve:
     def test_identical_agents_give_zero(self):
         stream = paper_objective_stream(4, coeff_seed=1)
         trace = synthetic_trace(stream, np.zeros(4), horizon=30)
-        curves = consensus_curve(trace)
-        assert np.abs(curves.spread).max() == 0.0
-        assert curves.spread_augmented is None  # no surplus recorded
+        assert np.abs(trace.spread).max() == 0.0
+        assert consensus_curve(trace) is None  # no surplus recorded
 
     def test_pure_consensus_decay_is_geometric(self):
         config = RunConfig(n_agents=8, graph_kind="random", graph_seed=3,
                            stream_name="constant", delta=0.05, horizon=400,
                            master_seed=6, check_delta_bound=False)
         trace = r.run(config)
-        curves = consensus_curve(trace)
-        _, lam, _ = fit_geometric_decay(curves.spread[1:], 10, 300)
+        _, lam, _ = fit_geometric_decay(trace.spread[1:], 10, 300)
         assert 0.0 < lam < 1.0
-        assert curves.spread[-1] < 1e-6 * curves.spread[0]
+        assert trace.spread[-1] < 1e-6 * trace.spread[0]
+        assert consensus_curve(trace)[-1] < 1e-6 * trace.spread[0]
 
     def test_augmented_mean_variant(self, sv_trace):
-        curves = consensus_curve(sv_trace)
-        assert curves.spread_augmented is not None
-        assert curves.spread_augmented.shape == curves.spread.shape
+        spread_aug = consensus_curve(sv_trace)
+        assert spread_aug is not None
+        assert spread_aug.shape == sv_trace.spread.shape
         # late in the run the surplus is tiny so both notions agree closely
-        assert abs(curves.spread_augmented[-1] - curves.spread[-1]) < 1e-3
+        assert abs(spread_aug[-1] - sv_trace.spread[-1]) < 1e-3
 
     def test_pilot_threshold_at_horizon(self, sv_trace):
         # regression fixture from the pinned-seed pilot run

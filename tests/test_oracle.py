@@ -415,18 +415,14 @@ class TestSmoothedValue:
     def test_tiny_mu_recovers_value(self):
         stream = norm_stream(1, dim=2)
         x = np.array([1.3, -0.4])
-        est, _ = smoothed_value_mc_stats(stream, 0, 0, x, mu=1e-12, n_samples=2000, seed=6)
+        est, _ = smoothed_value_mc_stats(experiments._row_norms, x, mu=1e-12, n_samples=2000, seed=6)
         assert abs(est - stream.evaluate(0, 0, x)) < 1e-6
 
     def test_quadratic_closed_form(self):
         # Gaussian smoothing of ||x||^2 adds exactly mu^2 * p
-        stream = ObjectiveStream(
-            n_agents=1, dim=2,
-            evaluate=lambda i, t, x: float(np.asarray(x) @ np.asarray(x)),
-            evaluate_batch=lambda i, t, pts: (pts ** 2).sum(axis=1))
         x = np.array([0.7, -0.2])
         mu = 0.3
-        est, se = smoothed_value_mc_stats(stream, 0, 0, x, mu, 100_000, seed=42)
+        est, se = smoothed_value_mc_stats(lambda pts: (pts ** 2).sum(axis=1), x, mu, 100_000, seed=42)
         expected = float(x @ x) + mu ** 2 * 2
         assert abs(est - expected) <= 3.0 * se
 
@@ -438,20 +434,30 @@ class TestSmoothedValue:
         for k in range(5):
             x = rng.uniform(-2, 2, 1)
             f_val = stream.evaluate(0, 0, x)
-            est, se = smoothed_value_mc_stats(stream, 0, 0, x, mu, 20_000, seed=50 + k)
+            est, se = smoothed_value_mc_stats(experiments._row_norms, x, mu, 20_000, seed=50 + k)
             assert f_val - 3 * se <= est <= f_val + math.sqrt(1) * mu * 1.0 + 3 * se
 
     def test_requires_samples(self):
-        stream = norm_stream(1, dim=1)
         with pytest.raises(ValueError):
-            smoothed_value_mc_stats(stream, 0, 0, np.zeros(1), 0.1, 0, seed=1)
+            smoothed_value_mc_stats(experiments._row_norms, np.zeros(1), 0.1, 0, seed=1)
 
     def test_deterministic_given_seed(self):
-        stream = norm_stream(1, dim=2)
         x = np.array([0.1, 0.9])
-        a = smoothed_value_mc_stats(stream, 0, 0, x, 0.2, 500, seed=9)
-        b = smoothed_value_mc_stats(stream, 0, 0, x, 0.2, 500, seed=9)
+        a = smoothed_value_mc_stats(experiments._row_norms, x, 0.2, 500, seed=9)
+        b = smoothed_value_mc_stats(experiments._row_norms, x, 0.2, 500, seed=9)
         assert a == b
+
+    def test_calls_f_once_on_the_whole_block(self):
+        # one vectorized call: a per-row path would cost each of the
+        # diagnostics' sandwich rows 100,000 Python calls
+        shapes = []
+
+        def f(points):
+            shapes.append(points.shape)
+            return (points ** 2).sum(axis=1)
+
+        smoothed_value_mc_stats(f, np.array([0.5, -1.0, 2.0]), 0.1, 1000, seed=3)
+        assert shapes == [(1000, 3)]
 
 
 class TestLemma1Properties:
@@ -466,9 +472,11 @@ class TestLemma1Properties:
             return float(x @ a_mat @ x + b_vec @ x)
 
         stream = ObjectiveStream(
-            n_agents=1, dim=2,
-            evaluate=lambda i, t, x: fval(np.asarray(x, dtype=float)),
-            evaluate_batch=lambda i, t, pts: np.einsum("ki,ij,kj->k", pts, a_mat, pts) + pts @ b_vec)
+            n_agents=1, dim=2, evaluate=lambda i, t, x: fval(np.asarray(x, dtype=float)))
+
+        def fvals(pts):
+            return np.einsum("ki,ij,kj->k", pts, a_mat, pts) + pts @ b_vec
+
         mu = 0.01
         cfg = OracleConfig.uniform(1, mu, 2, rng_seed=900)
         x = np.array([0.3, -0.8])
@@ -486,8 +494,8 @@ class TestLemma1Properties:
         for j in range(2):
             e = np.zeros(2)
             e[j] = h
-            hi, _ = smoothed_value_mc_stats(stream, 0, 0, x + e, mu, 100_000, seed=1000 + j)
-            lo, _ = smoothed_value_mc_stats(stream, 0, 0, x - e, mu, 100_000, seed=2000 + j)
+            hi, _ = smoothed_value_mc_stats(fvals, x + e, mu, 100_000, seed=1000 + j)
+            lo, _ = smoothed_value_mc_stats(fvals, x - e, mu, 100_000, seed=2000 + j)
             fd[j] = (hi - lo) / (2 * h)
         assert (np.abs(mean - fd) <= 4.0 * stderr).all()
 
@@ -731,13 +739,14 @@ class TestNormStream:
             assert stream.evaluate(0, 0, x).hex() == float(scale * np.linalg.norm(x)).hex()
 
     @pytest.mark.parametrize("dim", range(1, 8))
-    def test_batch_hook_equals_per_row_evaluate(self, dim):
-        # smoothed_value_mc_stats must not depend on whether the hook is set
-        stream = norm_stream(1, dim=dim, scale=1.7)
+    def test_row_norms_equal_per_row_evaluate(self, dim):
+        # the smoothing sandwich smooths |x| through the row-norm function,
+        # so each of its rows must have the bits of norm_stream's evaluate
+        stream = norm_stream(1, dim=dim, scale=1.0)
         rng = np.random.default_rng(dim)
         points = rng.standard_normal((3000, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (3000, 1))
         rows = np.array([stream.evaluate(0, 0, p) for p in points])
-        assert stream.evaluate_batch(0, 0, points).tobytes() == rows.tobytes()
+        assert experiments._row_norms(points).tobytes() == rows.tobytes()
 
 
 class TestBlockAggregateCost:
@@ -776,5 +785,5 @@ class TestRegistry:
             make_stream("mystery", 4, 1, seed=0)
 
     def test_constant_value_kwarg(self):
-        stream = make_stream("constant", 3, 2, seed=0, value=7.0)
+        stream = constant_stream(3, 2, value=7.0)
         assert stream.evaluate(0, 0, np.zeros(2)) == 7.0
