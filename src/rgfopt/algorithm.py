@@ -155,12 +155,13 @@ def _advance(x: np.ndarray, y: np.ndarray, wp: WeightPair, delta: float, gamma_t
     """run()'s round on plain (N, p) arrays: fills `g` with one oracle estimate per
     agent and, unless None, `theta` with the projection residuals x^i+ - (W_r x)^i
     - delta y^i, in place, and returns the new (x, y)."""
-    for i, x_i in enumerate(x):
-        g[i] = gradient_free_oracle(stream, cfg, i, t, x_i)
-    mixed = wp.w_row @ x
+    # g is a C-contiguous (N, p) block, so reshape(-1) is a view of it
+    np.concatenate([gradient_free_oracle(stream, cfg, i, t, x_i) for i, x_i in enumerate(x)],
+                   out=g.reshape(-1))
+    mixed = wp.w_row.dot(x)
     delta_y = delta * y
     x_new = feasible.project(mixed + delta_y - gamma_t * g)
-    y_new = wp.w_col @ y - mixed + x - delta_y
+    y_new = wp.w_col.dot(y) - mixed + x - delta_y
     # x . (0 y) is nan when an entry of x or y is not finite, and +-0 otherwise
     if not math.isfinite(x_new.ravel().dot(y_new.ravel() * 0.0)):
         bad = np.where(~(np.isfinite(x_new).all(axis=1) & np.isfinite(y_new).all(axis=1)))[0]

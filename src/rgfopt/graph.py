@@ -9,6 +9,7 @@ the node itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -207,19 +208,24 @@ def build_augmented(wp: WeightPair, delta: float) -> AugmentedMatrix:
 
 
 def delta_hat(wp: WeightPair) -> float:
-    """Conservative upper bound on the surplus gain for geometric convergence.
+    """Conservative upper bound on the surplus gain for geometric convergence:
+    ((1 - |s3|) / (20 + 8N))^N, where s3 is the third-largest eigenvalue by
+    modulus (counted with multiplicity) of the augmented matrix at delta = 0.
+    The bound is extremely conservative: for N = 10 it is below 1e-30.
 
-    Computed as ((1 - |s3|) / (20 + 8N))^N where s3 is the third-largest
-    eigenvalue by modulus of the augmented matrix at delta = 0 (counted with
-    multiplicity; eigenvalues of the nonsymmetric matrix may be complex, so
-    moduli are used throughout).  The bound is extremely conservative: for
-    N = 10 it is already below 1e-30.
+    W(0) = [[W_r, 0], [I - W_r, W_c]] is block lower-triangular, so its
+    spectrum is that of the stochastic W_r and W_c: moduli 1, 1, and then
+    |s3| = max(sigma2(W_r), sigma2(W_c)), each sigma2(A) at least
+    sqrt(|tr(A^2) - 1| / (N - 1)).  When that O(N^2) bound, with a 1e-6 margin
+    for the eigen-solve's error, already underflows the result, 0.0 (the
+    eigen route's bits) is returned without the eigen-solve: on rings from
+    N = 99, on one-way cycles from N = 101, and on every graph from N = 110.
     """
     n = wp.n_agents
     if 2 * n < 3:
         raise GraphError(f"need at least 3 augmented states, got 2N={2 * n}")
-    if (1.0 / (20.0 + 8.0 * n)) ** n == 0.0:
-        # 0 <= 1 - |s3| <= 1, so the bound underflows too (N >= 110): skip eigvals
+    s3_low = max(math.sqrt(abs((a * a.T).sum() - 1.0) / (n - 1)) for a in (wp.w_row, wp.w_col))
+    if ((1.0 - s3_low + 1e-6) / (20.0 + 8.0 * n)) ** n == 0.0:
         return 0.0
     w0 = build_augmented(wp, 0.0)
     try:

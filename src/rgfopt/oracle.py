@@ -435,7 +435,9 @@ def gradient_free_oracle(stream: ObjectiveStream, cfg: OracleConfig,
     xi = sample_direction(cfg, agent, t)
     if dim == 1:
         xi0 = xi.item()
-        f_shift = stream.evaluate(agent, t, np.array([x.item() + mu * xi0]))
+        shifted = np.empty(1)
+        shifted[0] = x.item() + mu * xi0
+        f_shift = stream.evaluate(agent, t, shifted)
     else:
         f_shift = stream.evaluate(agent, t, x + mu * xi)
     f_base = stream.evaluate(agent, t, x)

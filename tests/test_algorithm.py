@@ -269,6 +269,26 @@ class TestRound:
             _round(arrays["x"], arrays["y"], wp, delta, 1.0, stream, cfg, 0, feasible)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 200), p=st.integers(1, 12), axis=st.sampled_from([1, 0]),
+           density=st.floats(0.0, 1.0), equal=st.booleans(), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 1e-310, 1e-320, 1e200]),
+           specials=st.lists(st.tuples(st.integers(0, 2400), st.sampled_from(
+               [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.5e-310, 1e200, -1e200])), max_size=30))
+    def test_dot_mixing_has_the_bytes_of_matmul(self, n, p, axis, density, equal, seed, scale,
+                                                specials):
+        # the round mixes with W_r.dot(x) and W_c.dot(y); a numpy or BLAS
+        # upgrade that routes them apart from `@` would change pinned bytes
+        rng = np.random.default_rng(seed)
+        w = np.where(rng.random((n, n)) < density, 1.0 if equal else rng.random((n, n)), 0.0)
+        np.fill_diagonal(w, 1.0)
+        w /= w.sum(axis=axis, keepdims=True)  # row-stochastic at axis 1, column- at 0
+        x = rng.standard_normal((n, p)) * scale
+        for k, value in specials:
+            x.flat[k % x.size] = value
+        assert w.dot(x).tobytes() == (w @ x).tobytes()
+
+
 class TestThetaResidual:
     def test_interior_step_equals_oracle_term(self):
         # no clipping inside a huge box: theta = -gamma * g exactly

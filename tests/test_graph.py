@@ -235,6 +235,15 @@ class TestAugmented:
             build_augmented(wp, -0.01)
 
 
+# (n, extra_edge_prob, seed) among N = 60..109, p in {0.02, 0.05}, seeds 1-2
+# whose trace bound on |s3| makes delta_hat underflow below N = 110
+_SPARSE_SHORTCUT_GRAPHS = [
+    (105, 0.02, 1), (106, 0.02, 1), (106, 0.02, 2), (107, 0.02, 1), (107, 0.02, 2),
+    (108, 0.02, 1), (108, 0.02, 2), (108, 0.05, 1), (108, 0.05, 2), (109, 0.02, 1),
+    (109, 0.02, 2), (109, 0.05, 1), (109, 0.05, 2),
+]
+
+
 class TestDeltaHat:
     def test_in_unit_interval(self):
         for g in [make_cycle(5), make_ring(6), make_random_strongly_connected(10, 0.3, seed=7)]:
@@ -263,12 +272,21 @@ class TestDeltaHat:
         dh10 = delta_hat(equal_neighbor_weights(make_cycle(10)))
         assert dh10 < dh5 < 1.0
 
-    @pytest.mark.parametrize("n", [110, 113, 114, 121, 200])
-    @pytest.mark.parametrize("kind", ["ring", "cycle", "random"])
+    @pytest.mark.parametrize("kind, n", [(kind, n) for kind in ("ring", "cycle", "random")
+                                         for n in (99, 100, 105, 109, 110, 113, 114, 121, 200)
+                                         if kind != "random" or n >= 110])
     def test_underflow_shortcut_equals_eigvals_route(self, kind, n):
         g = {"ring": make_ring, "cycle": make_cycle,
              "random": lambda n: make_random_strongly_connected(n, 0.3, seed=n)}[kind](n)
-        wp = equal_neighbor_weights(g)
+        self._assert_eigvals_route_bytes(equal_neighbor_weights(g))
+
+    @pytest.mark.parametrize("n, p, seed", _SPARSE_SHORTCUT_GRAPHS)
+    def test_underflow_shortcut_equals_eigvals_route_on_sparse_graphs(self, n, p, seed):
+        self._assert_eigvals_route_bytes(equal_neighbor_weights(make_random_strongly_connected(n, p, seed)))
+
+    @staticmethod
+    def _assert_eigvals_route_bytes(wp):
+        n = wp.n_agents
         moduli = np.sort(np.abs(np.linalg.eigvals(build_augmented(wp, 0.0).w_aug)))[::-1]
         # a base below zero would give -0.0 at odd N, so the shortcut needs |s3| <= 1
         assert 0.0 <= moduli[2] <= 1.0
@@ -279,10 +297,13 @@ class TestDeltaHat:
         def no_eigvals(a):
             raise AssertionError("eigvals called")
         monkeypatch.setattr(graph.np.linalg, "eigvals", no_eigvals)
-        for n in (110, 111, 150):
-            assert delta_hat(equal_neighbor_weights(make_ring(n))) == 0.0
-        with pytest.raises(AssertionError, match="eigvals called"):
-            delta_hat(equal_neighbor_weights(make_ring(109)))
+        skipped = ([make_ring(n) for n in (99, 100, 109, 110)] + [make_cycle(101)]
+                   + [make_random_strongly_connected(*case) for case in _SPARSE_SHORTCUT_GRAPHS])
+        for g in skipped:
+            assert delta_hat(equal_neighbor_weights(g)) == 0.0
+        for g in (make_ring(98), make_cycle(100)):
+            with pytest.raises(AssertionError, match="eigvals called"):
+                delta_hat(equal_neighbor_weights(g))
 
     def test_formula_monotone_in_n_for_fixed_sigma3(self):
         sigma3 = 0.5
