@@ -38,7 +38,7 @@ class _ParseError(Exception):
 _FAILURES = (
     (_ParseError, "config", EXIT_PARSE),
     ((ConfigError, GraphError), "validation", EXIT_VALIDATION),
-    ((SimulationError, OracleError, OSError), "runtime", EXIT_RUNTIME),
+    ((SimulationError, OracleError, OSError, MemoryError), "runtime", EXIT_RUNTIME),
 )
 
 

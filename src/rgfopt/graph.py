@@ -245,22 +245,25 @@ def matrix_power_gap_series(am: AugmentedMatrix, t_max: int) -> np.ndarray:
 
     Reuses two 2N x 2N buffers allocated once per call: W^t is written into
     one, and its elementwise gap |W^t - limit| into the other, which held
-    W^(t-1) and is spent.  The limit is 1/N on the top N rows and 0 below,
-    so the bottom gap is |W^t| (`x - 0.0` differs from `x` only in the sign
-    of -0.0, which `abs` erases).  Each value has the same bits as a fresh
-    `p = p @ w_aug; np.abs(p - limit).sum(axis=1).max()` per power.
+    W^(t-1) and is spent.  The first power is a copy of W itself: I @ W
+    has W's bits for a finite W, so the product is skipped.  The limit is
+    1/N on the top N rows and 0 below, so the bottom gap is |W^t| (`x - 0.0`
+    differs from `x` only in the sign of -0.0, which `abs` erases).  Each
+    value has the same bits as a fresh `p = p @ w_aug; np.abs(p -
+    limit).sum(axis=1).max()` per power, starting from the identity.
     """
     if t_max < 1:
         raise GraphError(f"t_max must be >= 1, got {t_max}")
     n = am.n_agents
     out = np.empty(t_max)
     row_sums = np.empty(2 * n)
-    a, b = np.eye(2 * n), np.empty((2 * n, 2 * n))
+    a, b = np.empty((2 * n, 2 * n)), am.w_aug.copy()
     # (W^(t-1), W^t and its halves, gap halves over W^(t-1)); the roles alternate
     turns = [(p, q, q[:n], q[n:], p[:n], p[n:]) for p, q in ((a, b), (b, a))]
     for t in range(t_max):
         p, q, q_top, q_bot, gap_top, gap_bot = turns[t % 2]
-        np.matmul(p, am.w_aug, out=q)
+        if t:
+            np.matmul(p, am.w_aug, out=q)
         np.subtract(q_top, 1.0 / n, out=gap_top)
         np.abs(gap_top, out=gap_top)
         np.abs(q_bot, out=gap_bot)

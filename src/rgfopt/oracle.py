@@ -69,8 +69,11 @@ class ObjectiveStream:
 
     `evaluate(agent, t, x)` must be side-effect-free and convex in x for
     every agent and time (contract, enforced by construction for the built-in
-    streams).  No gradient is ever exposed.  `subgradient_bound(rho)`, when
-    given, bounds every agent's subgradient norm over points of norm <= rho.
+    streams).  No gradient is ever exposed.  The point passed to `evaluate`
+    is valid only during the call: at dim 1 the estimator writes its
+    estimate into the shifted point's array, so a stream that keeps a point
+    must copy it.  `subgradient_bound(rho)`, when given, bounds every
+    agent's subgradient norm over points of norm <= rho.
 
     The optional hook `aggregate_evaluate(t, X)` speeds up batch work
     without changing semantics: it returns the summed-over-agents cost at
@@ -433,23 +436,25 @@ def gradient_free_oracle(stream: ObjectiveStream, cfg: OracleConfig,
                          f"expected ({dim},) for dim {dim}")
     mu = cfg.mu.item(agent)
     xi = sample_direction(cfg, agent, t)
+    # sample_direction returns a fresh array: at dim 1 it holds the shifted
+    # point while it is evaluated, and the estimate after
     if dim == 1:
         xi0 = xi.item()
-        shifted = np.empty(1)
-        shifted[0] = x.item() + mu * xi0
-        f_shift = stream.evaluate(agent, t, shifted)
+        xi[0] = x.item() + mu * xi0
+        f_shift = stream.evaluate(agent, t, xi)
     else:
         f_shift = stream.evaluate(agent, t, x + mu * xi)
     f_base = stream.evaluate(agent, t, x)
-    if not (math.isfinite(f_shift) and math.isfinite(f_base)):
+    diff = f_shift - f_base
+    # a difference is finite only if both values are
+    if not math.isfinite(diff) and not (math.isfinite(f_shift) and math.isfinite(f_base)):
         raise OracleError(
             f"non-finite objective value for agent {agent} at t={t}: "
             f"f(x+mu*xi)={f_shift!r}, f(x)={f_base!r}")
-    # sample_direction returns a fresh array, so it is scaled in place
     if dim == 1:
-        xi[0] = xi0 * ((f_shift - f_base) / mu)
+        xi[0] = xi0 * (diff / mu)
     else:
-        xi *= (f_shift - f_base) / mu
+        xi *= diff / mu
     return xi
 
 
@@ -499,7 +504,9 @@ def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> 
     c *= n_agents / c.sum()
     for arr in (a, b, c):
         arr.flags.writeable = False
-    a_py, b_py, c_py = tuple(a.tolist()), tuple(b.tolist()), tuple(c.tolist())
+    # per agent (a_i, 2 b_i, c_i p): the leading products of the formula's
+    # left-to-right terms, so holding them keeps every bit
+    coeffs = tuple(zip(a.tolist(), (2.0 * b).tolist(), (c * dim).tolist()))
 
     def subgradient_bound(rho: float) -> float:
         # ||2 a_i x - 2 b_i d 1|| <= 2 a_i rho + 2 b_i |d| sqrt(p), |d| <= 0.016
@@ -514,17 +521,17 @@ def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> 
         if s != t:
             d = tracking_target(t)
             last[0] = (t, d)
+        a_i, b2_i, cp_i = coeffs[agent]
         if dim == 1:
             # the bits of the p >= 2 formula: a one-element dot is the rounded
             # product and a one-element np.add.reduce is the element itself; at
             # p >= 2 numpy's dot uses fused multiply-adds that floats cannot redo
             v = np.asarray(x, dtype=float).item()
-            return a_py[agent] * v * v - 2.0 * b_py[agent] * d * v + c_py[agent] * dim * d * d
+            return a_i * v * v - b2_i * d * v + cp_i * d * d
         # (a_i x).x - 2 b_i d sum(x) + c_i p d^2 in this operation order, on
         # Python floats; np.add.reduce is what x.sum() runs, .dot what `@` runs
         x = np.asarray(x, dtype=float)
-        return (float((a_py[agent] * x).dot(x)) - 2.0 * b_py[agent] * d * float(np.add.reduce(x))
-                + c_py[agent] * dim * d * d)
+        return float((a_i * x).dot(x)) - b2_i * d * float(np.add.reduce(x)) + cp_i * d * d
 
     def aggregate_evaluate(t, points: np.ndarray) -> np.ndarray:
         # d by math.sin once per distinct time; np.sin may differ in the last bit

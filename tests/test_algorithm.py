@@ -517,11 +517,23 @@ class TestPrefetchedRun:
         assert all(drawn[k].tobytes() == scalar[k].tobytes() for k in keys)
 
 
-def _round_loop(config):
-    """run()'s set-up followed by one direct call of its round function per
-    step.  Both advance through `_advance`, so comparing them checks run()'s
-    own bookkeeping: history rows, the scratch row of unrecorded estimates and
-    the step sizes.  Returns the stacked x, y, g, theta and gamma."""
+def _written_out_round(x, y, wp, delta, gamma_t, stream, cfg, t, feasible):
+    """The round law written out without `_advance`, on new arrays at every
+    step.  Returns what `_round` returns."""
+    g = np.stack([gradient_free_oracle(stream, cfg, i, t, x_i) for i, x_i in enumerate(x)])
+    mixed = wp.w_row @ x
+    delta_y = delta * y
+    x_new = feasible.project(mixed + delta_y - gamma_t * g)
+    y_new = wp.w_col @ y - mixed + x - delta_y
+    return x_new, y_new, g, (x_new - mixed) - delta_y
+
+
+def _round_loop(config, step=_round):
+    """run()'s set-up followed by one direct call of a round function per
+    step.  With `_round`, both advance through `_advance`, so comparing them
+    checks run()'s own bookkeeping: history rows, the scratch row of
+    unrecorded estimates and the step sizes.  Returns the stacked x, y, g,
+    theta and gamma."""
     n, p = config.n_agents, config.dim
     wp = equal_neighbor_weights(algorithm.make_graph(config.graph_kind, n, config.graph_seed,
                                                      config.extra_edge_prob))
@@ -535,7 +547,7 @@ def _round_loop(config):
     xs, ys, gs, thetas, gammas = [x], [y], [], [], []
     for t in range(config.horizon):
         gammas.append(config.step_size(t))
-        x, y, g, theta = _round(x, y, wp, config.delta, gammas[-1], stream, cfg, t, feasible)
+        x, y, g, theta = step(x, y, wp, config.delta, gammas[-1], stream, cfg, t, feasible)
         xs.append(x)
         ys.append(y)
         gs.append(g)
@@ -555,6 +567,20 @@ LOOP_CONFIGS = {
 }
 
 
+# run() against the round law written out: a ring of 200 agents, a dim-3
+# box, a dim-2 ball and sphere directions
+WRITTEN_OUT_CONFIGS = {
+    "ring200": RunConfig(n_agents=200, graph_kind="ring", horizon=25, master_seed=1,
+                         check_delta_bound=False),
+    "box_dim3": RunConfig(dim=3, feasible_lo=-1.0, feasible_hi=0.5, horizon=80, master_seed=4,
+                          check_delta_bound=False),
+    "ball_dim2": RunConfig(dim=2, feasible_kind="ball", ball_radius=0.8, horizon=80,
+                           master_seed=6, check_delta_bound=False),
+    "sphere": RunConfig(n_agents=7, dim=4, direction_law="uniform_sphere", horizon=80,
+                        master_seed=8, check_delta_bound=False),
+}
+
+
 class TestPlainArrayLoop:
     @pytest.mark.parametrize("name", sorted(LOOP_CONFIGS))
     def test_run_keeps_the_rows_of_a_round_loop(self, name):
@@ -569,6 +595,44 @@ class TestPlainArrayLoop:
         if trace.theta is not None:
             assert trace.theta.tobytes() == ref["theta"].tobytes()
             assert trace.g_norm.tobytes() == np.linalg.norm(ref["g"], axis=2).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(WRITTEN_OUT_CONFIGS))
+    def test_run_equals_the_round_law_written_out(self, name):
+        config = WRITTEN_OUT_CONFIGS[name]
+        trace, ref = r.run(config), _round_loop(config, step=_written_out_round)
+        n, p = config.n_agents, config.dim
+        stream = r.make_stream(config.stream_name, n, p, config.master_seed)
+        ts = np.repeat(np.arange(config.horizon + 1), n)
+        cost = stream.aggregate_cost(ts, ref["x"].reshape(-1, p)).reshape(-1, n)
+        assert trace.x.tobytes() == ref["x"].tobytes()
+        assert trace.y.tobytes() == ref["y"].tobytes()
+        assert trace.g_norm.tobytes() == np.linalg.norm(ref["g"], axis=2).tobytes()
+        assert trace.theta.tobytes() == ref["theta"].tobytes()
+        assert trace.cost.tobytes() == cost.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_estimates_never_alias_the_state(self, dim):
+        n = 6
+        stream = r.make_stream("paper_quadratic", n, dim, 2)
+        cfg = OracleConfig.uniform(n, 0.1, dim, rng_seed=2)
+        x = np.random.default_rng(5).uniform(-1.0, 1.0, (n, dim))
+        before = x.tobytes()
+        for t in range(3):
+            for i, x_i in enumerate(list(x)):
+                g = gradient_free_oracle(stream, cfg, i, t, x_i)
+                assert not np.shares_memory(g, x)
+                g[...] = 123.0
+                assert x.tobytes() == before
+                # nor the block that served the direction
+                assert sample_direction(cfg, i, t).tobytes() != g.tobytes()
+        y, g, theta = np.zeros((n, dim)), np.empty((n, dim)), np.empty((n, dim))
+        wp = equal_neighbor_weights(make_cycle(n))
+        x_new, _ = algorithm._advance(x, y, wp, 0.05, 0.5, stream, cfg, 0,
+                                      Box(-5.0, 5.0, dim), g, theta)
+        after = x_new.tobytes()
+        g[...] = theta[...] = 123.0
+        assert x.tobytes() == before
+        assert x_new.tobytes() == after != before
 
     @pytest.mark.parametrize("kind", ["inv_sqrt", "constant"])
     def test_gamma_has_the_bits_of_the_scalar_schedule(self, kind):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from rgfopt import cli
 from rgfopt.algorithm import GRAPH_KINDS, ConfigError, RunConfig
 from rgfopt.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 
@@ -71,6 +72,23 @@ class TestRunCommand:
         code = main(["run", "--config", str(cfg), "--out", str(blocker)])
         assert code == EXIT_RUNTIME
         assert json.loads(capsys.readouterr().err)["error"] == "runtime"
+
+    def test_memory_error_exits_runtime_with_one_json_line(self, tmp_path, capsys, monkeypatch):
+        # numpy's _ArrayMemoryError subclasses MemoryError; a stub stands in
+        # for an oversized allocation, which is never made here
+        def oversized(config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                              "(1000000000001, 10, 1) and data type float64")
+        monkeypatch.setattr(cli, "run", oversized)
+        cfg = write_config(tmp_path / "c.json")
+        code = main(["run", "--config", str(cfg), "--set", "horizon=1000000000000",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_RUNTIME
+        lines = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"error": "runtime", "message": "Unable to allocate 7.28 TiB for an array with shape "
+                                            "(1000000000001, 10, 1) and data type float64"}]
+        assert not (tmp_path / "o").exists()
 
     def test_set_override_applies_after_parse(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", horizon=99)

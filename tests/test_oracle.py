@@ -360,6 +360,31 @@ class TestGradientFreeOracle:
         shifted = x + 0.1 * sample_direction(cfg, 1, 3)
         assert [c[2] for c in calls] == [shifted.tobytes(), x.tobytes()]
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_a_kept_point_is_valid_only_during_the_call(self, dim):
+        # evaluate's point may be reused after the call: at dim 1 the shifted
+        # point's array becomes the estimate, so only a copy keeps the point
+        kept, copied = [], []
+
+        def keeping_eval(agent, t, x):
+            kept.append(x)
+            copied.append(x.copy())
+            return float(np.sum(x))
+
+        stream = ObjectiveStream(n_agents=2, dim=dim, evaluate=keeping_eval)
+        cfg = OracleConfig.uniform(2, 0.1, dim, rng_seed=1)
+        x = np.linspace(-0.5, 0.5, dim)
+        g = gradient_free_oracle(stream, cfg, 1, 3, x)
+        shifted = x + 0.1 * sample_direction(cfg, 1, 3)
+        assert [c.tobytes() for c in copied] == [shifted.tobytes(), x.tobytes()]
+        assert kept[1] is x
+        if dim == 1:
+            assert kept[0] is g
+            assert kept[0].tobytes() != shifted.tobytes()
+        else:
+            assert not np.shares_memory(kept[0], g)
+            assert kept[0].tobytes() == shifted.tobytes()
+
     @pytest.mark.parametrize("dim, shape", [(1, (3,)), (1, ()), (1, (1, 1)), (3, (1,)), (3, (3, 1))])
     def test_a_point_of_the_wrong_shape_is_rejected_before_drawing(self, monkeypatch, dim, shape):
         # a dim-1 direction would broadcast across a longer x and return a
