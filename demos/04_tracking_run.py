@@ -10,8 +10,8 @@ import warnings
 
 import numpy as np
 
-from rgfopt import RunConfig, build_regret_ledger, consensus_curve, make_stream, run, \
-    theta_over_gamma, tracking_target
+from rgfopt import RunConfig, build_regret_ledger, consensus_curve, run, theta_over_gamma, \
+    tracking_target
 
 config = RunConfig(horizon=1500, master_seed=0)
 with warnings.catch_warnings():
@@ -30,8 +30,7 @@ for t in (0, 10, 100, 500, 1500):
     err = np.abs(trace.x[t, :, 0] - d).max()
     print(f"t={t:>5}  spread={trace.spread[t]:.2e}  max |x - d(t)| = {err:.2e}")
 
-stream = make_stream("paper_quadratic", 10, 1, config.master_seed)
-ledger = build_regret_ledger(trace, stream)
+ledger = build_regret_ledger(trace)
 print("\n=== regret ===")
 print("minimizer path length over the horizon:", round(ledger.path_length_value, 5))
 for t in (100, 500, 1500):

@@ -136,17 +136,11 @@ class Ball:
         return float(np.linalg.norm(self.center) + self.ball_radius)
 
     def sample_uniform(self, rng: np.random.Generator, shape) -> np.ndarray:
-        # rejection from the bounding box; deterministic for a given rng
-        rows = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0] if len(shape) == 1 else 1
-        out = np.empty((rows, self.dim))
-        filled = 0
-        while filled < rows:
-            cand = rng.uniform(-self.ball_radius, self.ball_radius, (rows, self.dim))
-            keep = np.linalg.norm(cand, axis=1) <= self.ball_radius
-            take = cand[keep][: rows - filled]
-            out[filled:filled + take.shape[0]] = self.center + take
-            filled += take.shape[0]
-        return out.reshape(shape)
+        # a uniform direction (a normalized Gaussian row) times a radius
+        # r U^(1/p), whose distribution gives the p-ball uniform volume
+        xi = rng.standard_normal(shape)
+        radii = self.ball_radius * rng.uniform(size=(*shape[:-1], 1)) ** (1.0 / self.dim)
+        return self.center + xi / np.linalg.norm(xi, axis=-1, keepdims=True) * radii
 
 
 def _advance(x: np.ndarray, y: np.ndarray, wp: WeightPair, delta: float, gamma_t: float,
@@ -256,6 +250,9 @@ class RunConfig:
         if self.schedule_kind not in ("inv_sqrt", "constant"):
             raise ConfigError(f"unknown schedule kind {self.schedule_kind!r}")
         self.feasible_set()
+        if self.feasible_kind == "box" and math.isinf(self.feasible_hi - self.feasible_lo):
+            raise ConfigError(f"box [{self.feasible_lo}, {self.feasible_hi}] is too wide: "
+                              f"feasible_hi - feasible_lo overflows")
         if self.direction_law not in DIRECTION_LAWS:
             raise ConfigError(f"direction_law must be {' or '.join(map(repr, DIRECTION_LAWS))}, "
                               f"got {self.direction_law!r}")
@@ -338,6 +335,7 @@ class Trace:
     cost: np.ndarray                   # (T+1, N) summed cost at each agent's decision
     spread: np.ndarray                 # (T+1,) max_i ||x^i - mean x||
     gamma: np.ndarray                  # (T,)
+    stream: ObjectiveStream            # the stream the run played on
     x_star: np.ndarray | None = None   # (T+1, p)
     y: np.ndarray | None = None        # (T+1, N, p)
     g_norm: np.ndarray | None = None   # (T, N)
@@ -498,7 +496,7 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     g_norm = np.linalg.norm(g_hist, axis=2) if g_hist is not None else None
     spread = np.linalg.norm(x_hist - x_hist.mean(axis=1, keepdims=True), axis=2).max(axis=1)
     return Trace(
-        config=config, x=x_hist, cost=cost, spread=spread, gamma=gamma_hist,
+        config=config, x=x_hist, cost=cost, spread=spread, gamma=gamma_hist, stream=stream,
         x_star=x_star, y=y_hist, g_norm=g_norm, theta=theta_hist,
         graph_edges=sorted(g.edges), delta_hat_value=dh,
         lambda_fit=lam_fit, c_fit=c_fit, warnings=run_warnings,

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithm import Trace, gain_fit
-from .graph import WeightPair, delta_hat
-from .oracle import ObjectiveStream
+from .algorithm import Trace, gain_fit, make_graph
+from .graph import WeightPair, delta_hat, equal_neighbor_weights
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-9  # final bracket width of the numeric minimizer fallback
@@ -46,14 +45,12 @@ class RegretLedger:
         return self.regret_curve[t] / t
 
 
-def _minimizer_sequence(trace: Trace, stream: ObjectiveStream) -> tuple[np.ndarray, str]:
+def _minimizer_sequence(trace: Trace) -> tuple[np.ndarray, str]:
+    """The comparator of the ledger and of the bound's path term: the
+    minimizers run() recorded, else a numeric search over the box."""
     if trace.x_star is not None:
         return trace.x_star, "analytic"
-    if stream.analytic_minimizer is not None:
-        t_end = trace.horizon
-        out = np.stack([stream.analytic_minimizer(t) for t in range(t_end + 1)])
-        return out, "analytic"
-    if stream.dim != 1:
+    if trace.stream.dim != 1:
         raise ValueError("numeric minimizer fallback is implemented for 1-D streams only")
     cfg = trace.config
     if cfg.feasible_kind != "box":
@@ -65,7 +62,7 @@ def _minimizer_sequence(trace: Trace, stream: ObjectiveStream) -> tuple[np.ndarr
     ts = np.tile(np.arange(a.size), 2)
     for _ in range(max(0, math.ceil(math.log(_GOLDEN_TOL / (hi - lo), _INV_PHI)))):
         c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-        f = stream.aggregate_cost(ts, np.concatenate([c, d])[:, None])
+        f = trace.stream.aggregate_cost(ts, np.concatenate([c, d])[:, None])
         if not np.isfinite(f).all():
             t = int(ts[~np.isfinite(f)].min())
             raise RuntimeError(f"offline minimization failed at t={t}: non-finite cost")
@@ -74,19 +71,20 @@ def _minimizer_sequence(trace: Trace, stream: ObjectiveStream) -> tuple[np.ndarr
     return ((a + b) / 2)[:, None], "numeric"
 
 
-def build_regret_ledger(trace: Trace, stream: ObjectiveStream) -> RegretLedger:
+def build_regret_ledger(trace: Trace) -> RegretLedger:
     """Dynamic regret R_i(t) of every agent against the per-step offline optimum.
 
+    The costs are those of `trace.stream`, the stream the run played on.
     The optimum is taken over the run's feasible set, so a minimizer
     sequence that leaves that set raises ValueError naming the first such t.
     """
-    minimizers, source = _minimizer_sequence(trace, stream)
+    minimizers, source = _minimizer_sequence(trace)
     feasible = trace.config.feasible_set()
     if not feasible.contains(minimizers):
         t = next(t for t, m in enumerate(minimizers) if not feasible.contains(m))
         raise ValueError(f"the {source} minimizer at t={t}, {minimizers[t].tolist()}, lies "
                          f"outside the feasible set; the regret ledger needs the minimum over it")
-    offline_per_t = stream.aggregate_cost(np.arange(trace.horizon + 1), minimizers)
+    offline_per_t = trace.stream.aggregate_cost(np.arange(trace.horizon + 1), minimizers)
     inst_gap = trace.cost - offline_per_t[:, None]          # (T+1, N)
     regret_curve = np.cumsum(inst_gap, axis=0)
     return RegretLedger(
@@ -259,14 +257,16 @@ def theta_over_gamma(trace: Trace) -> np.ndarray:
     return big_theta / trace.gamma
 
 
-def fit_constants_from_trace(trace: Trace, wp: WeightPair,
-                             stream: ObjectiveStream | None = None) -> BoundInputs:
+def fit_constants_from_trace(trace: Trace) -> BoundInputs:
     """Assemble bound inputs from a recorded run: spectral fit at the run's
-    gain plus measured residual ceilings.  The subgradient bound comes from
-    the stream when it declares one, evaluated at the radius of the
-    configured feasible set, else from the largest observed oracle norm (a
-    valid empirical proxy)."""
+    gain on the weights its config builds, plus measured residual ceilings.
+    The subgradient bound comes from `trace.stream` when it declares one,
+    evaluated at the radius of the configured feasible set, else from the
+    largest observed oracle norm (a valid empirical proxy).  The path length
+    is that of the regret ledger's comparator."""
     cfg = trace.config
+    wp = equal_neighbor_weights(make_graph(cfg.graph_kind, cfg.n_agents, cfg.graph_seed,
+                                           cfg.extra_edge_prob))
     _, c_fit, lam_fit, _ = gain_fit(wp, cfg.delta, 200)
     lam_fit = min(lam_fit, 1.0 - 1e-9)
     ratio = theta_over_gamma(trace)
@@ -275,9 +275,8 @@ def fit_constants_from_trace(trace: Trace, wp: WeightPair,
     big_theta = np.linalg.norm(trace.theta, axis=2).sum(axis=1)
     g3 = float((g_sum * big_theta / trace.gamma).max())
     rho = cfg.feasible_set().radius
-    d_bound = 0.0
-    if stream is not None and stream.subgradient_bound is not None:
-        d_bound = float(stream.subgradient_bound(rho))
+    bound = trace.stream.subgradient_bound
+    d_bound = float(bound(rho)) if bound is not None else 0.0
     if not d_bound:
         if trace.g_norm is None:
             raise ValueError("no subgradient bound available and no oracle norms recorded")
@@ -288,6 +287,6 @@ def fit_constants_from_trace(trace: Trace, wp: WeightPair,
         mu_hat=cfg.mu_hat, gamma0=cfg.gamma0,
         lambda_fit=lam_fit, c_fit=c_fit, g1_fit=g1,
         horizon=trace.horizon,
-        path_length_value=path_length(trace.x_star) if trace.x_star is not None else 0.0,
+        path_length_value=path_length(_minimizer_sequence(trace)[0]),
         g2_fit=float((ratio ** 2).max()), g3_fit=g3,
     )

@@ -37,7 +37,6 @@ from .oracle import (
     ObjectiveStream,
     OracleConfig,
     gradient_free_oracle,
-    make_stream,
     norm_stream,
     smoothed_value_mc_stats,
 )
@@ -85,8 +84,7 @@ def experiment_fig2_3(seed: int = 0, horizon: int = 5000, out_dir=None) -> Track
     config = RunConfig(horizon=horizon, master_seed=seed)
     trace = run(config)
     directory = _out_dir("fig2_3", out_dir)
-    stream = make_stream(config.stream_name, config.n_agents, config.dim, config.master_seed)
-    ledger = build_regret_ledger(trace, stream)
+    ledger = build_regret_ledger(trace)
     spread_aug = consensus_curve(trace)
 
     paths = {}
@@ -148,8 +146,7 @@ def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int
     mean_curves, finals, traces = {}, {}, {}
     for n, config in zip(agent_counts, configs):
         trace = run(config)
-        stream = make_stream(config.stream_name, n, config.dim, config.master_seed)
-        ledger = build_regret_ledger(trace, stream)
+        ledger = build_regret_ledger(trace)
         t_axis = np.arange(1, horizon + 1)
         curve = ledger.regret_curve[1:].mean(axis=1) / t_axis
         mean_curves[n] = curve

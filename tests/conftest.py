@@ -1,4 +1,9 @@
+import ctypes
+import dataclasses
+import glob
+import os
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,13 +25,8 @@ def sv_trace():
 
 
 @pytest.fixture(scope="session")
-def sv_stream():
-    return r.make_stream("paper_quadratic", 10, 1, SV_SEED)
-
-
-@pytest.fixture(scope="session")
-def sv_ledger(sv_trace, sv_stream):
-    return r.build_regret_ledger(sv_trace, sv_stream)
+def sv_ledger(sv_trace):
+    return r.build_regret_ledger(sv_trace)
 
 
 def reference_direction(seed, agent, t, dim, law):
@@ -44,6 +44,64 @@ def scalar_direction_blocks(monkeypatch):
         return np.array([reference_direction(seed, k % n_agents, t0 + k // n_agents, dim, law)
                          for k in range((t1 - t0) * n_agents)])
     return lambda: monkeypatch.setattr(oracle, "_direction_block", block)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """A function `install(module, stream)` that counts calls of the
+    estimator as `module` resolves it, of `oracle.sample_direction` and of
+    the returned copy of `stream`'s `evaluate`.  Direction and evaluation
+    calls made outside an estimator call count as strays.  Each install
+    starts the counts from zero and wraps a module's estimator only once,
+    so one test can count many runs."""
+    counts = Counter()
+    depth = [0]
+    patched = set()
+    direction = oracle.sample_direction
+
+    def counted_direction(*args, **kwargs):
+        counts["direction" if depth[0] == 1 else "stray"] += 1
+        return direction(*args, **kwargs)
+
+    def counted_estimator(estimator):
+        def call(*args, **kwargs):
+            counts["estimator"] += 1
+            depth[0] += 1
+            try:
+                return estimator(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return call
+
+    def install(module, stream):
+        if module not in patched:
+            patched.add(module)
+            monkeypatch.setattr(module, "gradient_free_oracle",
+                                counted_estimator(module.gradient_free_oracle))
+        counts.clear()
+
+        def counted_evaluate(*args, **kwargs):
+            counts["evaluate" if depth[0] == 1 else "stray"] += 1
+            return stream.evaluate(*args, **kwargs)
+        return counts, dataclasses.replace(stream, evaluate=counted_evaluate)
+
+    monkeypatch.setattr(oracle, "sample_direction", counted_direction)
+    return install
+
+
+def blas_kernel() -> str:
+    """The CPU kernel that numpy's bundled OpenBLAS picked when it loaded
+    (for example "SkylakeX" or "Haswell"), or "unknown" without that
+    library.  Kernels order their sums differently, so the pinned digests
+    hold for one kernel; a digest test names it when it fails."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def report_criterion(num: int, desc: str, passed: bool, detail: str = "") -> bool:

@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rgfopt as r
@@ -151,6 +152,22 @@ class TestProjection:
         rng = np.random.default_rng(2)
         pts = ball.sample_uniform(rng, (50, 2))
         assert ball.contains(pts)
+
+    @pytest.mark.parametrize("p", [1, 3, 12])
+    def test_ball_sampling_is_uniform_in_volume(self, p):
+        # half a p-ball's volume lies within r 2^(-1/p) of its centre, and
+        # its mean is the centre
+        ball = Ball(np.full(p, 0.5), 2.0)
+        offsets = ball.sample_uniform(np.random.default_rng(p), (4000, p)) - ball.center
+        assert ball.contains(offsets + ball.center)
+        inner = np.linalg.norm(offsets, axis=1) <= 2.0 * 2.0 ** (-1.0 / p)
+        assert abs(inner.mean() - 0.5) < 0.03
+        assert np.abs(offsets.mean(axis=0)).max() < 0.1
+
+    def test_high_dimensional_ball_run_finishes(self):
+        # a draw from the bounding cube lands in the 30-ball with probability 2e-14
+        trace = r.run(RunConfig(feasible_kind="ball", dim=30, horizon=2, check_delta_bound=False))
+        assert Ball(np.zeros(30), 5.0).contains(trace.x)
 
 
 def _schedule(kind, gamma0=1.0):
@@ -686,6 +703,110 @@ class TestPlainArrayLoop:
         assert r.run(RunConfig(gamma0=5e-324, horizon=3, check_delta_bound=False)).gamma[-1] > 0
 
 
+def _checked_written_out_round(x, y, wp, delta, gamma_t, stream, cfg, t, feasible):
+    """`_written_out_round`, failing as run() does when the new state is not finite."""
+    out = _written_out_round(x, y, wp, delta, gamma_t, stream, cfg, t, feasible)
+    if not (np.isfinite(out[0]).all() and np.isfinite(out[1]).all()):
+        raise SimulationError(f"non-finite state after step t={t}")
+    return out
+
+
+def _outcome(call):
+    """call()'s result, or the step t named by the SimulationError or
+    OracleError it raises."""
+    try:
+        return call()
+    except (SimulationError, oracle.OracleError) as exc:
+        return int(re.search(r"t=(\d+)", str(exc)).group(1))
+
+
+@st.composite
+def _round_configs(draw):
+    """Run configs over every graph kind and stream, dims 1-6, tight boxes
+    where the projection binds, loose boxes and small balls, both direction
+    laws and both schedules.  About one in ten has the gain 1e150 and at least
+    five steps: its surplus grows 1e150-fold per step and overflows by the
+    fourth, so run() and the reference must fail at the same step."""
+    feasible = draw(st.one_of(
+        st.builds(lambda lo, width: dict(feasible_lo=lo, feasible_hi=lo + width),
+                  st.floats(-1.0, 1.0), st.floats(1e-3, 0.5)),
+        st.builds(lambda lo, hi: dict(feasible_lo=lo, feasible_hi=hi),
+                  st.floats(-50.0, -5.0), st.floats(5.0, 50.0)),
+        st.builds(lambda radius: dict(feasible_kind="ball", ball_radius=radius),
+                  st.floats(1e-3, 1.0))))
+    diverges = draw(st.integers(0, 9)) == 9
+    return RunConfig(
+        n_agents=draw(st.integers(2, 30)), graph_kind=draw(st.sampled_from(sorted(algorithm.GRAPH_KINDS))),
+        graph_seed=draw(st.integers(0, 2**32 - 1)), extra_edge_prob=draw(st.floats(0.0, 1.0)),
+        dim=draw(st.integers(1, 6)), direction_law=draw(st.sampled_from(oracle.DIRECTION_LAWS)),
+        schedule_kind=draw(st.sampled_from(["inv_sqrt", "constant"])),
+        gamma0=draw(st.floats(1e-3, 5.0)), mu_hat=draw(st.floats(1e-6, 1.0)),
+        delta=1e150 if diverges else draw(st.floats(1e-3, 1.0)),
+        horizon=draw(st.integers(5 if diverges else 1, 30)), master_seed=draw(st.integers(0, 2**64)),
+        stream_name=draw(st.sampled_from(sorted(oracle.STREAM_REGISTRY))),
+        check_delta_bound=False, **feasible)
+
+
+class TestRoundProperties:
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(a=_round_configs(), b=_round_configs())
+    def test_run_is_the_round_law_and_keeps_its_invariants(self, counted, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            trace = _outcome(lambda: r.run(a))
+            ref = _outcome(lambda: _round_loop(a, step=_checked_written_out_round))
+            if isinstance(trace, int) or isinstance(ref, int):
+                assert trace == ref
+            else:
+                self._check_run(a, trace, ref, counted)
+            alone = [trace if isinstance(trace, int) else _trace_bytes(trace),
+                     _outcome(lambda: _trace_bytes(r.run(b)))]
+            assert self._interleaved(a, b) == alone
+
+    @staticmethod
+    def _check_run(config, trace, ref, counted):
+        n, p, t_end = config.n_agents, config.dim, config.horizon
+        stream = r.make_stream(config.stream_name, n, p, config.master_seed)
+        ts = np.repeat(np.arange(t_end + 1), n)
+        cost = stream.aggregate_cost(ts, ref["x"].reshape(-1, p)).reshape(-1, n)
+        assert [a.tobytes() for a in (trace.x, trace.y, trace.g_norm, trace.theta, trace.cost)] == \
+            [a.tobytes() for a in (ref["x"], ref["y"], np.linalg.norm(ref["g"], axis=2),
+                                   ref["theta"], cost)]
+        # criterion 9's identities, at its tolerance
+        stacked = trace.x.sum(axis=1) + trace.y.sum(axis=1)
+        drift = (stacked[1:] - stacked[:-1]) / n - trace.theta.sum(axis=1) / n
+        assert np.abs(drift).max() < 1e-10
+        bound = trace.gamma[:, None] * trace.g_norm \
+            + 2.0 * config.delta * np.linalg.norm(trace.y[:-1], axis=2)
+        assert (np.linalg.norm(trace.theta, axis=2) - bound).max() < 1e-10
+        counts, counting_stream = counted(algorithm, stream)
+        r.run(config, stream=counting_stream)
+        draws = n * t_end
+        assert counts == {"estimator": draws, "direction": draws, "evaluate": 2 * draws}
+
+    @staticmethod
+    def _interleaved(a, b):
+        """The outcomes of run(a) and run(b) on two threads that switch often."""
+        got = [None, None]
+
+        def run_config(i, config):
+            got[i] = _outcome(lambda: _trace_bytes(r.run(config)))
+
+        threads = [threading.Thread(target=run_config, args=(i, c)) for i, c in enumerate((a, b))]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        return got
+
+
 class TestConsensusContraction:
     def test_spread_decays_and_sits_below_theory_scale(self, sv_trace):
         trace = sv_trace
@@ -695,9 +816,7 @@ class TestConsensusContraction:
         # ceiling 10 * gamma(T) * G1_hat * C_hat / (1 - lambda) with constants
         # fitted from the run itself
         from rgfopt.analysis import fit_constants_from_trace
-        wp = equal_neighbor_weights(
-            r.make_random_strongly_connected(10, 0.3, seed=trace.config.graph_seed))
-        inputs = fit_constants_from_trace(trace, wp)
+        inputs = fit_constants_from_trace(trace)
         gamma_t = trace.gamma[-1]
         ceiling = 10.0 * gamma_t * inputs.g1_fit * max(inputs.c_fit, 1.0) / (1.0 - inputs.lambda_fit)
         assert spread[horizon] < ceiling

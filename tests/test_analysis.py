@@ -39,14 +39,14 @@ def synthetic_trace(stream, offsets, horizon):
     spread = np.linalg.norm(x - x.mean(axis=1, keepdims=True), axis=2).max(axis=1)
     config = RunConfig(n_agents=n, horizon=horizon, dim=stream.dim)
     return Trace(config=config, x=x, cost=cost, spread=spread,
-                 gamma=np.ones(horizon), x_star=minimizers)
+                 gamma=np.ones(horizon), stream=stream, x_star=minimizers)
 
 
 class TestDynamicRegret:
     def test_zero_when_playing_optimum(self):
         stream = paper_objective_stream(4, coeff_seed=1)
         trace = synthetic_trace(stream, np.zeros(4), horizon=60)
-        regret = build_regret_ledger(trace, stream).regret
+        regret = build_regret_ledger(trace).regret
         assert np.abs(regret).max() < 1e-9
 
     def test_constant_offset_closed_form(self):
@@ -56,7 +56,7 @@ class TestDynamicRegret:
         eps = 0.25
         horizon = 40
         trace = synthetic_trace(stream, np.full(5, eps), horizon)
-        regret = build_regret_ledger(trace, stream).regret
+        regret = build_regret_ledger(trace).regret
         expected = (horizon + 1) * 5 * eps ** 2
         assert np.allclose(regret, expected, rtol=1e-9)
 
@@ -64,12 +64,12 @@ class TestDynamicRegret:
         stream = paper_objective_stream(3, coeff_seed=3)
         rng = np.random.default_rng(0)
         trace = synthetic_trace(stream, rng.uniform(-1, 1, 3), horizon=50)
-        full = build_regret_ledger(trace, stream)
+        full = build_regret_ledger(trace)
         split = 20
         head = Trace(config=trace.config, x=trace.x[:split + 1], cost=trace.cost[:split + 1],
                      spread=trace.spread[:split + 1], gamma=trace.gamma[:split],
-                     x_star=trace.x_star[:split + 1])
-        head_ledger = build_regret_ledger(head, stream)
+                     stream=stream, x_star=trace.x_star[:split + 1])
+        head_ledger = build_regret_ledger(head)
         tail = full.regret - head_ledger.regret
         assert np.allclose(head_ledger.regret + tail, full.regret, rtol=1e-12)
         assert np.allclose(full.regret_curve[split], head_ledger.regret, rtol=1e-12)
@@ -77,14 +77,14 @@ class TestDynamicRegret:
     def test_numeric_fallback_matches_analytic(self):
         stream = paper_objective_stream(4, coeff_seed=4)
         trace = synthetic_trace(stream, np.full(4, 0.1), horizon=8)
-        analytic = build_regret_ledger(trace, stream).regret
+        analytic = build_regret_ledger(trace).regret
         # strip the analytic minimizer so the golden-section fallback engages
         blind = r.ObjectiveStream(
             n_agents=4, dim=1, evaluate=stream.evaluate,
             aggregate_evaluate=stream.aggregate_evaluate)
         blind_trace = Trace(config=trace.config, x=trace.x, cost=trace.cost,
-                            spread=trace.spread, gamma=trace.gamma, x_star=None)
-        ledger = build_regret_ledger(blind_trace, blind)
+                            spread=trace.spread, gamma=trace.gamma, stream=blind, x_star=None)
+        ledger = build_regret_ledger(blind_trace)
         assert ledger.minimizer_source == "numeric"
         assert np.allclose(ledger.regret, analytic, atol=1e-6)
 
@@ -96,10 +96,9 @@ class TestDynamicRegret:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             trace = r.run(config)
-        stream = r.make_stream("linear_probe", config.n_agents, 1, seed)
-        slope = stream.aggregate_cost(0, np.ones((1, 1)))[0]
+        slope = trace.stream.aggregate_cost(0, np.ones((1, 1)))[0]
         end = config.feasible_lo if slope > 0 else config.feasible_hi
-        minimizers, source = analysis._minimizer_sequence(trace, stream)
+        minimizers, source = analysis._minimizer_sequence(trace)
         assert source == "numeric" and minimizers.shape == (31, 1)
         assert np.abs(minimizers - end).max() <= 1e-8
 
@@ -109,9 +108,9 @@ class TestDynamicRegret:
         # the fallback reads only the feasible set and the horizon of the config
         config = RunConfig(n_agents=2, horizon=6)
         trace = Trace(config=config, x=np.zeros((7, 1, 1)), cost=np.zeros((7, 1)),
-                      spread=np.zeros(7), gamma=np.ones(6), x_star=None)
+                      spread=np.zeros(7), gamma=np.ones(6), stream=stream, x_star=None)
         with pytest.raises(RuntimeError, match="at t=4: non-finite cost"):
-            build_regret_ledger(trace, stream)
+            build_regret_ledger(trace)
 
     def test_runs_without_scipy(self):
         # scipy is a test-only dependency: the package, the numeric ledger
@@ -123,8 +122,7 @@ class TestDynamicRegret:
             from rgfopt import cli
             warnings.simplefilter("ignore", RuntimeWarning)
             config = r.RunConfig(horizon=20, stream_name="linear_probe")
-            stream = r.make_stream("linear_probe", config.n_agents, 1, 0)
-            print(r.build_regret_ledger(r.run(config), stream).minimizer_source)
+            print(r.build_regret_ledger(r.run(config)).minimizer_source)
             print(cli.main(["spectral"]))
         """)
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -139,9 +137,8 @@ class TestDynamicRegret:
         config = RunConfig(horizon=200, feasible_lo=1.0, feasible_hi=2.0)
         with pytest.warns(RuntimeWarning):
             trace = r.run(config)
-        stream = r.make_stream(config.stream_name, config.n_agents, config.dim, config.master_seed)
         with pytest.raises(ValueError, match=r"analytic minimizer at t=0, \[0\.016\]"):
-            build_regret_ledger(trace, stream)
+            build_regret_ledger(trace)
 
     @pytest.mark.parametrize("kind", ["box", "ball"])
     def test_first_infeasible_time_is_named(self, kind):
@@ -152,12 +149,12 @@ class TestDynamicRegret:
         trace.config = dataclasses.replace(trace.config, feasible_kind=kind, feasible_lo=0.0,
                                            ball_radius=0.01)
         with pytest.raises(ValueError, match=f"at t={393 if kind == 'box' else 0},"):
-            build_regret_ledger(trace, stream)
+            build_regret_ledger(trace)
 
     def test_default_box_gives_the_same_ledger(self):
         stream = paper_objective_stream(4, coeff_seed=7)
         trace = synthetic_trace(stream, np.linspace(-0.3, 0.4, 4), horizon=80)
-        ledger = build_regret_ledger(trace, stream)
+        ledger = build_regret_ledger(trace)
         offline = stream.aggregate_cost(np.arange(81), trace.x_star)
         curve = np.cumsum(trace.cost - offline[:, None], axis=0)
         assert ledger.regret_curve.tobytes() == curve.tobytes()
@@ -165,7 +162,7 @@ class TestDynamicRegret:
 
     def test_time_averaged_requires_positive_t(self):
         stream = paper_objective_stream(3, coeff_seed=5)
-        ledger = build_regret_ledger(synthetic_trace(stream, np.zeros(3), 10), stream)
+        ledger = build_regret_ledger(synthetic_trace(stream, np.zeros(3), 10))
         with pytest.raises(ValueError):
             ledger.time_averaged(0)
 
@@ -332,7 +329,7 @@ class TestSpectralReport:
         gaps, c, lam, r2 = fits[200]
         assert (row.c_fit, row.lambda_fit, row.r_squared) == (c, lam, r2)
         assert (row.gap_first, row.gap_last) == (gaps[0], gaps[-1])
-        inputs = fit_constants_from_trace(trace, wp)
+        inputs = fit_constants_from_trace(trace)
         assert (inputs.c_fit, inputs.lambda_fit) == (c, min(lam, 1.0 - 1e-9))
 
 
@@ -343,15 +340,27 @@ class TestFittedConstants:
         with pytest.raises(ValueError):
             theta_over_gamma(trace)
 
-    def test_constants_from_sv_run(self, sv_trace, sv_stream):
-        wp = equal_neighbor_weights(
-            make_random_strongly_connected(10, 0.3, seed=sv_trace.config.graph_seed))
-        inputs = fit_constants_from_trace(sv_trace, wp, sv_stream)
+    def test_constants_from_sv_run(self, sv_trace):
+        inputs = fit_constants_from_trace(sv_trace)
         assert 0.0 < inputs.lambda_fit < 1.0
         assert inputs.c_fit > 0.0
         assert inputs.g1_fit > 0.0
-        assert inputs.subgradient_bound == sv_stream.subgradient_bound(5.0)
+        assert inputs.subgradient_bound == sv_trace.stream.subgradient_bound(5.0)
         assert inputs.path_length_value > 0.0
+
+    def test_the_run_stream_drives_the_ledger_and_the_path_term(self):
+        # the stream hides its minimizer 0.01 t, so the ledger searches for
+        # it on the run's own stream, and the bound's path term reads the
+        # same sequence
+        stream = r.ObjectiveStream(
+            n_agents=10, dim=1, evaluate=lambda i, t, x: float((x[0] - 0.01 * t) ** 2),
+            aggregate_evaluate=lambda t, pts: 10.0 * (pts[:, 0] - 0.01 * np.asarray(t)) ** 2)
+        trace = r.run(RunConfig(horizon=30, check_delta_bound=False), stream=stream)
+        assert trace.stream is stream and trace.x_star is None
+        ledger = build_regret_ledger(trace)
+        assert ledger.minimizer_source == "numeric"
+        assert ledger.path_length_value == pytest.approx(0.3, abs=1e-7)
+        assert fit_constants_from_trace(trace).path_length_value == ledger.path_length_value
 
     def test_subgradient_bound_follows_the_feasible_set(self):
         # on the box [-50, 50] agents can sit where gradients reach ~140, so
@@ -359,10 +368,8 @@ class TestFittedConstants:
         config = RunConfig(horizon=30, master_seed=2, feasible_lo=-50.0, feasible_hi=50.0,
                            check_delta_bound=False)
         trace = r.run(config)
-        stream = r.make_stream("paper_quadratic", 10, 1, 2)
-        wp = equal_neighbor_weights(make_random_strongly_connected(10, 0.3, seed=7))
-        inputs = fit_constants_from_trace(trace, wp, stream)
-        a, b = np.array(stream.params["a"]), np.array(stream.params["b"])
+        inputs = fit_constants_from_trace(trace)
+        a, b = np.array(trace.stream.params["a"]), np.array(trace.stream.params["b"])
         steepest = float((2 * a * 50.0 + 2 * b * 0.016).max())
         assert inputs.rho == 50.0
         assert inputs.subgradient_bound >= steepest > 100.0

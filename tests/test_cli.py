@@ -1,18 +1,26 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgfopt import cli
 from rgfopt.algorithm import GRAPH_KINDS, ConfigError, RunConfig
 from rgfopt.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
+from rgfopt.oracle import DIRECTION_LAWS, STREAM_REGISTRY
+
+from conftest import blas_kernel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -279,7 +287,8 @@ class TestSpectralCommand:
                      "--delta-grid", "0.1,-1"]) == EXIT_OK
         out = capsys.readouterr().out.encode()
         assert hashlib.sha256(out).hexdigest() == \
-            "e1399416288b28c9a220d7cee7ce2668f681fead1e3bcc8fe25f77f067ab5508"
+            "e1399416288b28c9a220d7cee7ce2668f681fead1e3bcc8fe25f77f067ab5508", \
+            f"pinned under SkylakeX, run under {blas_kernel()}"
 
     @pytest.mark.parametrize("graph, n, digest", [
         ("ring", "100", "bdd544d49f9ee1480aaa291e33ebe5a82907bb307834f3c6c5e902218093dc0a"),
@@ -288,7 +297,8 @@ class TestSpectralCommand:
     def test_default_grid_bytes_are_pinned_at_larger_n(self, capsys, graph, n, digest):
         # every fitted column comes from the 200-power gap series of a 2N x 2N matrix
         assert main(["spectral", "--graph", graph, "--n", n]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, \
+            f"pinned under SkylakeX, run under {blas_kernel()}"
 
 
 def _cli(argv, cwd):
@@ -323,6 +333,8 @@ FAILURE_CONTRACT = [
      "gamma0=5e-324 is too small"),
     (["run", "--config", "CFG_EMPTY", "--set", "extra_edge_prob=2.0", "--out", "OUT"],
      EXIT_VALIDATION, "validation", "extra_edge_prob must be in [0, 1], got 2.0"),
+    (["run", "--config", "CFG_EMPTY", "--set", "feasible_lo=-1e308", "--set", "feasible_hi=1e308",
+      "--out", "OUT"], EXIT_VALIDATION, "validation", "feasible_hi - feasible_lo overflows"),
 ]
 
 
@@ -368,3 +380,61 @@ def test_error_line_follows_the_warnings(tmp_path):
     assert len(lines) >= 2 and "warning" in lines[0]
     assert [i for i, line in enumerate(lines) if "error" in line] == [len(lines) - 1]
     assert lines[-1]["error"] == "runtime"
+
+
+def test_huge_ball_ends_with_a_runtime_error(tmp_path, capsys):
+    # every cost near norm 1e300 overflows, so the first step fails; set-up
+    # draws the initial points in closed form and cannot loop on them
+    cfg = write_config(tmp_path / "c.json", feasible_kind="ball", ball_radius=1e300, dim=20)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+    assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+        {"error": "runtime", "message": "step failed at t=0: non-finite objective value for "
+                                        "agent 0 at t=0: f(x+mu*xi)=inf, f(x)=inf"}]
+
+
+_CHOICES = {"graph_kind": [*GRAPH_KINDS], "weight_rule": ["equal_neighbor"],
+            "direction_law": [*DIRECTION_LAWS], "schedule_kind": ["inv_sqrt", "constant"],
+            "feasible_kind": ["box", "ball"], "stream_name": [*STREAM_REGISTRY]}
+# the fields that size a run's arrays: (least valid value, cap on any integer drawn)
+_SIZES = {"n_agents": (2, 6), "dim": (1, 4), "horizon": (0, 5)}
+_BY_TYPE = {"int": st.integers(0, 2**70), "float": st.floats(1e-3, 1.0), "bool": st.booleans()}
+_VALID = {f.name: st.sampled_from(_CHOICES[f.name]) if f.type == "str" else _BY_TYPE[f.type]
+          for f in dataclasses.fields(RunConfig)}
+_VALID.update({name: st.integers(lo, cap) for name, (lo, cap) in _SIZES.items()})
+_BROKEN = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308,
+                                                  5e-324, -5e-324, -0.0]),
+                    st.none(), st.booleans(), st.text(max_size=3),
+                    st.lists(st.integers(-2, 2), max_size=2),
+                    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+@st.composite
+def _run_configs(draw):
+    """A RunConfig JSON object of valid values of some fields, with up to two
+    fields (or an unknown key) holding a wrong type, a non-finite or extreme
+    float, or an integer that is negative or huge where it cannot size a run."""
+    data = draw(st.fixed_dictionaries({k: _VALID[k] for k in _SIZES},
+                                      optional={k: v for k, v in _VALID.items() if k not in _SIZES}))
+    for name in draw(st.sets(st.sampled_from([*_VALID, "warp"]), max_size=2)):
+        cap = _SIZES.get(name, (None, 2**70))[1]
+        data[name] = draw(st.one_of(_BROKEN, st.integers(-2**70, cap)))
+    return data
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=_run_configs())
+def test_run_fuzz_exits_with_a_documented_code_and_json_stderr(data):
+    # any config object ends with exit 0, 2, 3 or 4 and JSON lines on
+    # stderr, the last of them the one error line of a failure
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("always")
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps(data))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, EXIT_RUNTIME)
+    lines = [json.loads(line) for line in err.getvalue().splitlines()]
+    assert all(line.keys() in ({"warning", "message"}, {"error", "message"}) for line in lines)
+    errors = [i for i, line in enumerate(lines) if "error" in line]
+    assert errors == ([] if code == EXIT_OK else [len(lines) - 1])

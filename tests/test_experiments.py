@@ -1,3 +1,4 @@
+import glob
 import hashlib
 import json
 import warnings
@@ -17,6 +18,8 @@ from rgfopt.experiments import (
     unbiasedness_check,
 )
 from rgfopt.oracle import constant_stream
+
+from conftest import blas_kernel
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +221,12 @@ PINNED_RUNS = {
 }
 
 
+def test_blas_kernel_is_named_or_unknown(monkeypatch):
+    assert blas_kernel()  # "SkylakeX" where the digests were pinned
+    monkeypatch.setattr(glob, "glob", lambda pattern: [])
+    assert blas_kernel() == "unknown"
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_artifacts_match_pinned_digests(name, tmp_path):
     with warnings.catch_warnings():
@@ -225,4 +234,4 @@ def test_artifacts_match_pinned_digests(name, tmp_path):
         PINNED_RUNS[name](tmp_path)
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in sorted(tmp_path.iterdir())}
-    assert got == PINNED_SHA256[name]
+    assert got == PINNED_SHA256[name], f"pinned under SkylakeX, run under {blas_kernel()}"
