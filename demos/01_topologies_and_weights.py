@@ -20,10 +20,12 @@ np.set_printoptions(precision=3, suppress=True)
 
 print("=== a 6-agent one-way cycle ===")
 g = make_cycle(6)
+print("adjacency (row i, column j: agent j receives from agent i; self-loops on the diagonal):")
+print(g.adjacency.astype(int))
 print("edges (self-loops implicit):",
-      sorted((i, j) for i, j in g.edges if i != j))
+      [(int(i), int(j)) for i, j in np.argwhere(g.adjacency) if i != j])
 print("strongly connected:", is_strongly_connected(g))
-print("in-neighbors of agent 0:", sorted(i for i, j in g.edges if j == 0))
+print("in-neighbors of agent 0:", np.flatnonzero(g.adjacency[:, 0]).tolist())
 
 wp = equal_neighbor_weights(g)
 print("\nrow-stochastic mixing matrix W_r:")
@@ -44,11 +46,11 @@ print(" and checked empirically, see demo 02)")
 print("\n=== random strongly connected digraph ===")
 rg = make_random_strongly_connected(10, extra_edge_prob=0.3, seed=7)
 print("agents:", rg.n_agents, "| directed edges:",
-      sum(1 for i, j in rg.edges if i != j))
+      int(rg.adjacency.sum()) - rg.n_agents)
 print("strongly connected:", is_strongly_connected(rg))
 
 print("\n=== a bidirectional ring ===")
 ring = make_ring(8)
 print("edges per node (excluding self-loop):",
-      sum(1 for i, j in ring.edges if j == 0 and i != 0), "in,",
-      sum(1 for i, j in ring.edges if i == 0 and j != 0), "out")
+      int(ring.adjacency[:, 0].sum()) - 1, "in,",
+      int(ring.adjacency[0].sum()) - 1, "out")

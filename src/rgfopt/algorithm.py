@@ -243,6 +243,9 @@ class RunConfig:
             raise ConfigError(f"need at least 2 agents, got {self.n_agents}")
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
+        if (int(self.horizon) + 1) * int(self.n_agents) * int(self.dim) * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"horizon={self.horizon}, n_agents={self.n_agents} and dim={self.dim} "
+                              f"are too large: the float histories exceed numpy's index range")
         if self.graph_kind not in GRAPH_KINDS:
             raise ConfigError(f"unknown graph kind {self.graph_kind!r}")
         if self.weight_rule != "equal_neighbor":
@@ -340,7 +343,7 @@ class Trace:
     y: np.ndarray | None = None        # (T+1, N, p)
     g_norm: np.ndarray | None = None   # (T, N)
     theta: np.ndarray | None = None    # (T, N, p)
-    graph_edges: list = field(default_factory=list)
+    graph: Digraph | None = None       # the topology run() built
     delta_hat_value: float = float("nan")
     lambda_fit: float | None = None
     c_fit: float | None = None
@@ -358,7 +361,7 @@ class Trace:
         """Seed-and-config closure sufficient to reproduce the run bit-for-bit."""
         return {
             "config": self.config.to_dict(),
-            "graph_edges": sorted(list(e) for e in self.graph_edges),
+            "graph_edges": np.argwhere(self.graph.adjacency).tolist(),
             "delta_hat": self.delta_hat_value,
             "lambda_fit": self.lambda_fit,
             "c_fit": self.c_fit,
@@ -425,7 +428,15 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     A delta above the conservative spectral bound (or above the fitted
     practical ceiling) triggers a warning, never an abort.
     """
-    g = make_graph(config.graph_kind, config.n_agents, config.graph_seed, config.extra_edge_prob)
+    n, p, t_end = config.n_agents, config.dim, config.horizon
+    # the histories come first, so an oversized run fails before any array is filled
+    x_hist = np.empty((t_end + 1, n, p))
+    y_hist = np.empty((t_end + 1, n, p)) if config.record_surplus else None
+    g_hist = np.empty((t_end, n, p)) if config.record_oracle else None
+    theta_hist = np.empty((t_end, n, p)) if config.record_oracle else None
+    gamma_hist = np.array([config.step_size(t) for t in range(t_end)], dtype=float)
+
+    g = make_graph(config.graph_kind, n, config.graph_seed, config.extra_edge_prob)
     wp = equal_neighbor_weights(g)
 
     if stream is None:
@@ -460,16 +471,10 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
             run_warnings.append(msg)
             _warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
-    n, p, t_end = config.n_agents, config.dim, config.horizon
     rng_init = np.random.default_rng(
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(_DOMAIN_INIT,)))
     x, y = feasible.sample_uniform(rng_init, (n, p)), np.zeros((n, p))
 
-    x_hist = np.empty((t_end + 1, n, p))
-    gamma_hist = np.array([config.step_size(t) for t in range(t_end)], dtype=float)
-    y_hist = np.empty((t_end + 1, n, p)) if config.record_surplus else None
-    g_hist = np.empty((t_end, n, p)) if config.record_oracle else None
-    theta_hist = np.empty((t_end, n, p)) if config.record_oracle else None
     # unrecorded estimates go to one scratch row, reused every step
     g_rows = repeat(np.empty((n, p))) if g_hist is None else iter(g_hist)
     theta_rows = repeat(None) if theta_hist is None else iter(theta_hist)
@@ -498,6 +503,6 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     return Trace(
         config=config, x=x_hist, cost=cost, spread=spread, gamma=gamma_hist, stream=stream,
         x_star=x_star, y=y_hist, g_norm=g_norm, theta=theta_hist,
-        graph_edges=sorted(g.edges), delta_hat_value=dh,
+        graph=g, delta_hat_value=dh,
         lambda_fit=lam_fit, c_fit=c_fit, warnings=run_warnings,
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithm import Trace, gain_fit, make_graph
+from .algorithm import Trace, gain_fit
 from .graph import WeightPair, delta_hat, equal_neighbor_weights
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -259,15 +259,13 @@ def theta_over_gamma(trace: Trace) -> np.ndarray:
 
 def fit_constants_from_trace(trace: Trace) -> BoundInputs:
     """Assemble bound inputs from a recorded run: spectral fit at the run's
-    gain on the weights its config builds, plus measured residual ceilings.
+    gain on the weights of its graph, plus measured residual ceilings.
     The subgradient bound comes from `trace.stream` when it declares one,
     evaluated at the radius of the configured feasible set, else from the
     largest observed oracle norm (a valid empirical proxy).  The path length
     is that of the regret ledger's comparator."""
     cfg = trace.config
-    wp = equal_neighbor_weights(make_graph(cfg.graph_kind, cfg.n_agents, cfg.graph_seed,
-                                           cfg.extra_edge_prob))
-    _, c_fit, lam_fit, _ = gain_fit(wp, cfg.delta, 200)
+    _, c_fit, lam_fit, _ = gain_fit(equal_neighbor_weights(trace.graph), cfg.delta, 200)
     lam_fit = min(lam_fit, 1.0 - 1e-9)
     ratio = theta_over_gamma(trace)
     g1 = float(ratio.max())

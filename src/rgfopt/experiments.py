@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithm import ConfigError, RunConfig, Trace, csv_text, make_graph, run
+from .algorithm import ConfigError, RunConfig, Trace, csv_text, run
 from .analysis import (
     DELTA_GRID,
     RegretLedger,
@@ -331,15 +331,13 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
     unbiased = unbiasedness_check(n_draws=n_samples, fd_samples=n_samples, seed=seed + 11)
     second = second_moment_check(n_draws=n_samples, seed=seed + 5)
 
+    trace = run(config)
     topologies = {
         "cycle_10": equal_neighbor_weights(make_cycle(10)),
-        "random_10": equal_neighbor_weights(make_graph(config.graph_kind, config.n_agents,
-                                                       config.graph_seed, config.extra_edge_prob)),
+        "random_10": equal_neighbor_weights(trace.graph),
     }
     spectral = {name: spectral_report(wp, DELTA_GRID) for name, wp in topologies.items()}
     dh_values = {name: report[0].delta_hat_value for name, report in spectral.items()}
-
-    trace = run(config)
     ratio = theta_over_gamma(trace)
     lo_t, hi_t = max(10, horizon // 10), horizon
     running_max = np.maximum.accumulate(ratio)

@@ -2,16 +2,15 @@
 and the augmented matrix W(delta) with its power-gap series.  The series is
 fitted in one place, `algorithm.gain_fit`.
 
-Edge convention: an edge (i, j) means agent j receives from agent i.
-Every node always has a self-loop, so in- and out-neighbor sets contain
-the node itself.
+Edge convention: `Digraph.adjacency[i, j]` means agent j receives from
+agent i.  Every node always has a self-loop, so in- and out-neighbor sets
+contain the node itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,23 +24,24 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class Digraph:
-    """Directed graph over agents 0..n_agents-1 with implicit self-loops.
+    """Directed graph over agents 0..N-1, held as one read-only N x N bool
+    matrix: `adjacency[i, j]` means agent j receives from agent i.  The
+    diagonal (the self-loops) is always set."""
 
-    `edges` holds ordered pairs (i, j): j receives from i.  Self-loops are
-    added automatically and never need to be listed.
-    """
-
-    n_agents: int
-    edges: frozenset = field(default_factory=frozenset)
+    adjacency: np.ndarray
 
     def __post_init__(self):
-        if self.n_agents < 1:
-            raise GraphError(f"need at least one agent, got {self.n_agents}")
-        for (i, j) in self.edges:
-            if not (0 <= i < self.n_agents and 0 <= j < self.n_agents):
-                raise GraphError(f"edge ({i}, {j}) out of range for N={self.n_agents}")
-        with_loops = frozenset(self.edges) | {(i, i) for i in range(self.n_agents)}
-        object.__setattr__(self, "edges", with_loops)
+        a = np.array(self.adjacency, order="C")
+        if a.dtype != bool or a.ndim != 2 or a.shape[0] != a.shape[1] or not a.shape[0]:
+            raise GraphError(f"adjacency must be a non-empty square bool matrix, "
+                             f"got {a.dtype} of shape {a.shape}")
+        np.fill_diagonal(a, True)
+        a.flags.writeable = False
+        object.__setattr__(self, "adjacency", a)
+
+    @property
+    def n_agents(self) -> int:
+        return self.adjacency.shape[0]
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,9 @@ class WeightPair:
     w_col: np.ndarray
 
     def __post_init__(self):
-        wr = np.asarray(self.w_row, dtype=float)
-        wc = np.asarray(self.w_col, dtype=float)
+        # C order: the round's `W_r x` and `W_c y` take the bits of dgemv's C-order kernel
+        wr = np.ascontiguousarray(self.w_row, dtype=float)
+        wc = np.ascontiguousarray(self.w_col, dtype=float)
         if wr.shape != wc.shape or wr.ndim != 2 or wr.shape[0] != wr.shape[1]:
             raise GraphError(f"weight matrices must be square and same shape, got {wr.shape}, {wc.shape}")
         if (wr < 0).any() or (wc < 0).any():
@@ -93,61 +94,51 @@ class AugmentedMatrix:
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    """True iff every node reaches every other node along directed edges.
+    """True iff every node reaches every other node along directed edges:
+    a frontier BFS from node 0 over the adjacency matrix and its transpose."""
+    def reaches_all(a) -> bool:
+        seen, frontier = np.zeros(len(a), dtype=bool), [0]
+        while len(frontier):
+            seen[frontier] = True
+            frontier = (np.logical_or.reduce(a[frontier]) > seen).nonzero()[0]
+        return bool(seen.all())
 
-    Forward and reverse BFS from node 0; total function, never raises on a
-    well-formed digraph.
-    """
-    n = g.n_agents
-    if n == 1:
-        return True
-    fwd = [[] for _ in range(n)]
-    rev = [[] for _ in range(n)]
-    for (i, j) in g.edges:
-        if i != j:
-            fwd[i].append(j)
-            rev[j].append(i)
+    return reaches_all(g.adjacency) and reaches_all(g.adjacency.T)
 
-    def reaches_all(adj) -> bool:
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == n
 
-    return reaches_all(fwd) and reaches_all(rev)
+def _check_size(n: int, what: str) -> None:
+    """A topology needs n >= 2 agents and an n x n matrix that numpy can index."""
+    if n < 2:
+        raise GraphError(f"{what} needs n >= 2, got {n}")
+    if int(n) ** 2 > np.iinfo(np.intp).max:
+        raise GraphError(f"{what} of n={n} agents is too large: its {n} x {n} adjacency "
+                         f"matrix exceeds numpy's index range")
+
+
+def _successors(n: int) -> np.ndarray:
+    """Adjacency of the directed cycle i -> i+1 (mod n), self-loops included."""
+    a = np.eye(n, dtype=bool)
+    a[np.arange(n), np.arange(1, n + 1) % n] = True
+    return a
 
 
 def make_cycle(n: int) -> Digraph:
     """Directed cycle i -> i+1 (mod n), strongly connected by construction."""
-    if n < 2:
-        raise GraphError(f"cycle needs n >= 2, got {n}")
-    return Digraph(n, frozenset((i, (i + 1) % n) for i in range(n)))
+    _check_size(n, "cycle")
+    return Digraph(_successors(n))
 
 
 def make_ring(n: int) -> Digraph:
     """Bidirectional ring: edges both ways between consecutive nodes."""
-    if n < 2:
-        raise GraphError(f"ring needs n >= 2, got {n}")
-    edges = set()
-    for i in range(n):
-        edges.add((i, (i + 1) % n))
-        edges.add(((i + 1) % n, i))
-    return Digraph(n, frozenset(edges))
+    _check_size(n, "ring")
+    a = _successors(n)
+    return Digraph(a | a.T)
 
 
 def make_complete(n: int) -> Digraph:
     """Complete digraph: every ordered pair is an edge."""
-    if n < 2:
-        raise GraphError(f"complete digraph needs n >= 2, got {n}")
-    return Digraph(n, frozenset((i, j) for i in range(n) for j in range(n) if i != j))
+    _check_size(n, "complete digraph")
+    return Digraph(np.ones((n, n), dtype=bool))
 
 
 def make_random_strongly_connected(n: int, extra_edge_prob: float, seed: int) -> Digraph:
@@ -156,38 +147,27 @@ def make_random_strongly_connected(n: int, extra_edge_prob: float, seed: int) ->
     The backbone guarantees strong connectivity; the result is deterministic
     for a given seed.
     """
-    if n < 2:
-        raise GraphError(f"need n >= 2, got {n}")
+    _check_size(n, "random digraph")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise GraphError(f"extra_edge_prob must be in [0, 1], got {extra_edge_prob}")
     if seed < 0:
         raise GraphError(f"graph seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    edges = {(i, (i + 1) % n) for i in range(n)}
-    draws = rng.random((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and draws[i, j] < extra_edge_prob:
-                edges.add((i, j))
-    return Digraph(n, frozenset(edges))
+    a = _successors(n)
+    return Digraph(a | (np.random.default_rng(seed).random((n, n)) < extra_edge_prob))
 
 
 def equal_neighbor_weights(g: Digraph) -> WeightPair:
     """Uniform weights over in-neighbors (rows) and out-neighbors (columns).
 
     w_row[i, j] = 1/|in(i)| for j in in(i); w_col[i, j] = 1/|out(j)| for
-    i in out(j).  Requires a strongly connected digraph.
+    i in out(j).  Both are the transposed adjacency matrix, normalised by
+    its row and by its column sums.  Requires a strongly connected digraph.
     """
     if not is_strongly_connected(g):
         raise GraphError("equal_neighbor_weights requires a strongly connected digraph")
-    n = g.n_agents
-    # edge (j, i) puts j in in(i) and i in out(j): row i, column j of both
-    src, dst = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp).reshape(-1, 2).T
-    w_row = np.zeros((n, n))
-    w_col = np.zeros((n, n))
-    w_row[dst, src] = 1.0 / np.bincount(dst, minlength=n)[dst]
-    w_col[dst, src] = 1.0 / np.bincount(src, minlength=n)[src]
-    return WeightPair(w_row=w_row, w_col=w_col)
+    # row i of the transpose is in(i), column j is out(j)
+    a = g.adjacency.T.astype(float, order="C")
+    return WeightPair(w_row=a / a.sum(axis=1, keepdims=True), w_col=a / a.sum(axis=0))
 
 
 def build_augmented(wp: WeightPair, delta: float) -> AugmentedMatrix:

@@ -36,6 +36,22 @@ def reference_direction(seed, agent, t, dim, law):
     return xi / np.linalg.norm(xi) if law == "uniform_sphere" else xi
 
 
+def edge_set_law(kind: str, n: int, prob: float = 0.3, seed: int = 0) -> set:
+    """Each constructor's edge set, self-loops included, written out pair by
+    pair; the random kind reads the same generator draws."""
+    loops = {(i, i) for i in range(n)}
+    successors = {(i, (i + 1) % n) for i in range(n)}
+    if kind == "cycle":
+        return loops | successors
+    if kind == "ring":
+        return loops | successors | {(j, i) for i, j in successors}
+    if kind == "complete":
+        return {(i, j) for i in range(n) for j in range(n)}
+    draws = np.random.default_rng(seed).random((n, n))
+    return loops | successors | {(i, j) for i in range(n) for j in range(n)
+                                 if i != j and draws[i, j] < prob}
+
+
 @pytest.fixture
 def scalar_direction_blocks(monkeypatch):
     """A function that, once called, makes every block draw build its rows

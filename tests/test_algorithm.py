@@ -22,7 +22,7 @@ from rgfopt.algorithm import (
     csv_text,
 )
 from rgfopt.experiments import experiment_fig2_3
-from rgfopt.graph import build_augmented, equal_neighbor_weights, make_cycle
+from rgfopt.graph import WeightPair, build_augmented, equal_neighbor_weights, make_cycle
 from rgfopt.oracle import (
     ObjectiveStream,
     OracleConfig,
@@ -31,6 +31,8 @@ from rgfopt.oracle import (
     linear_probe_stream,
     sample_direction,
 )
+
+from conftest import edge_set_law
 
 
 class TestProjection:
@@ -427,6 +429,16 @@ class TestRun:
         trace2 = r.run(rebuilt)
         assert np.array_equal(trace.x, trace2.x)
 
+    @pytest.mark.parametrize("kind", sorted(algorithm.GRAPH_KINDS))
+    def test_metadata_lists_the_sorted_edges_of_the_run_graph(self, kind):
+        config = RunConfig(n_agents=7, graph_kind=kind, graph_seed=3, extra_edge_prob=0.4,
+                           horizon=0, check_delta_bound=False)
+        trace = r.run(config)
+        law = edge_set_law(kind, 7, prob=0.4, seed=3)
+        # JSON-ready Python ints, in the order of the sorted edge list
+        assert json.dumps(trace.metadata()["graph_edges"]) == json.dumps(sorted(map(list, law)))
+        assert np.array_equal(trace.graph.adjacency, algorithm.make_graph(kind, 7, 3, 0.4).adjacency)
+
     def test_numpy_integers_accepted(self):
         config = RunConfig(n_agents=np.int64(4), horizon=np.int32(3), master_seed=np.uint8(1),
                            delta=np.float64(0.05), record_oracle=np.bool_(False))
@@ -613,6 +625,19 @@ class TestPlainArrayLoop:
             assert trace.theta.tobytes() == ref["theta"].tobytes()
             assert trace.g_norm.tobytes() == np.linalg.norm(ref["g"], axis=2).tobytes()
 
+    @pytest.mark.parametrize("kind, n", [("random", 10), ("ring", 50)])
+    def test_f_ordered_weights_mix_with_the_bits_of_their_c_ordered_copy(self, kind, n):
+        # dgemv sums W_r x in another order for an F-ordered W_r, so the
+        # weight pair must hold C order whatever order it is given
+        def fortran_round(x, y, wp, *rest):
+            wp_f = WeightPair(w_row=np.asfortranarray(wp.w_row), w_col=np.asfortranarray(wp.w_col))
+            return _round(x, y, wp_f, *rest)
+
+        config = RunConfig(n_agents=n, graph_kind=kind, horizon=30, master_seed=1,
+                           check_delta_bound=False)
+        ref, got = _round_loop(config), _round_loop(config, step=fortran_round)
+        assert {k: got[k].tobytes() for k in got} == {k: ref[k].tobytes() for k in ref}
+
     @pytest.mark.parametrize("name", sorted(WRITTEN_OUT_CONFIGS))
     def test_run_equals_the_round_law_written_out(self, name):
         config = WRITTEN_OUT_CONFIGS[name]
@@ -701,6 +726,17 @@ class TestPlainArrayLoop:
                                               r"size rounds to 0\.0 by t=3$"):
             r.run(RunConfig(gamma0=5e-324, horizon=4, check_delta_bound=False))
         assert r.run(RunConfig(gamma0=5e-324, horizon=3, check_delta_bound=False)).gamma[-1] > 0
+
+    @pytest.mark.parametrize("sizes", [{"dim": 10**14}, {"dim": np.int64(10**14)},
+                                       {"horizon": 10**18}, {"horizon": np.uint64(2**64 - 1)},
+                                       {"n_agents": 2**61, "horizon": 0}])
+    def test_histories_beyond_numpy_index_range_fail_validation(self, sizes):
+        # (T + 1) N p float64 values overflow an intp, so no history could be made;
+        # numpy integers are widened before the product
+        with pytest.raises(ConfigError, match="the float histories exceed numpy's index range"):
+            RunConfig(**sizes)
+        largest = {"n_agents": 2, "horizon": 0, "dim": np.iinfo(np.intp).max // 16}
+        assert RunConfig(**largest, check_delta_bound=False).dim == largest["dim"]
 
 
 def _checked_written_out_round(x, y, wp, delta, gamma_t, stream, cfg, t, feasible):

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -335,6 +336,10 @@ FAILURE_CONTRACT = [
      EXIT_VALIDATION, "validation", "extra_edge_prob must be in [0, 1], got 2.0"),
     (["run", "--config", "CFG_EMPTY", "--set", "feasible_lo=-1e308", "--set", "feasible_hi=1e308",
       "--out", "OUT"], EXIT_VALIDATION, "validation", "feasible_hi - feasible_lo overflows"),
+    (["run", "--config", "CFG_EMPTY", "--set", f"dim={10**14}", "--out", "OUT"], EXIT_VALIDATION,
+     "validation", "the float histories exceed numpy's index range"),
+    (["spectral", "--n", str(10**10)], EXIT_VALIDATION, "validation",
+     "adjacency matrix exceeds numpy's index range"),
 ]
 
 
@@ -357,6 +362,38 @@ def test_failure_exits_with_one_json_error_line(tmp_path, argv, code, kind, frag
     err = json.loads(lines[0])
     assert err["error"] == kind and fragment in err["message"]
     assert not (tmp_path / "out").exists()
+
+
+# Sizes whose arrays cannot exist: each allocation is refused at once (exit 4)
+# or the size is rejected before any allocation (exit 3).  At the default
+# horizon the histories of 10**8 agents need 3.6 TiB; a machine that grants
+# them lazily then fails on the 8.9 PiB adjacency matrix, or at 10**10 agents
+# on its size.  No array of these sizes is ever written to.
+_OVERSIZED = {
+    "n_agents=10**8": ["run", "--set", f"n_agents={10**8}"],
+    "n_agents=10**10": ["run", "--set", f"n_agents={10**10}"],
+    "n_agents=10**8 horizon=1": ["run", "--set", f"n_agents={10**8}", "--set", "horizon=1"],
+    "dim=10**14": ["run", "--set", f"dim={10**14}"],
+    "spectral --n 10**10": ["spectral", "--n", str(10**10)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERSIZED))
+def test_oversized_input_fails_at_once_with_one_json_line(tmp_path, capsys, name):
+    argv = _OVERSIZED[name]
+    if argv[0] == "run":
+        cfg = tmp_path / "c.json"
+        cfg.write_text("{}")
+        argv = ["run", "--config", str(cfg), *argv[1:], "--out", str(tmp_path / "o")]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    lines = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert code in (EXIT_VALIDATION, EXIT_RUNTIME)
+    assert lines == [{"error": "validation" if code == EXIT_VALIDATION else "runtime",
+                      "message": lines[0]["message"]}]
+    assert elapsed < 2.0, f"{name} took {elapsed:.2f} s"
+    assert not (tmp_path / "o").exists()
 
 
 def test_warnings_are_json_lines_on_success(tmp_path, capsys):

@@ -24,23 +24,30 @@ from rgfopt.graph import (
 )
 from rgfopt.algorithm import fit_geometric_decay
 
+from conftest import edge_set_law
+
 TOL = 1e-12
 
 
 def transitive_closure_connected(g: Digraph) -> bool:
     """Brute-force reachability oracle via boolean matrix closure."""
-    n = g.n_agents
-    reach = np.zeros((n, n), dtype=bool)
-    for (i, j) in g.edges:
-        reach[i, j] = True
-    for _ in range(n):
+    reach = g.adjacency.copy()
+    for _ in range(g.n_agents):
         reach = reach | (reach @ reach)
     return bool(reach.all())
 
 
 def neighbors(g: Digraph, i: int) -> tuple[list[int], list[int]]:
-    """In- and out-neighbors of node i (each includes i), read from the edge set."""
-    return (sorted(j for j, k in g.edges if k == i), sorted(k for j, k in g.edges if j == i))
+    """In- and out-neighbors of node i (each includes i), read from the adjacency matrix."""
+    return np.flatnonzero(g.adjacency[:, i]).tolist(), np.flatnonzero(g.adjacency[i]).tolist()
+
+
+def digraph(n: int, edges) -> Digraph:
+    """The digraph over n agents with the listed (i, j) edges: j receives from i."""
+    a = np.zeros((n, n), dtype=bool)
+    for i, j in edges:
+        a[i, j] = True
+    return Digraph(a)
 
 
 def limit_matrix(n: int) -> np.ndarray:
@@ -58,16 +65,30 @@ def matrix_power_gap(am: AugmentedMatrix, t: int) -> float:
 
 class TestDigraph:
     def test_self_loops_always_present(self):
-        g = Digraph(3, frozenset({(0, 1)}))
-        assert {(0, 0), (1, 1), (2, 2)} <= g.edges
+        g = digraph(3, [(0, 1)])
+        assert g.adjacency.diagonal().all()
+        assert np.argwhere(g.adjacency).tolist() == [[0, 0], [0, 1], [1, 1], [2, 2]]
 
     def test_neighbor_sets(self):
         g = make_cycle(4)
         assert neighbors(g, 0) == ([0, 3], [0, 1])
 
-    def test_out_of_range_edges_rejected(self):
-        with pytest.raises(GraphError):
-            Digraph(2, frozenset({(0, 5)}))
+    def test_adjacency_is_a_read_only_copy(self):
+        a = np.zeros((3, 3), dtype=bool)
+        g = Digraph(a)
+        a[0, 1] = True
+        assert not g.adjacency[0, 1] and not a[0, 0]
+        assert not g.adjacency.flags.writeable
+        with pytest.raises(ValueError):
+            g.adjacency[0, 1] = True
+
+    @pytest.mark.parametrize("adjacency", [np.ones((2, 3), dtype=bool), np.ones(3, dtype=bool),
+                                           np.ones((2, 2, 2), dtype=bool), np.zeros((0, 0), dtype=bool),
+                                           np.eye(3), np.eye(3, dtype=int), [[1, 0], [0, 1]]],
+                             ids=["2x3", "1-d", "3-d", "empty", "float", "int", "int-list"])
+    def test_non_square_or_non_bool_rejected(self, adjacency):
+        with pytest.raises(GraphError, match="square bool matrix"):
+            Digraph(adjacency)
 
 
 class TestStrongConnectivity:
@@ -75,18 +96,19 @@ class TestStrongConnectivity:
         assert is_strongly_connected(make_cycle(3))
 
     def test_one_way_pair_is_not(self):
-        g = Digraph(2, frozenset({(0, 1)}))
-        assert not is_strongly_connected(g)
+        assert not is_strongly_connected(digraph(2, [(0, 1)]))
 
     def test_complete_is_strongly_connected(self):
         assert is_strongly_connected(make_complete(5))
+
+    def test_single_agent_is(self):
+        assert is_strongly_connected(Digraph(np.zeros((1, 1), dtype=bool)))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_closure_exhaustively(self, n):
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         for mask in itertools.product([False, True], repeat=len(pairs)):
-            edges = frozenset(p for p, keep in zip(pairs, mask) if keep)
-            g = Digraph(n, edges)
+            g = digraph(n, [p for p, keep in zip(pairs, mask) if keep])
             assert is_strongly_connected(g) == transitive_closure_connected(g)
 
     @pytest.mark.parametrize("n", [4, 5])
@@ -95,19 +117,22 @@ class TestStrongConnectivity:
         pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
         for _ in range(400):
             keep = rng.random(len(pairs)) < rng.uniform(0.05, 0.6)
-            g = Digraph(n, frozenset(p for p, k in zip(pairs, keep) if k))
+            g = digraph(n, [p for p, k in zip(pairs, keep) if k])
             assert is_strongly_connected(g) == transitive_closure_connected(g)
+
+
+_CONSTRUCTORS = {"cycle": make_cycle, "ring": make_ring, "complete": make_complete,
+                 "random": lambda n: make_random_strongly_connected(n, 0.3, seed=0)}
 
 
 class TestConstructors:
     def test_cycle_edges_exact(self):
         g = make_cycle(4)
-        expected = {(0, 1), (1, 2), (2, 3), (3, 0)} | {(i, i) for i in range(4)}
-        assert g.edges == frozenset(expected)
+        assert np.argwhere(g.adjacency).tolist() == [[0, 0], [0, 1], [1, 1], [1, 2], [2, 2],
+                                                     [2, 3], [3, 0], [3, 3]]
 
     def test_cycle_edge_count(self):
-        g = make_cycle(10)
-        assert sum(1 for (i, j) in g.edges if i != j) == 10
+        assert make_cycle(10).adjacency.sum() == 10 + 10
 
     def test_cycle_rejects_degenerate(self):
         with pytest.raises(GraphError):
@@ -115,12 +140,12 @@ class TestConstructors:
 
     def test_ring_is_symmetric(self):
         g = make_ring(6)
-        non_loops = {(i, j) for (i, j) in g.edges if i != j}
-        assert all((j, i) in non_loops for (i, j) in non_loops)
+        assert np.array_equal(g.adjacency, g.adjacency.T)
         assert is_strongly_connected(g)
 
     def test_random_prob_zero_is_cycle(self):
-        assert make_random_strongly_connected(10, 0.0, seed=5).edges == make_cycle(10).edges
+        assert np.array_equal(make_random_strongly_connected(10, 0.0, seed=5).adjacency,
+                              make_cycle(10).adjacency)
 
     def test_random_is_strongly_connected(self):
         assert is_strongly_connected(make_random_strongly_connected(10, 0.3, seed=7))
@@ -128,13 +153,40 @@ class TestConstructors:
     def test_random_deterministic(self):
         a = make_random_strongly_connected(10, 0.3, seed=7)
         b = make_random_strongly_connected(10, 0.3, seed=7)
-        assert a.edges == b.edges
+        assert np.array_equal(a.adjacency, b.adjacency)
 
     def test_random_rejects_bad_args(self):
         with pytest.raises(GraphError):
             make_random_strongly_connected(1, 0.3, seed=0)
         with pytest.raises(GraphError):
             make_random_strongly_connected(5, 1.5, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 57, 200])
+    @pytest.mark.parametrize("kind", ["cycle", "ring", "complete"])
+    def test_matrix_equals_the_edge_set_law(self, kind, n):
+        a = _CONSTRUCTORS[kind](n).adjacency
+        assert a.dtype == bool and a.shape == (n, n)
+        assert set(map(tuple, np.argwhere(a).tolist())) == edge_set_law(kind, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 57])
+    @pytest.mark.parametrize("prob", [0.0, 0.05, 0.3, 0.9, 1.0])
+    def test_random_matrix_equals_the_edge_set_law(self, n, prob):
+        for seed in (0, 1, 7, 2**32 + 5):
+            a = make_random_strongly_connected(n, prob, seed).adjacency
+            assert set(map(tuple, np.argwhere(a).tolist())) == edge_set_law("random", n, prob, seed)
+
+    @pytest.mark.parametrize("kind", sorted(_CONSTRUCTORS))
+    @pytest.mark.parametrize("n", [3_037_000_500, 10**10, np.int64(10**10), 10**20])
+    def test_n_beyond_numpy_index_range_is_a_graph_error(self, kind, n):
+        # n * n exceeds the largest intp, so no matrix is ever allocated
+        with pytest.raises(GraphError, match="exceeds numpy's index range"):
+            _CONSTRUCTORS[kind](n)
+
+    def test_largest_indexable_n_is_refused_by_the_allocator(self):
+        # 3_037_000_499 ** 2 bytes still fits an intp; the allocation of
+        # about 8 EiB is refused at once
+        with pytest.raises(MemoryError):
+            make_cycle(3_037_000_499)
 
 
 class TestEqualNeighborWeights:
@@ -191,9 +243,15 @@ class TestEqualNeighborWeights:
         assert wp.w_col.tobytes() == w_col.tobytes()
 
     def test_rejects_not_strongly_connected(self):
-        g = Digraph(3, frozenset({(0, 1), (1, 2)}))
+        g = digraph(3, [(0, 1), (1, 2)])
         with pytest.raises(GraphError):
             equal_neighbor_weights(g)
+
+    def test_weight_pair_stores_c_order(self):
+        wp = equal_neighbor_weights(make_ring(5))
+        f = WeightPair(w_row=np.asfortranarray(wp.w_row), w_col=np.asfortranarray(wp.w_col))
+        assert f.w_row.flags.c_contiguous and f.w_col.flags.c_contiguous
+        assert f.w_row.tobytes() == wp.w_row.tobytes() and f.w_col.tobytes() == wp.w_col.tobytes()
 
     def test_weight_pair_validation(self):
         bad = np.array([[0.5, 0.4], [0.3, 0.7]])
