@@ -1,7 +1,10 @@
 import dataclasses
+import errno
 import json
 import math
+import os
 import re
+import signal
 import sys
 import threading
 import warnings
@@ -947,3 +950,198 @@ class TestCsvText:
         assert result.paths["trajectories"].read_text() == trajectories
         assert result.paths["regret"].read_text() == regret
         assert result.paths["consensus"].read_text() == consensus
+
+
+FORK_ROWS = 4 * algorithm._CSV_CHUNK_ROWS
+
+
+def serial_csv(header, columns):
+    """csv_text's one-process path."""
+    n_rows = len(columns[0]) if columns else 0
+    return ",".join(header) + "\n" + "".join(algorithm._csv_rows(columns, 0, n_rows))
+
+
+def large_table(n_rows=FORK_ROWS + 1000):
+    rng = np.random.default_rng(23)
+    specials = np.array([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                         -2.5e-310, 2.2250738585072014e-308, 1e16])
+    floats = rng.standard_normal(n_rows)
+    floats[rng.integers(0, n_rows, 2000)] = rng.choice(specials, 2000)
+    runs = np.repeat(rng.choice(specials, n_rows // 8 + 1), 8)[:n_rows]
+    steps = np.repeat(np.arange(n_rows // 10 + 1), 10)[:n_rows]
+    listed = [v if k % 3 else "" for k, v in enumerate(rng.standard_normal(n_rows).tolist())]
+    columns = [steps, rng.random(n_rows) < 0.5, listed, floats, runs,
+               np.repeat(rng.standard_normal(n_rows // 4 + 1), 4)[:n_rows] * 1e-300]
+    return [f"c{k}" for k in range(len(columns))], columns
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Lets csv_text see two CPUs and records each fork it makes."""
+    calls, real_fork = [], os.fork
+
+    def fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
+
+
+@pytest.fixture
+def parent_rows(monkeypatch):
+    """Records the (start, stop) row ranges this process formats."""
+    calls, parent, real_rows = [], os.getpid(), algorithm._csv_rows
+
+    def rows(columns, start, stop):
+        if os.getpid() == parent:
+            calls.append((start, stop))
+        return real_rows(columns, start, stop)
+
+    monkeypatch.setattr(algorithm, "_csv_rows", rows)
+    return calls
+
+
+def in_child_only(monkeypatch, action):
+    """Patch _cells so that `action` runs in place of it in a forked child."""
+    parent, real_cells = os.getpid(), algorithm._cells
+
+    def cells(col):
+        if os.getpid() != parent:
+            action()
+        return real_cells(col)
+
+    monkeypatch.setattr(algorithm, "_cells", cells)
+
+
+class TestCsvFork:
+    def test_large_table_bytes_equal_the_serial_path(self, forks, parent_rows):
+        header, columns = large_table()
+        text = csv_text(header, columns)
+        assert forks == [os.getpid()]
+        assert parent_rows == [(0, FORK_ROWS // 2)]  # the child formats the rest
+        assert text == serial_csv(header, columns)
+        assert text == rowwise_csv(header, zip(*(list(c) for c in columns)))
+        assert_no_child_left()
+
+    def test_trace_of_20010_rows_equals_the_serial_path(self, forks, monkeypatch):
+        trace = r.run(RunConfig(n_agents=10, horizon=2000, check_delta_bound=False))
+        text = trace.to_csv_text()
+        assert forks == [os.getpid()]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert text == trace.to_csv_text()
+        assert text.count("\n") == 20011
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "exits_before_writing", "killed"])
+    def test_a_failed_child_is_replaced_by_the_parent(self, forks, parent_rows, monkeypatch,
+                                                      failure):
+        def fail():
+            if failure == "raises":
+                raise RuntimeError("child fails")
+            if failure == "exits_before_writing":
+                os._exit(0)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        header, columns = large_table()
+        in_child_only(monkeypatch, fail)
+        text = csv_text(header, columns)
+        assert len(forks) == 1
+        assert parent_rows == [(0, FORK_ROWS // 2), (FORK_ROWS // 2, FORK_ROWS + 1000)]
+        assert text == serial_csv(header, columns)
+        assert_no_child_left()
+
+    def test_a_waitpid_error_is_replaced_by_the_parent(self, forks, parent_rows, monkeypatch):
+        real_waitpid = os.waitpid
+
+        def waitpid(pid, options):
+            real_waitpid(pid, options)  # as if someone else reaped the child
+            raise ChildProcessError
+
+        header, columns = large_table()
+        monkeypatch.setattr(os, "waitpid", waitpid)
+        text = csv_text(header, columns)
+        halves = list(parent_rows)
+        monkeypatch.undo()
+        assert text == serial_csv(header, columns)
+        assert halves == [(0, FORK_ROWS // 2), (FORK_ROWS // 2, FORK_ROWS + 1000)]
+        assert_no_child_left()
+
+    def test_a_failed_fork_runs_the_serial_path(self, forks, monkeypatch):
+        def fork():
+            raise OSError(errno.EAGAIN, "no process slot")
+
+        header, columns = large_table()
+        monkeypatch.setattr(os, "fork", fork)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        assert csv_text(header, columns) == serial_csv(header, columns)
+        if fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == fds
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, MemoryError])
+    def test_the_child_is_reaped_when_the_parent_raises(self, forks, monkeypatch, exc):
+        parent, real_cells = os.getpid(), algorithm._cells
+
+        def cells(col):
+            if os.getpid() == parent:
+                raise exc
+            return real_cells(col)
+
+        header, columns = large_table()
+        monkeypatch.setattr(algorithm, "_cells", cells)
+        with pytest.raises(exc):
+            csv_text(header, columns)
+        assert len(forks) == 1
+        assert_no_child_left()
+        monkeypatch.undo()
+        assert csv_text(header, columns) == serial_csv(header, columns)
+
+
+class TestCsvForkSelection:
+    """csv_text forks only where it can see that a second process pays."""
+
+    @pytest.fixture(autouse=True)
+    def no_fork(self, monkeypatch):
+        def fork():
+            pytest.fail("csv_text forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    # the largest tables of mc_diag (sandwich.csv), ring_sweep (fig4_series.csv)
+    # and track10's consensus.csv, and one row short of four chunks
+    @pytest.mark.parametrize("n_rows", [20, 400, 5001, FORK_ROWS - 1])
+    def test_small_tables_stay_serial(self, n_rows):
+        header, columns = large_table(n_rows)
+        assert csv_text(header, columns) == serial_csv(header, columns)
+
+    def test_one_cpu_stays_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        header, columns = large_table()
+        assert csv_text(header, columns) == serial_csv(header, columns)
+
+    def test_a_second_live_thread_keeps_it_serial(self):
+        header, columns = large_table()
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            text = csv_text(header, columns)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert text == serial_csv(header, columns)
+
+    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+    def test_without_the_os_call_it_stays_serial(self, monkeypatch, missing):
+        monkeypatch.delattr(os, missing)
+        header, columns = large_table()
+        assert csv_text(header, columns) == serial_csv(header, columns)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgfopt import cli
+from rgfopt import algorithm, cli
 from rgfopt.algorithm import GRAPH_KINDS, ConfigError, RunConfig
 from rgfopt.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from rgfopt.oracle import DIRECTION_LAWS, STREAM_REGISTRY
@@ -141,6 +141,20 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         trace = r.run(r.RunConfig.from_dict(json.loads(cfg.read_text())))
         assert (out / "trajectories.csv").read_text() == trace.to_csv_text()
+
+    def test_run_over_the_csv_fork_threshold_writes_the_serial_bytes(self, tmp_path, monkeypatch):
+        # 10 agents over 2001 steps are 20,010 rows, enough for csv_text to
+        # fork on a 2-CPU machine; the command prints no warning line
+        import rgfopt as r
+
+        cfg = write_config(tmp_path / "c.json", n_agents=10, horizon=2000)
+        assert 10 * 2001 >= 4 * algorithm._CSV_CHUNK_ROWS
+        proc = _cli(["run", "--config", str(cfg), "--out", "out"], cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        # the one-process path
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        trace = r.run(r.RunConfig.from_dict(json.loads(cfg.read_text())))
+        assert (tmp_path / "out" / "trajectories.csv").read_text() == trace.to_csv_text()
 
 
 BAD_FIELDS = [
