@@ -218,32 +218,45 @@ def sandwich_table(n_points: int = 20, n_samples: int = 100_000, mu: float = 0.0
     return rows
 
 
-_SUM_CHUNK = 2048  # draws added per np.add.accumulate pass
+# Draws added per np.add.accumulate pass.  For one agent this is exactly one
+# direction block (oracle._BLOCK_KEYS times, aligned at t = 0), so every point
+# of an _oracle_mean call reads a chunk's directions from the block that the
+# first point drew.
+_SUM_CHUNK = 2048
 
 
-def _oracle_mean(stream: ObjectiveStream, cfg: OracleConfig, x: np.ndarray,
-                 n_draws: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Empirical mean of oracle draws at x over t = 0..n-1, with per-coordinate
-    standard errors and the mean squared norm."""
-    total = np.zeros(cfg.dim)
-    total_sq = np.zeros(cfg.dim)
-    norm_sq = 0.0
+def _oracle_mean(stream: ObjectiveStream, cfg: OracleConfig, points,
+                 n_draws: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """Empirical mean of oracle draws at each of `points` over t = 0..n-1, with
+    per-coordinate standard errors and the mean squared norm, one tuple per point."""
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    dim = cfg.dim
+    sums = [(np.zeros(dim), np.zeros(dim), 0.0) for _ in points]
+    buf = np.empty((min(_SUM_CHUNK, n_draws) + 1) * dim)
     for c0 in range(0, n_draws, _SUM_CHUNK):
-        # row 0 carries the running sums, so np.add.accumulate adds a chunk's
-        # draws onto them strictly in draw order, as one `+=` per draw would
-        g = np.array([total, *(gradient_free_oracle(stream, cfg, 0, t, x)
-                               for t in range(c0, min(c0 + _SUM_CHUNK, n_draws)))])
-        sq = g * g
-        # the stacked row dot has the bits of each row's g @ g
-        dots = (g[:, None, :] @ g[:, :, None]).ravel()
-        sq[0], dots[0] = total_sq, norm_sq
-        total = np.add.accumulate(g)[-1]
-        total_sq = np.add.accumulate(sq)[-1]
-        norm_sq = np.add.accumulate(dots)[-1]
-    mean = total / n_draws
-    var = total_sq / n_draws - mean ** 2
-    stderr = np.sqrt(np.maximum(var, 0.0) / n_draws)
-    return mean, stderr, norm_sq / n_draws
+        ts = range(c0, min(c0 + _SUM_CHUNK, n_draws))
+        flat = buf[:(len(ts) + 1) * dim]
+        g = flat.reshape(-1, dim)
+        for k, x in enumerate(points):
+            total, total_sq, norm_sq = sums[k]
+            # row 0 carries the running sums, so np.add.accumulate adds a chunk's
+            # draws onto them strictly in draw order, as one `+=` per draw would
+            np.concatenate([total, *(gradient_free_oracle(stream, cfg, 0, t, x) for t in ts)],
+                           out=flat)
+            sq = g * g
+            # the stacked row dot has the bits of each row's g @ g
+            dots = (g[:, None, :] @ g[:, :, None]).ravel()
+            sq[0], dots[0] = total_sq, norm_sq
+            sums[k] = (np.add.accumulate(g)[-1], np.add.accumulate(sq)[-1],
+                       np.add.accumulate(dots)[-1])
+    results = []
+    for total, total_sq, norm_sq in sums:
+        mean = total / n_draws
+        var = total_sq / n_draws - mean ** 2
+        stderr = np.sqrt(np.maximum(var, 0.0) / n_draws)
+        results.append((mean, stderr, norm_sq / n_draws))
+    return results
 
 
 def _square_norms(points: np.ndarray) -> np.ndarray:
@@ -263,10 +276,10 @@ def unbiasedness_check(dim: int = 3, n_points: int = 5, n_draws: int = 100_000,
     stream = quadratic_norm_stream(dim)
     cfg = OracleConfig.uniform(1, mu, dim, rng_seed=seed)
     rng = np.random.default_rng(seed + 1)
+    points = [rng.uniform(-1.0, 1.0, dim) for _ in range(n_points)]
+    means = _oracle_mean(stream, cfg, points, n_draws)
     rows = []
-    for k in range(n_points):
-        x = rng.uniform(-1.0, 1.0, dim)
-        mean, stderr, _ = _oracle_mean(stream, cfg, x, n_draws)
+    for k, (x, (mean, stderr, _)) in enumerate(zip(points, means)):
         fd = np.empty(dim)
         for j in range(dim):
             e = np.zeros(dim)
@@ -294,7 +307,7 @@ def second_moment_check(dims=(1, 2, 5), n_draws: int = 100_000, mu: float = 1e-3
         cfg = OracleConfig.uniform(1, mu, p, rng_seed=seed + p)
         rng = np.random.default_rng(seed + 100 + p)
         x = rng.uniform(-1.0, 1.0, p)
-        _, _, mean_norm_sq = _oracle_mean(stream, cfg, x, n_draws)
+        [(_, _, mean_norm_sq)] = _oracle_mean(stream, cfg, [x], n_draws)
         ceiling = (p + 4) ** 2 * stream.subgradient_bound(math.sqrt(p)) ** 2
         rows.append({
             "dim": p, "mean_norm_sq": float(mean_norm_sq), "ceiling": float(ceiling),

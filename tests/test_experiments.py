@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rgfopt as r
-from rgfopt import experiments
+from rgfopt import experiments, oracle
 from rgfopt.experiments import (
     experiment_diagnostics,
     experiment_fig2_3,
@@ -151,12 +151,14 @@ class TestCheckHelpers:
         # 2500 draws end inside the second block of directions
         stream = experiments.quadratic_norm_stream(3)
         cfg = r.OracleConfig.uniform(1, 0.01, 3, direction_law="uniform_sphere", rng_seed=2**33)
-        x = np.array([0.3, -0.2, 0.9])
-        blocks = experiments._oracle_mean(stream, cfg, x, 2500)
+        points = [np.array([0.3, -0.2, 0.9]), np.array([-0.5, 0.0, 0.1]),
+                  np.array([1.0, 1.0, -1.0])]
+        blocks = experiments._oracle_mean(stream, cfg, points, 2500)
         scalar_direction_blocks()
-        scalar = experiments._oracle_mean(stream, cfg, x, 2500)
-        assert [np.asarray(v).tobytes() for v in blocks] == \
-            [np.asarray(v).tobytes() for v in scalar]
+        scalar = experiments._oracle_mean(stream, cfg, points, 2500)
+        assert len(blocks) == len(scalar) == 3
+        for got, want in zip(blocks, scalar):
+            assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
     @pytest.mark.parametrize("name", ["quadratic3", "norm2", "constant3"])
@@ -167,21 +169,43 @@ class TestCheckHelpers:
                   "norm2": lambda: r.norm_stream(1, dim=2, scale=1.0),
                   "constant3": lambda: constant_stream(1, dim=3, value=2.0)}[name]()
         cfg = r.OracleConfig.uniform(1, 0.01, stream.dim, rng_seed=41)
-        x = np.linspace(-0.7, 0.9, stream.dim)
+        points = [np.linspace(-0.7, 0.9, stream.dim), np.linspace(0.6, -0.4, stream.dim),
+                  np.full(stream.dim, 0.25)]
         n = 1 if offset is None else experiments._SUM_CHUNK + offset
         if name == "constant3":
-            assert np.signbit(r.gradient_free_oracle(stream, cfg, 0, 0, x)).any()
-        total, total_sq, norm_sq = np.zeros(stream.dim), np.zeros(stream.dim), 0.0
-        for t in range(n):  # the former per-draw accumulation, kept as the reference
-            g = r.gradient_free_oracle(stream, cfg, 0, t, x)
-            total += g
-            total_sq += g * g
-            norm_sq += g @ g
-        mean = total / n
-        stderr = np.sqrt(np.maximum(total_sq / n - mean ** 2, 0.0) / n)
-        got = experiments._oracle_mean(stream, cfg, x, n)
-        assert [np.asarray(v).tobytes() for v in got] == \
-            [np.asarray(v).tobytes() for v in (mean, stderr, norm_sq / n)]
+            assert np.signbit(r.gradient_free_oracle(stream, cfg, 0, 0, points[0])).any()
+        got = experiments._oracle_mean(stream, cfg, points, n)
+        assert len(got) == len(points)
+        for x, point_got in zip(points, got):
+            total, total_sq, norm_sq = np.zeros(stream.dim), np.zeros(stream.dim), 0.0
+            for t in range(n):  # the former per-draw accumulation, kept as the reference
+                g = r.gradient_free_oracle(stream, cfg, 0, t, x)
+                total += g
+                total_sq += g * g
+                norm_sq += g @ g
+            mean = total / n
+            stderr = np.sqrt(np.maximum(total_sq / n - mean ** 2, 0.0) / n)
+            assert [np.asarray(v).tobytes() for v in point_got] == \
+                [np.asarray(v).tobytes() for v in (mean, stderr, norm_sq / n)]
+
+    def test_unbiasedness_points_share_each_direction_block(self, monkeypatch):
+        # for one agent a _SUM_CHUNK chunk is one block, drawn once for all
+        # five points: 3 blocks, against 15 with one draw per point
+        blocks = []
+        block = oracle._direction_block
+        monkeypatch.setattr(oracle, "_direction_block",
+                            lambda *args: blocks.append(args[4:]) or block(*args))
+        unbiasedness_check(n_points=5, n_draws=2 * experiments._SUM_CHUNK + 5, fd_samples=10)
+        assert blocks == [(0, 2048), (2048, 4096), (4096, 6144)]
+
+    @pytest.mark.parametrize("n_draws", [0, -3])
+    @pytest.mark.parametrize("check", [unbiasedness_check, second_moment_check])
+    def test_checks_reject_fewer_than_one_draw(self, monkeypatch, check, n_draws):
+        def no_draw(*args):
+            raise AssertionError("an oracle draw was made")
+        monkeypatch.setattr(experiments, "gradient_free_oracle", no_draw)
+        with pytest.raises(ValueError, match=f"n_draws must be >= 1, got {n_draws}"):
+            check(n_draws=n_draws)
 
     def test_default_output_dir_is_timestamped(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -5,6 +5,7 @@ stream field that the benchmark's span wrappers replace."""
 
 import importlib.util
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,14 +34,26 @@ def test_run_makes_one_draw_per_agent_and_step(counted, dim, record):
     assert _trace_arrays(trace) == expected
 
 
-def test_oracle_mean_makes_one_estimator_call_per_draw(counted):
+def test_oracle_mean_makes_one_estimator_call_per_draw(counted, monkeypatch):
     stream = experiments.quadratic_norm_stream(3)
     cfg = r.OracleConfig.uniform(1, 0.01, 3, rng_seed=5)
-    x = np.array([0.3, -0.2, 0.9])
+    points = [np.array([0.3, -0.2, 0.9]), np.array([-0.6, 0.1, 0.0]), np.array([0.5, 0.5, -0.5])]
     counts, counting_stream = counted(experiments, stream)
+    per_point = {}
+    estimator = experiments.gradient_free_oracle
+
+    def by_point(*args):
+        # what one estimator call adds to the counts, booked to its point
+        before = counts.copy()
+        g = estimator(*args)
+        per_point.setdefault(args[-1].tobytes(), Counter()).update(counts - before)
+        return g
+    monkeypatch.setattr(experiments, "gradient_free_oracle", by_point)
     n_draws = experiments._SUM_CHUNK + 5
-    experiments._oracle_mean(counting_stream, cfg, x, n_draws)
-    assert counts == {"estimator": n_draws, "direction": n_draws, "evaluate": 2 * n_draws}
+    experiments._oracle_mean(counting_stream, cfg, points, n_draws)
+    assert per_point == {x.tobytes(): {"estimator": n_draws, "direction": n_draws,
+                                       "evaluate": 2 * n_draws} for x in points}
+    assert "stray" not in counts
 
 
 def _bench_spans():
