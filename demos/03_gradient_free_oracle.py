@@ -12,7 +12,7 @@ from rgfopt import OracleConfig, gradient_free_oracle, norm_stream, smoothed_val
 from rgfopt.experiments import quadratic_norm_stream, sandwich_table
 
 print("=== 1. smoothing sandwich on f(x) = |x| (1-Lipschitz) ===")
-rows = sandwich_table(n_points=8, n_samples=50_000, mu=0.05, seed=1)
+rows = sandwich_table(n_samples=50_000, seed=1)
 print(f"{'x':>8} {'f(x)':>8} {'f_mu est':>9} {'band':>22}")
 for row in rows:
     print(f"{row['x']:>8.3f} {row['f']:>8.4f} {row['f_mu_est']:>9.4f} "

@@ -50,12 +50,10 @@ from .oracle import (
     STREAM_REGISTRY,
     ObjectiveStream,
     OracleConfig,
+    _DOMAIN_INIT,
     gradient_free_oracle,
     make_stream,
 )
-
-
-_DOMAIN_INIT = 0
 
 
 class ConfigError(ValueError):

@@ -36,6 +36,7 @@ from .graph import equal_neighbor_weights, make_cycle
 from .oracle import (
     ObjectiveStream,
     OracleConfig,
+    _BLOCK_KEYS,
     gradient_free_oracle,
     norm_stream,
     smoothed_value_mc_stats,
@@ -127,17 +128,14 @@ class AgentSweepResult:
 
 
 def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int = 5000,
-                    out_dir=None, ring_kind: str = "ring") -> AgentSweepResult:
-    """Time-averaged regret versus network size on ring topologies.
-
-    `ring_kind` selects "ring" (bidirectional, the default) or "cycle"
-    (one-way).  One-way cycles make the surplus coupling spectrally unstable
-    at the standard gain 0.1, which the run loop reports as a warning; the
-    bidirectional ring reproduces the expected descending curves.  The same
-    seed value is reused for every N (coefficient shapes differ per N, so
-    streams are regenerated; the policy is recorded in metadata).
+                    out_dir=None) -> AgentSweepResult:
+    """Time-averaged regret versus network size on bidirectional rings, which
+    reproduce the expected descending curves (a one-way cycle is spectrally
+    unstable at the standard gain 0.1).  The same seed value is reused for
+    every N (coefficient shapes differ per N, so streams are regenerated;
+    the policy is recorded in metadata).
     """
-    configs = [RunConfig(n_agents=n, graph_kind=ring_kind, graph_seed=seed,
+    configs = [RunConfig(n_agents=n, graph_kind="ring", graph_seed=seed,
                          horizon=horizon, master_seed=seed,
                          record_surplus=False, record_oracle=False) for n in agent_counts]
     if horizon < 1:
@@ -163,7 +161,7 @@ def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int
     meta = {
         "experiment": "fig4",
         "agent_counts": list(agent_counts),
-        "ring_kind": ring_kind,
+        "ring_kind": "ring",
         "seed_policy": "same master seed per N; per-N streams regenerated",
         "configs": {str(n): traces[n].config.to_dict() for n in agent_counts},
         "final_values": {str(n): finals[n] for n in agent_counts},
@@ -193,9 +191,15 @@ def _row_norms(points: np.ndarray) -> np.ndarray:
     return np.sqrt((points[:, None, :] @ points[:, :, None]).ravel())
 
 
-def sandwich_table(n_points: int = 20, n_samples: int = 100_000, mu: float = 0.05,
-                   seed: int = 2024) -> list[dict]:
-    """Smoothing sandwich check rows for f(x) = |x| at points uniform in [-2, 2].
+# Points, dimensions and smoothing gains of the Monte Carlo criteria 3-5
+SANDWICH_POINTS, SANDWICH_MU = 20, 0.05
+UNBIASED_DIM, UNBIASED_POINTS, UNBIASED_MU = 3, 5, 0.01
+MOMENT_DIMS, MOMENT_MU = (1, 2, 5), 1e-3
+
+
+def sandwich_table(n_samples: int = 100_000, seed: int = 2024) -> list[dict]:
+    """Smoothing sandwich check rows for f(x) = |x| at SANDWICH_POINTS points
+    uniform in [-2, 2], with mu = SANDWICH_MU.
 
     Each row compares the Monte Carlo smoothed value against the bracket
     [f(x) - 3 se, f(x) + sqrt(p) mu D + 3 se].
@@ -203,13 +207,13 @@ def sandwich_table(n_points: int = 20, n_samples: int = 100_000, mu: float = 0.0
     stream = norm_stream(1, dim=1, scale=1.0)
     d_bound = stream.subgradient_bound(2.0)
     rng = np.random.default_rng(seed)
-    points = rng.uniform(-2.0, 2.0, n_points)
+    points = rng.uniform(-2.0, 2.0, SANDWICH_POINTS)
     rows = []
     for k, xv in enumerate(points):
         x = np.array([xv])
         f_val = stream.evaluate(0, 0, x)
-        est, se = smoothed_value_mc_stats(_row_norms, x, mu, n_samples, seed=seed + 1 + k)
-        upper = f_val + math.sqrt(stream.dim) * mu * d_bound
+        est, se = smoothed_value_mc_stats(_row_norms, x, SANDWICH_MU, n_samples, seed + 1 + k)
+        upper = f_val + math.sqrt(stream.dim) * SANDWICH_MU * d_bound
         rows.append({
             "x": float(xv), "f": f_val, "f_mu_est": est, "stderr": se,
             "lower": f_val - 3.0 * se, "upper": upper + 3.0 * se,
@@ -218,24 +222,19 @@ def sandwich_table(n_points: int = 20, n_samples: int = 100_000, mu: float = 0.0
     return rows
 
 
-# Draws added per np.add.accumulate pass.  For one agent this is exactly one
-# direction block (oracle._BLOCK_KEYS times, aligned at t = 0), so every point
-# of an _oracle_mean call reads a chunk's directions from the block that the
-# first point drew.
-_SUM_CHUNK = 2048
-
-
 def _oracle_mean(stream: ObjectiveStream, cfg: OracleConfig, points,
                  n_draws: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Empirical mean of oracle draws at each of `points` over t = 0..n-1, with
-    per-coordinate standard errors and the mean squared norm, one tuple per point."""
+    per-coordinate standard errors and the mean squared norm, one tuple per point.
+    For one agent, a pass of _BLOCK_KEYS draws is exactly one direction block, so
+    every point reads a pass's directions from the block that the first point drew."""
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     dim = cfg.dim
     sums = [(np.zeros(dim), np.zeros(dim), 0.0) for _ in points]
-    buf = np.empty((min(_SUM_CHUNK, n_draws) + 1) * dim)
-    for c0 in range(0, n_draws, _SUM_CHUNK):
-        ts = range(c0, min(c0 + _SUM_CHUNK, n_draws))
+    buf = np.empty((min(_BLOCK_KEYS, n_draws) + 1) * dim)
+    for c0 in range(0, n_draws, _BLOCK_KEYS):
+        ts = range(c0, min(c0 + _BLOCK_KEYS, n_draws))
         flat = buf[:(len(ts) + 1) * dim]
         g = flat.reshape(-1, dim)
         for k, x in enumerate(points):
@@ -265,18 +264,19 @@ def _square_norms(points: np.ndarray) -> np.ndarray:
     return (points ** 2).sum(axis=1)
 
 
-def unbiasedness_check(dim: int = 3, n_points: int = 5, n_draws: int = 100_000,
-                       mu: float = 0.01, fd_samples: int = 100_000,
-                       seed: int = 11) -> list[dict]:
-    """Oracle-mean versus smoothed-gradient rows for the squared-norm cost.
+def unbiasedness_check(n_draws: int = 100_000, seed: int = 11) -> list[dict]:
+    """Oracle-mean versus smoothed-gradient rows for the squared-norm cost at
+    UNBIASED_POINTS points in R^UNBIASED_DIM, with mu = UNBIASED_MU.
 
     The reference gradient is a central finite difference (step 0.1) of the
-    Monte Carlo smoothed value, with seeds independent of the oracle stream.
+    Monte Carlo smoothed value, with `n_draws` samples like the oracle mean
+    and seeds independent of the oracle stream.
     """
+    dim, mu = UNBIASED_DIM, UNBIASED_MU
     stream = quadratic_norm_stream(dim)
     cfg = OracleConfig.uniform(1, mu, dim, rng_seed=seed)
     rng = np.random.default_rng(seed + 1)
-    points = [rng.uniform(-1.0, 1.0, dim) for _ in range(n_points)]
+    points = [rng.uniform(-1.0, 1.0, dim) for _ in range(UNBIASED_POINTS)]
     means = _oracle_mean(stream, cfg, points, n_draws)
     rows = []
     for k, (x, (mean, stderr, _)) in enumerate(zip(points, means)):
@@ -285,8 +285,8 @@ def unbiasedness_check(dim: int = 3, n_points: int = 5, n_draws: int = 100_000,
             e = np.zeros(dim)
             e[j] = 0.1
             fd_seed = seed + 1000 + 2 * (k * dim + j)
-            hi, _ = smoothed_value_mc_stats(_square_norms, x + e, mu, fd_samples, fd_seed)
-            lo, _ = smoothed_value_mc_stats(_square_norms, x - e, mu, fd_samples, fd_seed + 1)
+            hi, _ = smoothed_value_mc_stats(_square_norms, x + e, mu, n_draws, fd_seed)
+            lo, _ = smoothed_value_mc_stats(_square_norms, x - e, mu, n_draws, fd_seed + 1)
             fd[j] = (hi - lo) / (2.0 * 0.1)
         sigmas = np.abs(mean - fd) / np.maximum(stderr, 1e-300)
         rows.append({
@@ -297,14 +297,13 @@ def unbiasedness_check(dim: int = 3, n_points: int = 5, n_draws: int = 100_000,
     return rows
 
 
-def second_moment_check(dims=(1, 2, 5), n_draws: int = 100_000, mu: float = 1e-3,
-                        seed: int = 5) -> list[dict]:
+def second_moment_check(n_draws: int = 100_000, seed: int = 5) -> list[dict]:
     """Mean squared oracle norm against the (p+4)^2 D^2 ceiling on a
-    unit-Lipschitz stream, one row per dimension."""
+    unit-Lipschitz stream with mu = MOMENT_MU, one row per p in MOMENT_DIMS."""
     rows = []
-    for p in dims:
+    for p in MOMENT_DIMS:
         stream = norm_stream(1, dim=p, scale=1.0)
-        cfg = OracleConfig.uniform(1, mu, p, rng_seed=seed + p)
+        cfg = OracleConfig.uniform(1, MOMENT_MU, p, rng_seed=seed + p)
         rng = np.random.default_rng(seed + 100 + p)
         x = rng.uniform(-1.0, 1.0, p)
         [(_, _, mean_norm_sq)] = _oracle_mean(stream, cfg, [x], n_draws)
@@ -341,7 +340,7 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
                           f"got horizon={horizon}, n_samples={n_samples}")
     directory = _out_dir("diagnostics", out_dir)
     sandwich = sandwich_table(n_samples=n_samples, seed=seed + 2024)
-    unbiased = unbiasedness_check(n_draws=n_samples, fd_samples=n_samples, seed=seed + 11)
+    unbiased = unbiasedness_check(n_draws=n_samples, seed=seed + 11)
     second = second_moment_check(n_draws=n_samples, seed=seed + 5)
 
     trace = run(config)

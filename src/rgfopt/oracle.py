@@ -25,8 +25,10 @@ import numpy as np
 
 DIRECTION_LAWS = ("gaussian", "uniform_sphere")  # what OracleConfig and RunConfig accept
 
-# Sub-stream domains under one master seed.  Directions advance the
-# spawn key by (agent, t) so a draw is a pure function of the triple.
+# Sub-stream domains under one master seed: the run's initial points,
+# directions and stream coefficients.  Directions advance the spawn key by
+# (agent, t) so a draw is a pure function of the triple.
+_DOMAIN_INIT = 0
 _DOMAIN_DIRECTION = 1
 _DOMAIN_COEFF = 2
 

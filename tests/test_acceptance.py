@@ -28,6 +28,10 @@ import rgfopt as r
 from rgfopt.algorithm import fit_geometric_decay
 from rgfopt.analysis import fit_constants_from_trace, regret_bound_rhs, theta_over_gamma
 from rgfopt.experiments import (
+    MOMENT_DIMS,
+    SANDWICH_POINTS,
+    UNBIASED_DIM,
+    UNBIASED_POINTS,
     experiment_fig2_3,
     experiment_fig4,
     sandwich_table,
@@ -92,30 +96,32 @@ def test_criterion_02_geometric_decay_at_conservative_gain():
 
 
 def test_criterion_03_smoothing_sandwich():
-    rows = sandwich_table(n_points=20, n_samples=100_000, mu=0.05, seed=2024)
-    ok = len(rows) == 20 and all(row["within"] for row in rows)
+    rows = sandwich_table(n_samples=100_000, seed=2024)
+    ok = len(rows) == SANDWICH_POINTS and all(row["within"] for row in rows)
     n_inside = sum(row["within"] for row in rows)
-    report_criterion(3, "f <= smoothed estimate <= f + sqrt(p) mu D within 3 sigma "
-                        "at 20 points, 1e5 samples", ok, f"{n_inside}/20 inside band")
+    report_criterion(3, f"f <= smoothed estimate <= f + sqrt(p) mu D within 3 sigma "
+                        f"at {SANDWICH_POINTS} points, 1e5 samples", ok,
+                     f"{n_inside}/{SANDWICH_POINTS} inside band")
     assert ok
 
 
 def test_criterion_04_oracle_unbiasedness():
-    rows = unbiasedness_check(dim=3, n_points=5, n_draws=100_000,
-                              mu=0.01, fd_samples=100_000, seed=11)
-    ok = all(row["within_4_sigma"] for row in rows)
+    rows = unbiasedness_check(n_draws=100_000, seed=11)
+    ok = len(rows) == UNBIASED_POINTS and all(row["within_4_sigma"] for row in rows)
     worst = max(row["max_sigmas"] for row in rows)
-    report_criterion(4, "oracle mean within 4 sigma of finite-difference smoothed "
-                        "gradient at 5 points in R^3", ok, f"worst {worst:.2f} sigma")
+    report_criterion(4, f"oracle mean within 4 sigma of finite-difference smoothed "
+                        f"gradient at {UNBIASED_POINTS} points in R^{UNBIASED_DIM}", ok,
+                     f"worst {worst:.2f} sigma")
     assert ok
 
 
 def test_criterion_05_second_moment_ceiling():
-    rows = second_moment_check(dims=(1, 2, 5), n_draws=100_000, seed=5)
-    ok = all(row["within"] for row in rows)
+    rows = second_moment_check(n_draws=100_000, seed=5)
+    ok = [row["dim"] for row in rows] == list(MOMENT_DIMS) and all(row["within"] for row in rows)
     detail = ", ".join(f"p={row['dim']}: {row['mean_norm_sq']:.2f}<={row['ceiling']:.0f}"
                        for row in rows)
-    report_criterion(5, "mean ||g||^2 <= (p+4)^2 D^2 for p in {1,2,5}", ok, detail)
+    dims = ",".join(map(str, MOMENT_DIMS))
+    report_criterion(5, f"mean ||g||^2 <= (p+4)^2 D^2 for p in {{{dims}}}", ok, detail)
     assert ok
 
 

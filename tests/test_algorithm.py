@@ -574,7 +574,7 @@ def _round_loop(config, step=_round):
     cfg = OracleConfig.uniform(n, config.mu_hat, p, direction_law=config.direction_law,
                                rng_seed=config.master_seed)
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.master_seed, spawn_key=(algorithm._DOMAIN_INIT,)))
+        np.random.SeedSequence(entropy=config.master_seed, spawn_key=(oracle._DOMAIN_INIT,)))
     x, y = feasible.sample_uniform(rng, (n, p)), np.zeros((n, p))
     xs, ys, gs, thetas, gammas = [x], [y], [], [], []
     for t in range(config.horizon):

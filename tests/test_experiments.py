@@ -92,7 +92,7 @@ class TestAgentSweep:
             rerun_from_metadata(res.paths["metadata"])
 
     @pytest.mark.parametrize("kwargs", [
-        {"agent_counts": (1,)}, {"ring_kind": "torus"}, {"horizon": 50.0}, {"seed": True},
+        {"agent_counts": (1,)}, {"agent_counts": (4, 1)}, {"horizon": 50.0}, {"seed": True},
         {"horizon": "50"}, {"seed": None}, {"seed": -1}, {"horizon": 0}])
     def test_invalid_per_n_config_creates_no_directory(self, tmp_path, kwargs):
         out = tmp_path / "fig4"
@@ -100,11 +100,13 @@ class TestAgentSweep:
             experiment_fig4(**{"agent_counts": (4,), "horizon": 50, **kwargs}, out_dir=out)
         assert not out.exists()
 
-    def test_one_way_cycle_variant_warns(self, tmp_path):
+    def test_one_way_cycle_variant_warns(self):
+        # fig4 runs bidirectional rings only; its config on a one-way cycle
+        config = r.RunConfig(n_agents=6, graph_kind="cycle", graph_seed=2, horizon=50,
+                             master_seed=2, record_surplus=False, record_oracle=False)
         with pytest.warns(RuntimeWarning):
-            res = experiment_fig4(seed=2, agent_counts=(6,), horizon=50,
-                                  out_dir=tmp_path, ring_kind="cycle")
-        assert any(res.traces[6].warnings)
+            trace = r.run(config)
+        assert any(trace.warnings)
 
 
 class TestDiagnosticsBundle:
@@ -135,16 +137,18 @@ class TestDiagnosticsBundle:
 
 class TestCheckHelpers:
     def test_sandwich_reduced(self):
-        rows = sandwich_table(n_points=6, n_samples=4000, seed=77)
-        assert len(rows) == 6
+        rows = sandwich_table(n_samples=4000, seed=77)
+        assert len(rows) == experiments.SANDWICH_POINTS
         assert all(row["within"] for row in rows)
 
     def test_unbiasedness_reduced(self):
-        rows = unbiasedness_check(n_points=2, n_draws=4000, fd_samples=20000, seed=13)
+        rows = unbiasedness_check(n_draws=4000, seed=13)
+        assert len(rows) == experiments.UNBIASED_POINTS
         assert all(row["within_4_sigma"] for row in rows)
 
     def test_second_moment_reduced(self):
-        rows = second_moment_check(dims=(1, 3), n_draws=4000, seed=19)
+        rows = second_moment_check(n_draws=4000, seed=19)
+        assert [row["dim"] for row in rows] == list(experiments.MOMENT_DIMS)
         assert all(row["within"] for row in rows)
 
     def test_oracle_mean_equals_scalar_draws(self, scalar_direction_blocks):
@@ -171,7 +175,7 @@ class TestCheckHelpers:
         cfg = r.OracleConfig.uniform(1, 0.01, stream.dim, rng_seed=41)
         points = [np.linspace(-0.7, 0.9, stream.dim), np.linspace(0.6, -0.4, stream.dim),
                   np.full(stream.dim, 0.25)]
-        n = 1 if offset is None else experiments._SUM_CHUNK + offset
+        n = 1 if offset is None else oracle._BLOCK_KEYS + offset
         if name == "constant3":
             assert np.signbit(r.gradient_free_oracle(stream, cfg, 0, 0, points[0])).any()
         got = experiments._oracle_mean(stream, cfg, points, n)
@@ -189,23 +193,35 @@ class TestCheckHelpers:
                 [np.asarray(v).tobytes() for v in (mean, stderr, norm_sq / n)]
 
     def test_unbiasedness_points_share_each_direction_block(self, monkeypatch):
-        # for one agent a _SUM_CHUNK chunk is one block, drawn once for all
-        # five points: 3 blocks, against 15 with one draw per point
+        # for one agent a pass of _BLOCK_KEYS draws is one block, drawn once
+        # for all five points: 3 blocks, against 15 with one draw per point
         blocks = []
         block = oracle._direction_block
         monkeypatch.setattr(oracle, "_direction_block",
                             lambda *args: blocks.append(args[4:]) or block(*args))
-        unbiasedness_check(n_points=5, n_draws=2 * experiments._SUM_CHUNK + 5, fd_samples=10)
+        unbiasedness_check(n_draws=2 * oracle._BLOCK_KEYS + 5)
         assert blocks == [(0, 2048), (2048, 4096), (4096, 6144)]
 
     @pytest.mark.parametrize("n_draws", [0, -3])
     @pytest.mark.parametrize("check", [unbiasedness_check, second_moment_check])
     def test_checks_reject_fewer_than_one_draw(self, monkeypatch, check, n_draws):
         def no_draw(*args):
-            raise AssertionError("an oracle draw was made")
+            raise AssertionError("a draw was made")
         monkeypatch.setattr(experiments, "gradient_free_oracle", no_draw)
+        monkeypatch.setattr(experiments, "smoothed_value_mc_stats", no_draw)
         with pytest.raises(ValueError, match=f"n_draws must be >= 1, got {n_draws}"):
             check(n_draws=n_draws)
+
+    @pytest.mark.parametrize("check, seed, digest", [
+        (sandwich_table, 2024, "96697e39b822595fef61f321c730b298b9391fde9f8bb40987e04dd2e19d70a4"),
+        (unbiasedness_check, 11, "f391c8b189ce0294628cbc03973fde4513bf368fd2be804a5b1e94040c8d8bda"),
+        (second_moment_check, 5, "cd80025a95f1250f47e3665fc8149443e7fd161ffeb59a61be65e61b3d953f89"),
+    ], ids=["sandwich", "unbiasedness", "second_moment"])
+    def test_rows_are_pinned(self, check, seed, digest):
+        # the gate's seeds at 3,000 samples, which cross a direction block
+        rows = check(3000, seed=seed)
+        got = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+        assert got == digest, f"pinned under SkylakeX, run under {blas_kernel()}"
 
     def test_default_output_dir_is_timestamped(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rgfopt as r
-from rgfopt import algorithm, analysis, experiments
+from rgfopt import algorithm, analysis, experiments, oracle
 
 
 def _trace_arrays(trace):
@@ -49,7 +49,7 @@ def test_oracle_mean_makes_one_estimator_call_per_draw(counted, monkeypatch):
         per_point.setdefault(args[-1].tobytes(), Counter()).update(counts - before)
         return g
     monkeypatch.setattr(experiments, "gradient_free_oracle", by_point)
-    n_draws = experiments._SUM_CHUNK + 5
+    n_draws = oracle._BLOCK_KEYS + 5
     experiments._oracle_mean(counting_stream, cfg, points, n_draws)
     assert per_point == {x.tobytes(): {"estimator": n_draws, "direction": n_draws,
                                        "evaluate": 2 * n_draws} for x in points}
