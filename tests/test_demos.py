@@ -1,5 +1,6 @@
 """Every script under demos/, and README's library quick start, runs to
-completion from a fresh interpreter."""
+completion from a fresh interpreter; demo 06's law also holds at toy size."""
+import importlib.util
 import os
 import re
 import subprocess
@@ -35,3 +36,15 @@ def test_readme_quick_start_runs(tmp_path):
                           env=env, cwd=tmp_path, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout.split()[0]) >= 0.0  # the final consensus spread
+
+
+def test_regret_law_demo_regret_rises_with_omega():
+    # demo 06 at toy size: at fixed T a faster-moving minimizer costs more
+    spec = importlib.util.spec_from_file_location("regret_law", ROOT / "demos" / "06_regret_law.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    rows = [demo.regret_and_path(omega, (100, 300)) for omega in (0.0, 0.03, 0.1)]
+    for k in range(2):
+        regrets, paths = zip(*(r[k] for r in rows))
+        assert regrets[0] < regrets[1] < regrets[2]
+        assert paths[0] == 0.0 < paths[1] < paths[2]

@@ -1,7 +1,11 @@
+import builtins
 import math
+import os
 import struct
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,9 @@ from rgfopt.oracle import (
     smoothed_value_mc_stats,
     tracking_target,
 )
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 class TestSampleDirection:
@@ -249,8 +256,10 @@ class TestBlockDirections:
         assert np.array_equal(sample_direction(cfg, 0, 1), reference_direction(6, 0, 1, 2, "gaussian"))
 
 
-def _probe_ziggurat_tables():
-    """numpy's double ziggurat tables (wi, ki), read off Generator(PCG64).
+@pytest.fixture(scope="module")
+def numpy_ziggurat_words():
+    """numpy's double ziggurat tables as words (wi as IEEE-754 bits, ki),
+    read off Generator(PCG64) by a full bisection for every ki word.
 
     A PCG64 state is placed so that its next output is a chosen r (one LCG
     step inverted; a stepped state with high word 0 outputs its low word).
@@ -277,24 +286,88 @@ def _probe_ziggurat_tables():
         while lo < hi:
             mid = (lo + hi) // 2
             lo, hi = (lo, mid) if draw(mid << 9 | idx)[1] else (mid + 1, hi)
-        wi.append(w)
+        wi.append(struct.unpack("<Q", struct.pack("<d", w))[0])
         ki.append(lo)
     return wi, ki
 
 
-def _hex_words(words):
-    return "\n".join("    " + " ".join(f"{w:016x}" for w in words[i:i + 4])
-                     for i in range(0, len(words), 4))
+def _assert_tables_are_words(tables, words):
+    ki, wi = tables
+    got = wi.view(np.uint64).tolist(), ki.tolist()
+    for name, a, b in zip(("wi", "ki"), got, words):
+        assert len(a) == len(b) == 256
+        first = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+        assert first is None, (
+            f"numpy {np.__version__}: {name}[{first}] is {a[first]:#018x} in "
+            f"oracle._ziggurat_tables() but {b[first]:#018x} by full bisection")
 
 
-def test_embedded_ziggurat_tables_match_numpy():
-    wi, ki = _probe_ziggurat_tables()
-    wi_bits = [struct.unpack("<Q", struct.pack("<d", w))[0] for w in wi]
-    embedded = (oracle._ZIGGURAT_WI.view(np.uint64).tolist(), oracle._ZIGGURAT_KI.tolist())
-    assert embedded == (wi_bits, ki), (
-        f"numpy {np.__version__} draws normals from other ziggurat tables; replace the "
-        f"literals in rgfopt/oracle.py with\n_ZIGGURAT_KI:\n{_hex_words(ki)}\n"
-        f"_ZIGGURAT_WI:\n{_hex_words(wi_bits)}")
+class TestZigguratTables:
+    def test_tables_equal_a_full_bisection_probe(self, numpy_ziggurat_words):
+        _assert_tables_are_words(oracle._ziggurat_tables(), numpy_ziggurat_words)
+
+    @pytest.mark.parametrize("offset", [2, -2])
+    def test_a_wrong_ki_guess_falls_back_to_the_bisection(self, monkeypatch,
+                                                          numpy_ziggurat_words, offset):
+        # the guess is the only use of round() in the oracle module, and a
+        # guess off by 2 fails its bracket: slow at both guess - 1 and guess,
+        # or fast at both
+        guesses = []
+        monkeypatch.setattr(oracle, "round", lambda x: guesses.append(x) or
+                            builtins.round(x) + offset, raising=False)
+        tables = oracle._ziggurat_tables.__wrapped__()
+        assert len(guesses) == 254
+        _assert_tables_are_words(tables, numpy_ziggurat_words)
+
+    def test_tables_are_read_only(self):
+        for table in oracle._ziggurat_tables():
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_import_and_a_zero_horizon_run_never_probe(self):
+        code = ("import rgfopt\n"
+                "from rgfopt import oracle\n"
+                "assert oracle._ziggurat_tables.cache_info().misses == 0\n"
+                "rgfopt.run(rgfopt.RunConfig(horizon=0))\n"
+                "print(oracle._ziggurat_tables.cache_info().misses)\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+        assert (out.returncode, out.stdout) == (0, "0\n"), out.stderr
+
+    def test_threads_making_the_first_draws_at_once_match_reference(self):
+        # a fresh interpreter, so the four threads race into the first probe
+        code = """
+import sys, threading
+import numpy as np
+from conftest import reference_direction
+from rgfopt import oracle
+from rgfopt.oracle import OracleConfig, sample_direction
+assert oracle._ziggurat_tables.cache_info().misses == 0
+cfgs = [OracleConfig.uniform(3, 0.1, 2, rng_seed=seed) for seed in range(4)]
+keys = [(agent, t) for t in range(0, 2000, 7) for agent in range(3)]
+start, bad = threading.Barrier(4), []
+
+def worker(i):
+    start.wait()
+    for agent, t in keys:
+        got = sample_direction(cfgs[i], agent, t)
+        if got.tobytes() != reference_direction(i, agent, t, 2, "gaussian").tobytes():
+            bad.append((i, agent, t))
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+for th in threads:
+    th.start()
+for th in threads:
+    th.join(timeout=60)
+assert not any(th.is_alive() for th in threads)
+print(oracle._ziggurat_tables.cache_info().misses >= 1, bad)
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert (out.returncode, out.stdout) == (0, "True []\n"), out.stderr
 
 
 class TestGradientFreeOracle:
