@@ -264,10 +264,12 @@ def fit_constants_from_trace(trace: Trace) -> BoundInputs:
     evaluated at the radius of the configured feasible set, else from the
     largest observed oracle norm (a valid empirical proxy).  The path length
     is that of the regret ledger's comparator."""
+    if trace.horizon < 1:
+        raise ValueError(f"fitting bound constants needs horizon >= 1, got horizon={trace.horizon}")
+    ratio = theta_over_gamma(trace)
     cfg = trace.config
     _, c_fit, lam_fit, _ = gain_fit(equal_neighbor_weights(trace.graph), cfg.delta, 200)
     lam_fit = min(lam_fit, 1.0 - 1e-9)
-    ratio = theta_over_gamma(trace)
     g1 = float(ratio.max())
     g_sum = trace.g_norm.sum(axis=1)
     big_theta = np.linalg.norm(trace.theta, axis=2).sum(axis=1)

@@ -1,7 +1,10 @@
 import ctypes
 import dataclasses
+import functools
 import glob
 import os
+import sys
+import threading
 import warnings
 from collections import Counter
 
@@ -34,6 +37,98 @@ def reference_direction(seed, agent, t, dim, law):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, agent, t)))
     xi = rng.standard_normal(dim)
     return xi / np.linalg.norm(xi) if law == "uniform_sphere" else xi
+
+
+# Array routes that share only the direction blocks with run(): each stream's
+# cost as one numpy formula over rows, the two-point estimates of many rows at
+# once, and run()'s round on them.
+
+def _row_dots(a, b):
+    """Row k's a[k] . b[k]: a stacked matmul has each row's 1-D dot bits."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def stream_rows(name, stream):
+    """`name`'s cost as one numpy formula over rows: values(agents, ts, X)
+    -> (K,), row k with the bits of stream.evaluate(agents[k], ts[k], X[k]).
+    `name` is a registered stream, "norm" (norm_stream) or "quadratic_norm"
+    (experiments.quadratic_norm_stream); `ts` may be one time for all rows."""
+    p = stream.params
+    if name == "paper_quadratic":
+        a, b, c = (np.array(p[k]) for k in "abc")
+
+        def values(agents, ts, X):
+            d = np.array([oracle.tracking_target(t) for t in np.broadcast_to(ts, len(X)).tolist()])
+            return (_row_dots(a[agents][:, None] * X, X) - 2.0 * b[agents] * d
+                    * np.add.reduce(X, axis=1) + c[agents] * stream.dim * d * d)
+    elif name == "linear_probe":
+        u = np.array([[stream.evaluate(i, 0, e) for e in np.eye(stream.dim)]
+                      for i in range(stream.n_agents)])
+        values = lambda agents, ts, X: _row_dots(u[agents], X)
+    else:
+        values = {"constant": lambda agents, ts, X: np.full(len(X), float(p["value"])),
+                  "norm": lambda agents, ts, X: p["scale"] * np.sqrt(_row_dots(X, X)),
+                  "quadratic_norm": lambda agents, ts, X: _row_dots(X, X)}[name]
+    return np.errstate(all="ignore")(values)
+
+
+@np.errstate(all="ignore")
+def array_estimates(values, mu, agents, ts, X, xi):
+    """The two-point estimates of rows k = (agents[k], ts[k], X[k]) along
+    directions xi[k] at once, in gradient_free_oracle's operation order, from
+    a row formula `values` (stream_rows); `mu` is one gain or one per row.
+    Raises OracleError where the estimator would, naming the first such row."""
+    mu = np.broadcast_to(np.asarray(mu, dtype=float), len(X))[:, None]
+    f_shift, f_base = values(agents, ts, X + mu * xi), values(agents, ts, X)
+    bad = np.flatnonzero(~(np.isfinite(f_shift) & np.isfinite(f_base)))
+    if bad.size:
+        k = bad[0]
+        raise oracle.OracleError(f"non-finite objective value for agent {agents[k]} at t={ts[k]}: "
+                                 f"f(x+mu*xi)={float(f_shift[k])!r}, f(x)={float(f_base[k])!r}")
+    return xi * ((f_shift - f_base)[:, None] / mu)
+
+
+@functools.lru_cache(maxsize=1)
+def _block(seed, dim, law, n_agents, t0):
+    return oracle._direction_block(seed, dim, law, n_agents, t0,
+                                   t0 + max(1, oracle._BLOCK_KEYS // n_agents))
+
+
+def array_round(x, y, wp, delta, gamma_t, values, cfg, t, feasible, g, theta):
+    """run()'s round on arrays, with _advance's signature and the stream's row
+    formula `values` (stream_rows) in its place: array_estimates along one
+    direction block per max(1, 2048 // N) aligned times, mixing, projection.
+    Fills g and theta (unless None) as _advance does, and fails as it does."""
+    n = len(x)
+    step = max(1, oracle._BLOCK_KEYS // n)
+    xi = _block(cfg.rng_seed, cfg.dim, cfg.direction_law, n, t - t % step)[t % step * n:][:n]
+    g[...] = array_estimates(values, cfg.mu, np.arange(n), np.full(n, t), x, xi)
+    mixed = wp.w_row @ x
+    delta_y = delta * y
+    x_new = feasible.project(mixed + delta_y - gamma_t * g)
+    y_new = wp.w_col @ y - mixed + x - delta_y
+    if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
+        raise r.SimulationError(f"non-finite state after step t={t}")
+    if theta is not None:
+        theta[...] = (x_new - mixed) - delta_y
+    return x_new, y_new
+
+
+def run_threads(targets, switch_interval, timeout):
+    """Run each callable of `targets` on its own thread at the given switch
+    interval, join each for up to `timeout` seconds, restore the interval and
+    return the threads."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(switch_interval)
+    try:
+        threads = [threading.Thread(target=target) for target in targets]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=timeout)
+    finally:
+        sys.setswitchinterval(old)
+    return threads
 
 
 def edge_set_law(kind: str, n: int, prob: float = 0.3, seed: int = 0) -> set:

@@ -1,17 +1,17 @@
 import dataclasses
 import errno
+import functools
 import json
 import math
 import os
 import re
 import signal
-import sys
 import threading
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rgfopt as r
@@ -35,7 +35,7 @@ from rgfopt.oracle import (
     sample_direction,
 )
 
-from conftest import edge_set_law
+from conftest import SV_SEED, array_round, edge_set_law, run_threads, stream_rows
 
 
 class TestProjection:
@@ -232,21 +232,6 @@ class TestRound:
         assert np.allclose(x, 1.7, atol=1e-15)
         assert np.allclose(y, 0.0, atol=1e-15)
 
-    def test_mean_conservation_each_step(self):
-        # (1/N) sum phi(t+1) - (1/N) sum phi(t) == (1/N) sum theta(t)
-        wp, _, cfg, feasible, delta = _setup(n=8, dim=2, seed=4)
-        stream = linear_probe_stream(8, dim=2, seed=9, scale=2.0)
-        cfg = OracleConfig.uniform(8, 1e-4, 2, rng_seed=4)
-        rng = np.random.default_rng(1)
-        x, y = rng.uniform(-5, 5, (8, 2)), np.zeros((8, 2))
-        for t in range(50):
-            before = (x.sum(axis=0) + y.sum(axis=0)) / 8
-            x, y, _, theta = _round(x, y, wp, delta, 1.0 / math.sqrt(t + 1), stream, cfg, t,
-                                    feasible)
-            lhs = (x.sum(axis=0) + y.sum(axis=0)) / 8 - before
-            rhs = theta.sum(axis=0) / 8
-            assert np.abs(lhs - rhs).max() < 1e-10
-
     def test_pure_consensus_matches_matrix_powers(self):
         # with a constant stream the round is exactly linear, so the stacked
         # state must equal W^t phi(0); the decisions converge to the initial
@@ -353,24 +338,6 @@ class TestRun:
         assert trace.gamma.shape == (0,)
         assert trace.spread.shape == (1,)
 
-    def test_bitwise_deterministic(self):
-        config = RunConfig(horizon=120, master_seed=9, check_delta_bound=False)
-        t1 = r.run(config)
-        t2 = r.run(config)
-        assert np.array_equal(t1.x, t2.x)
-        assert np.array_equal(t1.y, t2.y)
-        assert np.array_equal(t1.cost, t2.cost)
-        assert t1.to_csv_text() == t2.to_csv_text()
-
-    def test_feasibility_every_step(self):
-        trace = r.run(RunConfig(horizon=200, master_seed=2, check_delta_bound=False))
-        assert (trace.x >= -5.0 - 1e-12).all() and (trace.x <= 5.0 + 1e-12).all()
-
-    def test_gamma_matches_schedule(self):
-        trace = r.run(RunConfig(horizon=50, master_seed=2, gamma0=2.0, check_delta_bound=False))
-        expected = 2.0 / np.sqrt(np.arange(50) + 1.0)
-        assert np.allclose(trace.gamma, expected, rtol=1e-15)
-
     def test_validation_errors(self):
         with pytest.raises(ConfigError):
             r.run(RunConfig(delta=0.0))
@@ -452,22 +419,6 @@ class TestRun:
             {f.name: type(getattr(RunConfig(), f.name)) for f in dataclasses.fields(RunConfig)}
         assert RunConfig.from_dict(json.loads(json.dumps(data))) == config
 
-    def test_post_loop_recording_equals_per_step_reference(self):
-        config = RunConfig(n_agents=4, dim=3, feasible_kind="ball", ball_radius=2.0,
-                           direction_law="uniform_sphere", horizon=60, master_seed=12,
-                           check_delta_bound=False)
-        trace = r.run(config)
-        stream = r.make_stream(config.stream_name, 4, 3, config.master_seed)
-        cfg = OracleConfig.uniform(4, config.mu_hat, 3, direction_law="uniform_sphere",
-                                   rng_seed=config.master_seed)
-        cost = np.stack([stream.aggregate_cost(t, trace.x[t]) for t in range(61)])
-        x_star = np.stack([stream.analytic_minimizer(t) for t in range(61)])
-        g_norm = np.stack([np.linalg.norm([gradient_free_oracle(stream, cfg, i, t, trace.x[t, i])
-                                           for i in range(4)], axis=1) for t in range(60)])
-        assert trace.cost.tobytes() == cost.tobytes()
-        assert trace.x_star.tobytes() == x_star.tobytes()
-        assert trace.g_norm.tobytes() == g_norm.tobytes()
-
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_dict({"horizon": 5, "bogus": 1})
@@ -531,45 +482,27 @@ class TestPrefetchedRun:
             except Exception as exc:
                 errors.append(exc)
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=run_config, args=(0,)),
-                       threading.Thread(target=run_config, args=(1,)),
-                       threading.Thread(target=draw_keys)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-        finally:
-            sys.setswitchinterval(old)
+        threads = run_threads([functools.partial(run_config, 0), functools.partial(run_config, 1),
+                               draw_keys], 1e-5, 120)
         assert not any(th.is_alive() for th in threads)
         assert errors == []
         assert got == expected
         assert all(drawn[k].tobytes() == scalar[k].tobytes() for k in keys)
 
 
-def _written_out_round(x, y, wp, delta, gamma_t, stream, cfg, t, feasible):
-    """The round law written out without `_advance`, on new arrays at every
-    step.  Returns what `_round` returns."""
-    g = np.stack([gradient_free_oracle(stream, cfg, i, t, x_i) for i, x_i in enumerate(x)])
-    mixed = wp.w_row @ x
-    delta_y = delta * y
-    x_new = feasible.project(mixed + delta_y - gamma_t * g)
-    y_new = wp.w_col @ y - mixed + x - delta_y
-    return x_new, y_new, g, (x_new - mixed) - delta_y
-
-
-def _round_loop(config, step=_round):
+def _round_loop(config, advance=algorithm._advance):
     """run()'s set-up followed by one direct call of a round function per
-    step.  With `_round`, both advance through `_advance`, so comparing them
-    checks run()'s own bookkeeping: history rows, the scratch row of
-    unrecorded estimates and the step sizes.  Returns the stacked x, y, g,
-    theta and gamma."""
+    step: `advance`, or array_round on the stream's row formula.  With
+    `_advance`, both step through run()'s round, so comparing them checks
+    run()'s own bookkeeping: history rows, the scratch row of unrecorded
+    estimates and the step sizes.  Returns the stacked x, y, g, theta and
+    gamma."""
     n, p = config.n_agents, config.dim
     wp = equal_neighbor_weights(algorithm.make_graph(config.graph_kind, n, config.graph_seed,
                                                      config.extra_edge_prob))
     stream = r.make_stream(config.stream_name, n, p, config.master_seed)
+    if advance is array_round:
+        stream = stream_rows(config.stream_name, stream)
     feasible = config.feasible_set()
     cfg = OracleConfig.uniform(n, config.mu_hat, p, direction_law=config.direction_law,
                                rng_seed=config.master_seed)
@@ -579,7 +512,8 @@ def _round_loop(config, step=_round):
     xs, ys, gs, thetas, gammas = [x], [y], [], [], []
     for t in range(config.horizon):
         gammas.append(config.step_size(t))
-        x, y, g, theta = step(x, y, wp, config.delta, gammas[-1], stream, cfg, t, feasible)
+        g, theta = np.empty((n, p)), np.empty((n, p))
+        x, y = advance(x, y, wp, config.delta, gammas[-1], stream, cfg, t, feasible, g, theta)
         xs.append(x)
         ys.append(y)
         gs.append(g)
@@ -599,9 +533,23 @@ LOOP_CONFIGS = {
 }
 
 
-# run() against the round law written out: a ring of 200 agents, a dim-3
-# box, a dim-2 ball and sphere directions
-WRITTEN_OUT_CONFIGS = {
+def _assert_run_is_the_round(config, trace, ref):
+    """run()'s x, y, g norms, theta and cost have the bytes of a round loop's
+    and of the cost of its x."""
+    n, p = config.n_agents, config.dim
+    stream = r.make_stream(config.stream_name, n, p, config.master_seed)
+    ts = np.repeat(np.arange(config.horizon + 1), n)
+    cost = stream.aggregate_cost(ts, ref["x"].reshape(-1, p)).reshape(-1, n)
+    assert [a.tobytes() for a in (trace.x, trace.y, trace.g_norm, trace.theta, trace.cost)] == \
+        [a.tobytes() for a in (ref["x"], ref["y"], np.linalg.norm(ref["g"], axis=2),
+                               ref["theta"], cost)]
+
+
+# run() against the array round: a ring of 200 agents, a dim-3 box, a dim-2
+# ball, sphere directions in a box and in a ball, and five longer runs: the
+# defaults (sv_trace's run), rings of 50 and 200 agents, dim 3 and a dim-3
+# ball, the last four crossing 4 or 5 direction blocks each
+ARRAY_ROUND_CONFIGS = {
     "ring200": RunConfig(n_agents=200, graph_kind="ring", horizon=25, master_seed=1,
                          check_delta_bound=False),
     "box_dim3": RunConfig(dim=3, feasible_lo=-1.0, feasible_hi=0.5, horizon=80, master_seed=4,
@@ -610,6 +558,15 @@ WRITTEN_OUT_CONFIGS = {
                            master_seed=6, check_delta_bound=False),
     "sphere": RunConfig(n_agents=7, dim=4, direction_law="uniform_sphere", horizon=80,
                         master_seed=8, check_delta_bound=False),
+    "sphere_ball_dim3": RunConfig(n_agents=4, dim=3, feasible_kind="ball", ball_radius=2.0,
+                                  direction_law="uniform_sphere", horizon=60, master_seed=12,
+                                  check_delta_bound=False),
+    "default": RunConfig(horizon=5000, master_seed=SV_SEED),
+    "ring50_T200": RunConfig(n_agents=50, graph_kind="ring", horizon=200, check_delta_bound=False),
+    "ring200_T40": RunConfig(n_agents=200, graph_kind="ring", horizon=40, check_delta_bound=False),
+    "dim3_seed4": RunConfig(dim=3, horizon=700, master_seed=4, check_delta_bound=False),
+    "ball_dim3": RunConfig(dim=3, feasible_kind="ball", ball_radius=0.5, horizon=700,
+                           check_delta_bound=False),
 }
 
 
@@ -632,28 +589,21 @@ class TestPlainArrayLoop:
     def test_f_ordered_weights_mix_with_the_bits_of_their_c_ordered_copy(self, kind, n):
         # dgemv sums W_r x in another order for an F-ordered W_r, so the
         # weight pair must hold C order whatever order it is given
-        def fortran_round(x, y, wp, *rest):
+        def fortran_advance(x, y, wp, *rest):
             wp_f = WeightPair(w_row=np.asfortranarray(wp.w_row), w_col=np.asfortranarray(wp.w_col))
-            return _round(x, y, wp_f, *rest)
+            return algorithm._advance(x, y, wp_f, *rest)
 
         config = RunConfig(n_agents=n, graph_kind=kind, horizon=30, master_seed=1,
                            check_delta_bound=False)
-        ref, got = _round_loop(config), _round_loop(config, step=fortran_round)
+        ref, got = _round_loop(config), _round_loop(config, advance=fortran_advance)
         assert {k: got[k].tobytes() for k in got} == {k: ref[k].tobytes() for k in ref}
 
-    @pytest.mark.parametrize("name", sorted(WRITTEN_OUT_CONFIGS))
-    def test_run_equals_the_round_law_written_out(self, name):
-        config = WRITTEN_OUT_CONFIGS[name]
-        trace, ref = r.run(config), _round_loop(config, step=_written_out_round)
-        n, p = config.n_agents, config.dim
-        stream = r.make_stream(config.stream_name, n, p, config.master_seed)
-        ts = np.repeat(np.arange(config.horizon + 1), n)
-        cost = stream.aggregate_cost(ts, ref["x"].reshape(-1, p)).reshape(-1, n)
-        assert trace.x.tobytes() == ref["x"].tobytes()
-        assert trace.y.tobytes() == ref["y"].tobytes()
-        assert trace.g_norm.tobytes() == np.linalg.norm(ref["g"], axis=2).tobytes()
-        assert trace.theta.tobytes() == ref["theta"].tobytes()
-        assert trace.cost.tobytes() == cost.tobytes()
+    @pytest.mark.parametrize("name", sorted(ARRAY_ROUND_CONFIGS))
+    def test_run_equals_the_round_law_written_out(self, name, request):
+        config = ARRAY_ROUND_CONFIGS[name]
+        trace = request.getfixturevalue("sv_trace") if name == "default" else r.run(config)
+        assert trace.config == config
+        _assert_run_is_the_round(config, trace, _round_loop(config, advance=array_round))
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_estimates_never_alias_the_state(self, dim):
@@ -742,14 +692,6 @@ class TestPlainArrayLoop:
         assert RunConfig(**largest, check_delta_bound=False).dim == largest["dim"]
 
 
-def _checked_written_out_round(x, y, wp, delta, gamma_t, stream, cfg, t, feasible):
-    """`_written_out_round`, failing as run() does when the new state is not finite."""
-    out = _written_out_round(x, y, wp, delta, gamma_t, stream, cfg, t, feasible)
-    if not (np.isfinite(out[0]).all() and np.isfinite(out[1]).all()):
-        raise SimulationError(f"non-finite state after step t={t}")
-    return out
-
-
 def _outcome(call):
     """call()'s result, or the step t named by the SimulationError or
     OracleError it raises."""
@@ -786,15 +728,22 @@ def _round_configs(draw):
         check_delta_bound=False, **feasible)
 
 
+# a linear-probe cycle whose stacked mean moves by exactly its residuals
+CONSERVATION_CONFIG = RunConfig(n_agents=8, dim=2, graph_kind="cycle", delta=0.05,
+                                stream_name="linear_probe", feasible_lo=-10.0, feasible_hi=10.0,
+                                horizon=50, master_seed=4, check_delta_bound=False)
+
+
 class TestRoundProperties:
     @settings(max_examples=50, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(a=_round_configs(), b=_round_configs())
+    @example(a=CONSERVATION_CONFIG, b=CONSERVATION_CONFIG)
     def test_run_is_the_round_law_and_keeps_its_invariants(self, counted, a, b):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             trace = _outcome(lambda: r.run(a))
-            ref = _outcome(lambda: _round_loop(a, step=_checked_written_out_round))
+            ref = _outcome(lambda: _round_loop(a, advance=array_round))
             if isinstance(trace, int) or isinstance(ref, int):
                 assert trace == ref
             else:
@@ -806,12 +755,8 @@ class TestRoundProperties:
     @staticmethod
     def _check_run(config, trace, ref, counted):
         n, p, t_end = config.n_agents, config.dim, config.horizon
-        stream = r.make_stream(config.stream_name, n, p, config.master_seed)
-        ts = np.repeat(np.arange(t_end + 1), n)
-        cost = stream.aggregate_cost(ts, ref["x"].reshape(-1, p)).reshape(-1, n)
-        assert [a.tobytes() for a in (trace.x, trace.y, trace.g_norm, trace.theta, trace.cost)] == \
-            [a.tobytes() for a in (ref["x"], ref["y"], np.linalg.norm(ref["g"], axis=2),
-                                   ref["theta"], cost)]
+        _assert_run_is_the_round(config, trace, ref)
+        assert config.feasible_set().contains(trace.x)
         # criterion 9's identities, at its tolerance
         stacked = trace.x.sum(axis=1) + trace.y.sum(axis=1)
         drift = (stacked[1:] - stacked[:-1]) / n - trace.theta.sum(axis=1) / n
@@ -819,7 +764,8 @@ class TestRoundProperties:
         bound = trace.gamma[:, None] * trace.g_norm \
             + 2.0 * config.delta * np.linalg.norm(trace.y[:-1], axis=2)
         assert (np.linalg.norm(trace.theta, axis=2) - bound).max() < 1e-10
-        counts, counting_stream = counted(algorithm, stream)
+        counts, counting_stream = counted(algorithm, r.make_stream(config.stream_name, n, p,
+                                                                   config.master_seed))
         r.run(config, stream=counting_stream)
         draws = n * t_end
         assert counts == {"estimator": draws, "direction": draws, "evaluate": 2 * draws}
@@ -832,16 +778,8 @@ class TestRoundProperties:
         def run_config(i, config):
             got[i] = _outcome(lambda: _trace_bytes(r.run(config)))
 
-        threads = [threading.Thread(target=run_config, args=(i, c)) for i, c in enumerate((a, b))]
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
+        threads = run_threads([functools.partial(run_config, i, c) for i, c in enumerate((a, b))],
+                              1e-5, 60)
         assert not any(th.is_alive() for th in threads)
         return got
 

@@ -340,6 +340,15 @@ class TestFittedConstants:
         with pytest.raises(ValueError):
             theta_over_gamma(trace)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"horizon": 0}, r"horizon >= 1, got horizon=0$"),
+        ({"horizon": 5, "record_oracle": False}, "no residual recording")])
+    def test_unfittable_trace_is_rejected_before_the_gain_fit(self, monkeypatch, fields, message):
+        trace = r.run(RunConfig(**fields, check_delta_bound=False))
+        monkeypatch.setattr(analysis, "gain_fit", lambda *args: pytest.fail("gain_fit called"))
+        with pytest.raises(ValueError, match=message):
+            fit_constants_from_trace(trace)
+
     def test_constants_from_sv_run(self, sv_trace):
         inputs = fit_constants_from_trace(sv_trace)
         assert 0.0 < inputs.lambda_fit < 1.0

@@ -19,7 +19,7 @@ from rgfopt.experiments import (
 )
 from rgfopt.oracle import constant_stream
 
-from conftest import blas_kernel
+from conftest import array_estimates, blas_kernel, stream_rows
 
 
 @pytest.fixture(scope="module")
@@ -165,25 +165,27 @@ class TestCheckHelpers:
             assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
-    @pytest.mark.parametrize("name", ["quadratic3", "norm2", "constant3"])
+    @pytest.mark.parametrize("name", ["quadratic_norm", "norm", "constant"])
     def test_oracle_mean_equals_a_sequential_loop(self, name, offset):
         # offset None is a single draw: the constant stream's draws are all
         # +-0.0, so there the +0.0 start of the running sums shows in the bits
-        stream = {"quadratic3": lambda: experiments.quadratic_norm_stream(3),
-                  "norm2": lambda: r.norm_stream(1, dim=2, scale=1.0),
-                  "constant3": lambda: constant_stream(1, dim=3, value=2.0)}[name]()
+        stream = {"quadratic_norm": lambda: experiments.quadratic_norm_stream(3),
+                  "norm": lambda: r.norm_stream(1, dim=2, scale=1.0),
+                  "constant": lambda: constant_stream(1, dim=3, value=2.0)}[name]()
         cfg = r.OracleConfig.uniform(1, 0.01, stream.dim, rng_seed=41)
         points = [np.linspace(-0.7, 0.9, stream.dim), np.linspace(0.6, -0.4, stream.dim),
                   np.full(stream.dim, 0.25)]
         n = 1 if offset is None else oracle._BLOCK_KEYS + offset
-        if name == "constant3":
-            assert np.signbit(r.gradient_free_oracle(stream, cfg, 0, 0, points[0])).any()
         got = experiments._oracle_mean(stream, cfg, points, n)
         assert len(got) == len(points)
+        xi = oracle._direction_block(cfg.rng_seed, cfg.dim, cfg.direction_law, 1, 0, n)
         for x, point_got in zip(points, got):
+            draws = array_estimates(stream_rows(name, stream), cfg.mu, np.zeros(n, dtype=int),
+                                    np.arange(n), np.tile(x, (n, 1)), xi)
+            if name == "constant":
+                assert np.signbit(draws[0]).any()
             total, total_sq, norm_sq = np.zeros(stream.dim), np.zeros(stream.dim), 0.0
-            for t in range(n):  # the former per-draw accumulation, kept as the reference
-                g = r.gradient_free_oracle(stream, cfg, 0, t, x)
+            for g in draws:  # the former per-draw accumulation, kept as the reference
                 total += g
                 total_sq += g * g
                 norm_sq += g @ g

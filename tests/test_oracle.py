@@ -1,10 +1,10 @@
 import builtins
+import functools
 import math
 import os
 import struct
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_direction
+from conftest import array_estimates, reference_direction, run_threads, stream_rows
 from rgfopt import experiments, oracle
 from rgfopt.oracle import (
     ObjectiveStream,
@@ -69,16 +69,7 @@ class TestSampleDirection:
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
+        threads = run_threads([functools.partial(worker, i) for i in range(4)], 1e-6, 60)
         assert not any(th.is_alive() for th in threads)
         assert errors == [] and mismatches == []
 
@@ -664,33 +655,16 @@ class TestPaperStream:
         steepest = np.linalg.norm(2 * a[:, None] * x + 2 * b[:, None] * 0.016, axis=1).max()
         assert steepest == pytest.approx(stream.subgradient_bound(rho), rel=1e-12)
 
-    @settings(max_examples=200, deadline=None)
-    @given(dim=st.integers(1, 6), t=st.integers(0, 10_000), log_scale=st.floats(-3.0, math.log10(50.0)),
-           seed=st.integers(0, 2**32 - 1))
-    def test_evaluate_equals_the_numpy_scalar_formula(self, dim, t, log_scale, seed):
-        # the former expression on numpy scalars, kept as the reference
-        stream = paper_objective_stream(7, dim=dim, coeff_seed=seed % 5)
-        a, b, c = (np.array(stream.params[k]) for k in "abc")
-        x = np.random.default_rng(seed).standard_normal(dim) * 10.0 ** log_scale
-        d = tracking_target(t)
-        for agent in range(7):
-            expected = float(a[agent] * x @ x - 2.0 * b[agent] * d * x.sum() + c[agent] * dim * d * d)
-            assert stream.evaluate(agent, t, x).hex() == expected.hex()
-
     @pytest.mark.parametrize("dim", [1, 3])
     def test_threads_evaluating_interleaved_times_match_the_formula(self, dim):
         # the threads visit a few shared times, each in its own random order,
         # so each often reads the d(t) memo right after another thread moved it
         stream = paper_objective_stream(5, dim=dim, coeff_seed=4)
-        a, b, c = (stream.params[k] for k in "abc")
         x = np.linspace(-1.3, 0.7, dim)
         keys = [(agent, t) for agent in range(5) for t in (0, 1, 7, 250, 4999)] * 80
-
-        def expected(agent, t):
-            d = tracking_target(t)
-            return (float((a[agent] * x) @ x) - 2.0 * b[agent] * d * float(np.add.reduce(x))
-                    + c[agent] * dim * d * d)
-        reference = {k: expected(*k).hex() for k in keys}
+        agents, ts = np.array(keys).T
+        values = stream_rows("paper_quadratic", stream)(agents, ts, np.tile(x, (len(keys), 1)))
+        reference = {k: v.hex() for k, v in zip(keys, values.tolist())}
         mismatches, errors = [], []
 
         def worker(offset):
@@ -702,16 +676,7 @@ class TestPaperStream:
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
+        threads = run_threads([functools.partial(worker, i) for i in range(4)], 1e-6, 60)
         assert not any(th.is_alive() for th in threads)
         assert errors == [] and mismatches == []
 
@@ -730,37 +695,30 @@ _DOT_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858
 
 
 @settings(max_examples=300, deadline=None)
-@given(x=st.lists(_DOT_FLOATS, min_size=1, max_size=7), t=st.integers(0, 10_000))
-@example(x=[-0.0], t=0)
-@example(x=[-0.0, 0.0, 5e-324], t=3)
-def test_dot_evaluates_equal_the_matmul_formula(x, t):
+@given(x=st.lists(_DOT_FLOATS, min_size=1, max_size=7), t=st.integers(0, 10_000),
+       coeff_seed=st.integers(0, 4))
+@example(x=[-0.0], t=0, coeff_seed=0)
+@example(x=[-0.0, 0.0, 5e-324], t=3, coeff_seed=0)
+def test_dot_evaluates_equal_the_matmul_formula(x, t, coeff_seed):
     # the squared-norm and paper streams' 1-D dot products run ndarray.dot;
-    # `@` is the reference
+    # `@` and the paper cost's stacked row formula are the references
     x = np.array(x)
     dim = x.size
-    paper = paper_objective_stream(3, dim=dim, coeff_seed=dim)
-    a, b, c = (paper.params[k] for k in "abc")
-    d = tracking_target(t)
+    paper = paper_objective_stream(7, dim=dim, coeff_seed=coeff_seed)
+    expected = stream_rows("paper_quadratic", paper)(np.arange(7), t, np.tile(x, (7, 1)))
     with np.errstate(all="ignore"):
         square = experiments.quadratic_norm_stream(dim).evaluate(0, t, x)
         assert square.hex() == float(x @ x).hex()
-        if dim == 1:  # the paper stream's float route, pinned by TestDimOneRoute
-            return
-        for agent in range(3):
-            expected = (float((a[agent] * x) @ x) - 2.0 * b[agent] * d * float(np.add.reduce(x))
-                        + c[agent] * dim * d * d)
-            assert paper.evaluate(agent, t, x).hex() == expected.hex()
+        assert [paper.evaluate(agent, t, x).hex() for agent in range(7)] == \
+            [v.hex() for v in expected.tolist()]
 
 
-def _numpy_paper_cost(stream):
-    """The paper cost by the numpy expression of the dim >= 2 route."""
-    a, b, c = (np.array(stream.params[k]) for k in "abc")
-
-    def f(agent, t, x):
-        d = tracking_target(t)
-        with np.errstate(all="ignore"):
-            return float(a[agent] * x @ x - 2.0 * b[agent] * d * x.sum() + c[agent] * stream.dim * d * d)
-    return f
+def _outcome(call):
+    """call()'s bytes, or the message of the OracleError it raises."""
+    try:
+        return call().tobytes()
+    except OracleError as exc:
+        return str(exc)
 
 
 DIM_ONE_STREAMS = {
@@ -779,11 +737,11 @@ class TestDimOneRoute:
     @pytest.mark.parametrize("v", EDGE_VALUES, ids=repr)
     def test_paper_evaluate_equals_the_numpy_formula_at_edge_values(self, v):
         stream = paper_objective_stream(7, dim=1, coeff_seed=3)
-        expected = _numpy_paper_cost(stream)
+        values = stream_rows("paper_quadratic", stream)
         x = np.array([v])
-        for agent in range(7):
-            for t in (0, 1, 250, 5000):
-                assert stream.evaluate(agent, t, x).hex() == expected(agent, t, x).hex()
+        for t in (0, 1, 250, 5000):
+            assert [stream.evaluate(agent, t, x).hex() for agent in range(7)] == \
+                [f.hex() for f in values(np.arange(7), t, np.tile(x, (7, 1))).tolist()]
 
     def test_paper_evaluate_rejects_more_than_one_coordinate_at_dim_1(self):
         stream = paper_objective_stream(2, dim=1)
@@ -793,22 +751,17 @@ class TestDimOneRoute:
     @pytest.mark.parametrize("v", EDGE_VALUES, ids=repr)
     @pytest.mark.parametrize("name", sorted(DIM_ONE_STREAMS))
     def test_oracle_equals_the_numpy_estimator_at_edge_values(self, name, v):
-        # the other built-in streams evaluate by numpy at every dim
+        # the same estimate bytes, or the same OracleError message
         stream = DIM_ONE_STREAMS[name]()
-        f = _numpy_paper_cost(stream) if name == "paper_quadratic" else stream.evaluate
+        values = stream_rows(name, stream)
         x = np.array([v])
         for mu in (1e-3, 0.5, 1e150):
             cfg = OracleConfig.uniform(3, mu, 1, rng_seed=6)
             for agent, t in ((0, 0), (2, 9), (1, 2**32 + 1)):
-                xi = sample_direction(cfg, agent, t)
-                f_shift, f_base = f(agent, t, x + mu * xi), f(agent, t, x)
-                if math.isfinite(f_shift) and math.isfinite(f_base):
-                    with np.errstate(all="ignore"):
-                        expected = (f_shift - f_base) / mu * xi
-                    assert gradient_free_oracle(stream, cfg, agent, t, x).tobytes() == expected.tobytes()
-                else:
-                    with pytest.raises(OracleError, match=f"agent {agent} at t={t}"):
-                        gradient_free_oracle(stream, cfg, agent, t, x)
+                xi = reference_direction(6, agent, t, 1, "gaussian")
+                expected = _outcome(lambda: array_estimates(values, mu, [agent], [t], x[None],
+                                                            xi[None])[0])
+                assert _outcome(lambda: gradient_free_oracle(stream, cfg, agent, t, x)) == expected
 
 
 def _time_dependent_stream(n_agents, dim):
