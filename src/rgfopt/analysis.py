@@ -26,6 +26,7 @@ from .graph import WeightPair, delta_hat, equal_neighbor_weights
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-9  # final bracket width of the numeric minimizer fallback
 DELTA_GRID = (0.01, 0.05, 0.1, 0.2)  # default gains of the spectral reports
+_UNRECORDED = "trace has no residual recording; rerun with record_oracle=True"
 
 
 @dataclass
@@ -130,8 +131,8 @@ class BoundInputs:
     g1_fit: float              # ceiling of Theta(t)/gamma(t)
     horizon: int
     path_length_value: float
-    g2_fit: float | None = None
-    g3_fit: float | None = None
+    g2_fit: float              # ceiling of (Theta(t)/gamma(t))^2
+    g3_fit: float              # ceiling of sum_i ||g^i(t)|| Theta(t)/gamma(t)
 
     def __post_init__(self):
         positives = {
@@ -165,9 +166,9 @@ class BoundBreakdown:
 def regret_bound_rhs(inputs: BoundInputs) -> BoundBreakdown:
     """Evaluate the dynamic-regret upper bound with fitted stand-ins.
 
-    Stand-ins (labeled in the result): G1 is the measured Theta/gamma
-    ceiling; G2 defaults to G1^2; G3 defaults to N (p+4) D G1; nu_hat
-    is 2 rho^2 (the worst squared half-distance inside the set);
+    Stand-ins (labeled in the result): G1, G2 and G3 are the measured
+    ceilings of the inputs; nu_hat is 2 rho^2 (the worst squared
+    half-distance inside the set);
     the smoothed-gradient Lipschitz constant is sqrt(p) D / mu_hat.
     """
     n, p = inputs.n_agents, inputs.dim
@@ -175,9 +176,7 @@ def regret_bound_rhs(inputs: BoundInputs) -> BoundBreakdown:
     mu_hat, gamma0 = inputs.mu_hat, inputs.gamma0
     lam = inputs.lambda_fit
     c_hat = max(inputs.c_fit, 1.0)
-    g1 = inputs.g1_fit
-    g2 = inputs.g2_fit if inputs.g2_fit is not None else g1 ** 2
-    g3 = inputs.g3_fit if inputs.g3_fit is not None else n * (p + 4) * d_bound * g1
+    g1, g2, g3 = inputs.g1_fit, inputs.g2_fit, inputs.g3_fit
     nu_hat = 2.0 * rho ** 2
     l_hat = math.sqrt(p) * d_bound / mu_hat
     t1 = inputs.horizon + 1
@@ -201,8 +200,8 @@ def regret_bound_rhs(inputs: BoundInputs) -> BoundBreakdown:
         path_term=path_term, sqrt_term=sqrt_term,
         stand_ins={
             "G1": ("measured Theta/gamma ceiling", g1),
-            "G2": ("G1 squared" if inputs.g2_fit is None else "measured", g2),
-            "G3": ("N (p+4) D G1" if inputs.g3_fit is None else "measured", g3),
+            "G2": ("measured", g2),
+            "G3": ("measured", g3),
             "nu_hat": ("2 rho^2", nu_hat),
             "L_hat": ("sqrt(p) D / mu_hat", l_hat),
             "C_hat": ("max(C_fit, 1)", c_hat),
@@ -252,7 +251,7 @@ def spectral_report(wp: WeightPair, delta_grid) -> list[SpectralRow]:
 def theta_over_gamma(trace: Trace) -> np.ndarray:
     """Per-step ratio Theta(t)/gamma(t); requires residual recording."""
     if trace.theta is None:
-        raise ValueError("trace has no residual recording; rerun with record_oracle=True")
+        raise ValueError(_UNRECORDED)
     big_theta = np.linalg.norm(trace.theta, axis=2).sum(axis=1)
     return big_theta / trace.gamma
 
@@ -266,20 +265,19 @@ def fit_constants_from_trace(trace: Trace) -> BoundInputs:
     is that of the regret ledger's comparator."""
     if trace.horizon < 1:
         raise ValueError(f"fitting bound constants needs horizon >= 1, got horizon={trace.horizon}")
-    ratio = theta_over_gamma(trace)
+    if trace.theta is None or trace.g_norm is None:
+        raise ValueError(_UNRECORDED)
+    big_theta = np.linalg.norm(trace.theta, axis=2).sum(axis=1)
+    ratio = big_theta / trace.gamma
     cfg = trace.config
     _, c_fit, lam_fit, _ = gain_fit(equal_neighbor_weights(trace.graph), cfg.delta, 200)
     lam_fit = min(lam_fit, 1.0 - 1e-9)
     g1 = float(ratio.max())
-    g_sum = trace.g_norm.sum(axis=1)
-    big_theta = np.linalg.norm(trace.theta, axis=2).sum(axis=1)
-    g3 = float((g_sum * big_theta / trace.gamma).max())
+    g3 = float((trace.g_norm.sum(axis=1) * big_theta / trace.gamma).max())
     rho = cfg.feasible_set().radius
     bound = trace.stream.subgradient_bound
     d_bound = float(bound(rho)) if bound is not None else 0.0
     if not d_bound:
-        if trace.g_norm is None:
-            raise ValueError("no subgradient bound available and no oracle norms recorded")
         d_bound = float(trace.g_norm.max())
     return BoundInputs(
         n_agents=cfg.n_agents, dim=cfg.dim, rho=rho,

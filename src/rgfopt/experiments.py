@@ -36,7 +36,6 @@ from .graph import equal_neighbor_weights, make_cycle
 from .oracle import (
     ObjectiveStream,
     OracleConfig,
-    _BLOCK_KEYS,
     gradient_free_oracle,
     norm_stream,
     smoothed_value_mc_stats,
@@ -226,36 +225,27 @@ def _oracle_mean(stream: ObjectiveStream, cfg: OracleConfig, points,
                  n_draws: int) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Empirical mean of oracle draws at each of `points` over t = 0..n-1, with
     per-coordinate standard errors and the mean squared norm, one tuple per point.
-    For one agent, a pass of _BLOCK_KEYS draws is exactly one direction block, so
-    every point reads a pass's directions from the block that the first point drew."""
+    Draws run time-major, every point at t before any point at t + 1, as run()
+    draws its agents, so each direction block is drawn once for all points."""
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     dim = cfg.dim
-    sums = [(np.zeros(dim), np.zeros(dim), 0.0) for _ in points]
-    buf = np.empty((min(_BLOCK_KEYS, n_draws) + 1) * dim)
-    for c0 in range(0, n_draws, _BLOCK_KEYS):
-        ts = range(c0, min(c0 + _BLOCK_KEYS, n_draws))
-        flat = buf[:(len(ts) + 1) * dim]
-        g = flat.reshape(-1, dim)
-        for k, x in enumerate(points):
-            total, total_sq, norm_sq = sums[k]
-            # row 0 carries the running sums, so np.add.accumulate adds a chunk's
-            # draws onto them strictly in draw order, as one `+=` per draw would
-            np.concatenate([total, *(gradient_free_oracle(stream, cfg, 0, t, x) for t in ts)],
-                           out=flat)
-            sq = g * g
-            # the stacked row dot has the bits of each row's g @ g
-            dots = (g[:, None, :] @ g[:, :, None]).ravel()
-            sq[0], dots[0] = total_sq, norm_sq
-            sums[k] = (np.add.accumulate(g)[-1], np.add.accumulate(sq)[-1],
-                       np.add.accumulate(dots)[-1])
-    results = []
-    for total, total_sq, norm_sq in sums:
-        mean = total / n_draws
-        var = total_sq / n_draws - mean ** 2
-        stderr = np.sqrt(np.maximum(var, 0.0) / n_draws)
-        results.append((mean, stderr, norm_sq / n_draws))
-    return results
+    step = max(1, 2048 // len(points))  # times per pass: a budget of 2,048 draws
+    # row 0 carries each point's sums of g, g * g and g @ g, which one in-place
+    # np.add.accumulate per pass extends strictly in draw order, as `+=` would
+    sums = np.zeros((min(step, n_draws) + 1, len(points), 2 * dim + 1))
+    for t0 in range(0, n_draws, step):
+        rows = sums[:min(step, n_draws - t0) + 1]
+        g = rows[1:, :, :dim]
+        g[...] = np.concatenate([gradient_free_oracle(stream, cfg, 0, t, x)
+                                 for t in range(t0, t0 + len(g)) for x in points]).reshape(g.shape)
+        np.multiply(g, g, out=rows[1:, :, dim:-1])
+        # the stacked row dot has the bits of each row's g @ g
+        rows[1:, :, -1] = (g[..., None, :] @ g[..., :, None])[..., 0, 0]
+        sums[0] = np.add.accumulate(rows, out=rows)[-1]
+    mean = sums[0, :, :dim] / n_draws
+    stderr = np.sqrt(np.maximum(sums[0, :, dim:-1] / n_draws - mean ** 2, 0.0) / n_draws)
+    return list(zip(mean, stderr, sums[0, :, -1] / n_draws))
 
 
 def _square_norms(points: np.ndarray) -> np.ndarray:
@@ -363,14 +353,10 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
         list(zip(*([r["x"], r["f"], r["f_mu_est"], r["stderr"], r["lower"], r["upper"],
                     int(r["within"])] for r in sandwich)))))
     paths["spectral"] = directory / "spectral.csv"
-    spec_rows = []
-    for name, report in spectral.items():
-        for row in report:
-            spec_rows.append([name, row.delta, row.delta_hat_value,
-                              row.lambda_fit if row.lambda_fit is not None else float("nan"),
-                              row.c_fit if row.c_fit is not None else float("nan"),
-                              row.r_squared if row.r_squared is not None else float("nan"),
-                              int(row.geometric)])
+    spec_rows = [[name, row.delta, row.delta_hat_value,
+                  *(math.nan if v is None else v for v in (row.lambda_fit, row.c_fit, row.r_squared)),
+                  int(row.geometric)]
+                 for name, report in spectral.items() for row in report]
     paths["spectral"].write_text(csv_text(
         ["topology", "delta", "delta_hat", "lambda_fit", "c_fit", "r_squared", "geometric"],
         list(zip(*spec_rows))))

@@ -223,10 +223,11 @@ def matrix_power_gap_series(am: AugmentedMatrix, t_max: int) -> np.ndarray:
     cumulative multiplication.  `algorithm.gain_fit` is its one caller in
     the package, and fits the series.
 
-    Reuses two 2N x 2N buffers allocated once per call: W^t is written into
-    one, and its elementwise gap |W^t - limit| into the other, which held
-    W^(t-1) and is spent.  The first power is a copy of W itself: I @ W
-    has W's bits for a finite W, so the product is skipped.  The limit is
+    Reuses two 2N x 2N buffers allocated once per call, `power` and
+    `spent`: each power writes W^t = W^(t-1) W into `spent` and swaps the
+    names, so `spent` then holds W^(t-1), which is overwritten with the
+    elementwise gap |W^t - limit|.  The first power is a copy of W itself:
+    I @ W has W's bits for a finite W, so the product is skipped.  The limit is
     1/N on the top N rows and 0 below, so the bottom gap is |W^t| (`x - 0.0`
     differs from `x` only in the sign of -0.0, which `abs` erases).  Each
     value has the same bits as a fresh `p = p @ w_aug; np.abs(p -
@@ -237,15 +238,12 @@ def matrix_power_gap_series(am: AugmentedMatrix, t_max: int) -> np.ndarray:
     n = am.n_agents
     out = np.empty(t_max)
     row_sums = np.empty(2 * n)
-    a, b = np.empty((2 * n, 2 * n)), am.w_aug.copy()
-    # (W^(t-1), W^t and its halves, gap halves over W^(t-1)); the roles alternate
-    turns = [(p, q, q[:n], q[n:], p[:n], p[n:]) for p, q in ((a, b), (b, a))]
+    spent, power = np.empty((2 * n, 2 * n)), am.w_aug.copy()
     for t in range(t_max):
-        p, q, q_top, q_bot, gap_top, gap_bot = turns[t % 2]
         if t:
-            np.matmul(p, am.w_aug, out=q)
-        np.subtract(q_top, 1.0 / n, out=gap_top)
-        np.abs(gap_top, out=gap_top)
-        np.abs(q_bot, out=gap_bot)
-        out[t] = np.maximum.reduce(np.add.reduce(p, axis=1, out=row_sums))
+            spent, power = power, np.matmul(power, am.w_aug, out=spent)
+        np.subtract(power[:n], 1.0 / n, out=spent[:n])
+        np.abs(spent[:n], out=spent[:n])
+        np.abs(power[n:], out=spent[n:])
+        out[t] = np.maximum.reduce(np.add.reduce(spent, axis=1, out=row_sums))
     return out

@@ -223,7 +223,7 @@ class TestConsensusCurve:
 def _bound_inputs(**overrides):
     base = dict(n_agents=10, dim=1, rho=5.0, subgradient_bound=16.0, mu_hat=1e-4,
                 gamma0=1.0, lambda_fit=0.9, c_fit=2.0, g1_fit=50.0, horizon=5000,
-                path_length_value=0.05)
+                path_length_value=0.05, g2_fit=2500.0, g3_fit=40000.0)
     base.update(overrides)
     return BoundInputs(**base)
 
@@ -347,6 +347,13 @@ class TestFittedConstants:
         trace = r.run(RunConfig(**fields, check_delta_bound=False))
         monkeypatch.setattr(analysis, "gain_fit", lambda *args: pytest.fail("gain_fit called"))
         with pytest.raises(ValueError, match=message):
+            fit_constants_from_trace(trace)
+
+    def test_trace_without_oracle_norms_is_rejected_before_the_gain_fit(self, monkeypatch):
+        trace = dataclasses.replace(r.run(RunConfig(horizon=20, check_delta_bound=False)),
+                                    g_norm=None)
+        monkeypatch.setattr(analysis, "gain_fit", lambda *args: pytest.fail("gain_fit called"))
+        with pytest.raises(ValueError, match="no residual recording"):
             fit_constants_from_trace(trace)
 
     def test_constants_from_sv_run(self, sv_trace):

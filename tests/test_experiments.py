@@ -195,13 +195,20 @@ class TestCheckHelpers:
                 [np.asarray(v).tobytes() for v in (mean, stderr, norm_sq / n)]
 
     def test_unbiasedness_points_share_each_direction_block(self, monkeypatch):
-        # for one agent a pass of _BLOCK_KEYS draws is one block, drawn once
-        # for all five points: 3 blocks, against 15 with one draw per point
+        # the points draw time-major, so each block is drawn once for all of
+        # them, even where a pass crosses a block boundary: three points make
+        # passes of 682 times, so the one over t = 2,048 draws from two blocks
         blocks = []
         block = oracle._direction_block
         monkeypatch.setattr(oracle, "_direction_block",
                             lambda *args: blocks.append(args[4:]) or block(*args))
-        unbiasedness_check(n_draws=2 * oracle._BLOCK_KEYS + 5)
+        n_draws = 2 * oracle._BLOCK_KEYS + 5
+        unbiasedness_check(n_draws=n_draws)
+        assert blocks == [(0, 2048), (2048, 4096), (4096, 6144)]
+        blocks.clear()
+        cfg = r.OracleConfig.uniform(1, 0.01, 3, rng_seed=5)
+        experiments._oracle_mean(experiments.quadratic_norm_stream(3), cfg,
+                                 [np.full(3, v) for v in (-0.5, 0.1, 0.8)], n_draws)
         assert blocks == [(0, 2048), (2048, 4096), (4096, 6144)]
 
     @pytest.mark.parametrize("n_draws", [0, -3])
