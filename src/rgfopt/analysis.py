@@ -265,15 +265,12 @@ def fit_constants_from_trace(trace: Trace) -> BoundInputs:
     is that of the regret ledger's comparator."""
     if trace.horizon < 1:
         raise ValueError(f"fitting bound constants needs horizon >= 1, got horizon={trace.horizon}")
-    if trace.theta is None or trace.g_norm is None:
+    if trace.g_norm is None:
         raise ValueError(_UNRECORDED)
-    big_theta = np.linalg.norm(trace.theta, axis=2).sum(axis=1)
-    ratio = big_theta / trace.gamma
+    ratio = theta_over_gamma(trace)
     cfg = trace.config
     _, c_fit, lam_fit, _ = gain_fit(equal_neighbor_weights(trace.graph), cfg.delta, 200)
     lam_fit = min(lam_fit, 1.0 - 1e-9)
-    g1 = float(ratio.max())
-    g3 = float((trace.g_norm.sum(axis=1) * big_theta / trace.gamma).max())
     rho = cfg.feasible_set().radius
     bound = trace.stream.subgradient_bound
     d_bound = float(bound(rho)) if bound is not None else 0.0
@@ -283,8 +280,9 @@ def fit_constants_from_trace(trace: Trace) -> BoundInputs:
         n_agents=cfg.n_agents, dim=cfg.dim, rho=rho,
         subgradient_bound=d_bound,
         mu_hat=cfg.mu_hat, gamma0=cfg.gamma0,
-        lambda_fit=lam_fit, c_fit=c_fit, g1_fit=g1,
+        lambda_fit=lam_fit, c_fit=c_fit, g1_fit=float(ratio.max()),
         horizon=trace.horizon,
         path_length_value=path_length(_minimizer_sequence(trace)[0]),
-        g2_fit=float((ratio ** 2).max()), g3_fit=g3,
+        g2_fit=float((ratio ** 2).max()),
+        g3_fit=float((trace.g_norm.sum(axis=1) * ratio).max()),
     )

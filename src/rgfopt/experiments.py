@@ -85,7 +85,6 @@ def experiment_fig2_3(seed: int = 0, horizon: int = 5000, out_dir=None) -> Track
     trace = run(config)
     directory = _out_dir("fig2_3", out_dir)
     ledger = build_regret_ledger(trace)
-    spread_aug = consensus_curve(trace)
 
     paths = {}
     paths["trajectories"] = directory / "trajectories.csv"
@@ -99,10 +98,10 @@ def experiment_fig2_3(seed: int = 0, horizon: int = 5000, out_dir=None) -> Track
         [np.repeat(t_axis, config.n_agents), np.tile(np.arange(config.n_agents), horizon),
          rc.ravel(), (rc / t_axis[:, None]).ravel()]))
 
-    aug = np.full(horizon + 1, math.nan) if spread_aug is None else spread_aug
     paths["consensus"] = directory / "consensus.csv"
     paths["consensus"].write_text(csv_text(["t", "spread", "spread_augmented"],
-                                           [np.arange(horizon + 1), trace.spread, aug]))
+                                           [np.arange(horizon + 1), trace.spread,
+                                            consensus_curve(trace)]))
 
     meta = trace.metadata()
     meta["experiment"] = "fig2_3"

@@ -48,20 +48,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _generate_state_constants() -> tuple[tuple[int, int], ...]:
-    # generate_state(4, uint64) hashes 8 pool words with a multiplier that
-    # advances the same way whatever the data: (xor constant, multiplier).
-    pairs, hc = [], _INIT_B
-    for _ in range(2 * _POOL_SIZE):
-        nxt = hc * _MULT_B & _M32
-        pairs.append((hc, nxt))
-        hc = nxt
-    return tuple(pairs)
-
-
-_STATE_HASH = _generate_state_constants()
-
-
 class OracleError(RuntimeError):
     """Evaluation failure in the gradient-free oracle."""
 
@@ -140,11 +126,11 @@ class OracleConfig:
                    direction_law=direction_law, rng_seed=rng_seed)
 
 
-def _hashmix(value: np.ndarray, hc: int) -> tuple[np.ndarray, int]:
+def _hashmix(value: np.ndarray, hc: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
     """SeedSequence's hashmix on uint64 arrays holding uint32 values: the
-    hashed value and the advanced multiplier."""
+    hashed value and the multiplier advanced by `mult`."""
     value = value ^ hc
-    hc = hc * _MULT_A & _M32
+    hc = hc * mult & _M32
     value = value * hc & _M32
     return value ^ (value >> 16), hc
 
@@ -154,23 +140,22 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
-def _absorb(pool: tuple[np.ndarray, ...], hc: int,
-            words: list[np.ndarray]) -> tuple[tuple[np.ndarray, ...], int]:
+def _absorb(pool: tuple[np.ndarray, ...], hc: int, words: list[np.ndarray]) -> list[np.ndarray]:
     """Mix entropy words beyond the pool size into every pool word."""
     pool = list(pool)
     for word in words:
         for i in range(_POOL_SIZE):
             h, hc = _hashmix(word, hc)
             pool[i] = _mix(pool[i], h)
-    return tuple(pool), hc
+    return pool
 
 
-def _state_words(pool: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+def _state_words(pool: list[np.ndarray]) -> list[np.ndarray]:
     """The 8 uint32 words of generate_state(4, uint64) from an absorbed pool."""
-    words = []
-    for k, (pre, post) in enumerate(_STATE_HASH):
-        v = (pool[k % _POOL_SIZE] ^ pre) * post & _M32
-        words.append(v ^ (v >> 16))
+    words, hc = [], _INIT_B
+    for k in range(2 * _POOL_SIZE):
+        word, hc = _hashmix(pool[k % _POOL_SIZE], hc, _MULT_B)
+        words.append(word)
     return words
 
 
@@ -258,7 +243,7 @@ def _direction_block(seed: int, dim: int, law: str, n_agents: int, t0: int, t1: 
     hc = _INIT_A * pow(_MULT_A, _POOL_SIZE * words, 1 << 32) & _M32
     agents = np.arange(n_agents, dtype=np.uint64)
     t = np.arange(t0, t1, dtype=np.uint64)[:, None]
-    s = _state_words(_absorb(tuple(pool.astype(np.uint64)[:, None]), hc, [agents, t])[0])
+    s = _state_words(_absorb(tuple(pool.astype(np.uint64)[:, None]), hc, [agents, t]))
     # PCG64 seeding: inc = initseq << 1 | 1 and
     # state = (initstate + inc) * MULT + inc, in (hi, lo) halves
     seq_hi, seq_lo = s[4] | s[5] << 32, s[6] | s[7] << 32

@@ -215,6 +215,27 @@ def blas_kernel() -> str:
     return corename().decode()
 
 
+def pytest_report_header():
+    return f"BLAS kernel: {blas_kernel()}"
+
+
+# OpenBLAS kernels with a measured digest set, oldest first.  A process may
+# be forced to any kernel older than the one it detects with OPENBLAS_CORETYPE.
+BLAS_KERNELS = ("Sandybridge", "Haswell", "SkylakeX")
+
+
+def pinned_digest(digests: dict) -> str:
+    """The digest that `digests` pins for the detected BLAS kernel.  Each key
+    names, space-separated, the kernels that share its digest; a kernel that
+    no key names fails the test and is never skipped."""
+    kernel = blas_kernel()
+    for kernels, digest in digests.items():
+        if kernel in kernels.split():
+            return digest
+    pytest.fail(f"no digest is pinned for the BLAS kernel {kernel!r}: run the test under it "
+                f"and add its digests, keyed by its name, next to those of {BLAS_KERNELS}")
+
+
 def report_criterion(num: int, desc: str, passed: bool, detail: str = "") -> bool:
     """One pass/fail line per acceptance criterion (visible with -s or on failure)."""
     status = "PASS" if passed else "FAIL"

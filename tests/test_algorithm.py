@@ -379,6 +379,12 @@ class TestRun:
         with pytest.raises(SimulationError, match="t=3"):
             r.run(config, stream=stream)
 
+    @pytest.mark.parametrize("n_agents, dim", [(9, 1), (10, 2)])
+    def test_stream_of_another_shape_rejected(self, n_agents, dim):
+        stream = constant_stream(n_agents, dim)
+        with pytest.raises(ConfigError, match="stream shape does not match config"):
+            r.run(RunConfig(horizon=5), stream=stream)
+
     def test_gain_ceiling_warning_recorded(self):
         with pytest.warns(RuntimeWarning):
             trace = r.run(RunConfig(horizon=5, master_seed=0, check_delta_bound=True))

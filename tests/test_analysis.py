@@ -112,6 +112,18 @@ class TestDynamicRegret:
         with pytest.raises(RuntimeError, match="at t=4: non-finite cost"):
             build_regret_ledger(trace)
 
+    @pytest.mark.parametrize("dim, kind, match", [
+        (2, "box", "implemented for 1-D streams only"),
+        (1, "ball", "requires a box feasible set"),
+    ])
+    def test_numeric_fallback_rejects_what_it_cannot_search(self, dim, kind, match):
+        stream = r.ObjectiveStream(n_agents=1, dim=dim, evaluate=lambda i, t, x: float(x @ x))
+        config = RunConfig(n_agents=2, horizon=6, dim=dim, feasible_kind=kind)
+        trace = Trace(config=config, x=np.zeros((7, 1, dim)), cost=np.zeros((7, 1)),
+                      spread=np.zeros(7), gamma=np.ones(6), stream=stream, x_star=None)
+        with pytest.raises(ValueError, match=match):
+            build_regret_ledger(trace)
+
     def test_runs_without_scipy(self):
         # scipy is a test-only dependency: the package, the numeric ledger
         # fallback and the CLI run with every scipy import blocked

@@ -21,7 +21,7 @@ from rgfopt.algorithm import GRAPH_KINDS, ConfigError, RunConfig
 from rgfopt.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
 from rgfopt.oracle import DIRECTION_LAWS, STREAM_REGISTRY
 
-from conftest import blas_kernel
+from conftest import blas_kernel, pinned_digest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -301,19 +301,29 @@ class TestSpectralCommand:
         assert main(["spectral", "--graph", "random", "--n", "8", "--graph-seed", "4",
                      "--delta-grid", "0.1,-1"]) == EXIT_OK
         out = capsys.readouterr().out.encode()
-        assert hashlib.sha256(out).hexdigest() == \
-            "e1399416288b28c9a220d7cee7ce2668f681fead1e3bcc8fe25f77f067ab5508", \
-            f"pinned under SkylakeX, run under {blas_kernel()}"
+        assert hashlib.sha256(out).hexdigest() == pinned_digest({
+            "SkylakeX": "e1399416288b28c9a220d7cee7ce2668f681fead1e3bcc8fe25f77f067ab5508",
+            "Haswell": "898da186cf8d345e3a7119a194fc777b69adbba858eeb8b805d745bcb7085868",
+            "Sandybridge": "05071ab2c8e1b27c47bf2d0c1c9c9ae733d7e220804b0234e556c2cc2e27b6e5",
+        }), f"the {blas_kernel()} digest"
 
-    @pytest.mark.parametrize("graph, n, digest", [
-        ("ring", "100", "bdd544d49f9ee1480aaa291e33ebe5a82907bb307834f3c6c5e902218093dc0a"),
-        ("cycle", "37", "f00222d9c42bb40696c830db5e3b3cef897b3f6c414f4d2dccf8c0eaf5063cbd"),
-    ])
-    def test_default_grid_bytes_are_pinned_at_larger_n(self, capsys, graph, n, digest):
+    @pytest.mark.parametrize("graph, n, digests", [
+        ("ring", "100", {
+            "SkylakeX": "bdd544d49f9ee1480aaa291e33ebe5a82907bb307834f3c6c5e902218093dc0a",
+            "Haswell": "0b63c5f53f1b2dd55707e1b8646c7c98df8588b54d80f6eb9152c556b02b6cac",
+            "Sandybridge": "6b3a6c8b1625add46463e5676bf1a4453c7ca0edf49240a82aa2189a129d7628",
+        }),
+        ("cycle", "37", {
+            "SkylakeX": "f00222d9c42bb40696c830db5e3b3cef897b3f6c414f4d2dccf8c0eaf5063cbd",
+            "Haswell": "9fa7ed09b13c45618ac2243e0db5d5f4e6dc07ac5f3973e14ada0b19e7144ca8",
+            "Sandybridge": "4fcaece9204ce1fcd6720d3a5217fe80de5d9e66d93a4853a2e8700cd8b78cc8",
+        }),
+    ], ids=["ring-100", "cycle-37"])
+    def test_default_grid_bytes_are_pinned_at_larger_n(self, capsys, graph, n, digests):
         # every fitted column comes from the 200-power gap series of a 2N x 2N matrix
         assert main(["spectral", "--graph", graph, "--n", n]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, \
-            f"pinned under SkylakeX, run under {blas_kernel()}"
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+            pinned_digest(digests), f"the {blas_kernel()} digest"
 
 
 def _cli(argv, cwd):

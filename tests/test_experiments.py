@@ -1,7 +1,11 @@
 import glob
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,8 @@ from rgfopt.experiments import (
 )
 from rgfopt.oracle import constant_stream
 
-from conftest import array_estimates, blas_kernel, stream_rows
+import conftest
+from conftest import BLAS_KERNELS, array_estimates, blas_kernel, pinned_digest, stream_rows
 
 
 @pytest.fixture(scope="module")
@@ -221,16 +226,24 @@ class TestCheckHelpers:
         with pytest.raises(ValueError, match=f"n_draws must be >= 1, got {n_draws}"):
             check(n_draws=n_draws)
 
-    @pytest.mark.parametrize("check, seed, digest", [
-        (sandwich_table, 2024, "96697e39b822595fef61f321c730b298b9391fde9f8bb40987e04dd2e19d70a4"),
-        (unbiasedness_check, 11, "f391c8b189ce0294628cbc03973fde4513bf368fd2be804a5b1e94040c8d8bda"),
-        (second_moment_check, 5, "cd80025a95f1250f47e3665fc8149443e7fd161ffeb59a61be65e61b3d953f89"),
+    @pytest.mark.parametrize("check, seed, digests", [
+        (sandwich_table, 2024, {
+            "SkylakeX Haswell Sandybridge": "96697e39b822595fef61f321c730b298b9391fde9f8bb40987e04dd2e19d70a4",
+        }),
+        (unbiasedness_check, 11, {
+            "SkylakeX": "f391c8b189ce0294628cbc03973fde4513bf368fd2be804a5b1e94040c8d8bda",
+            "Haswell Sandybridge": "bef0a9d833ebeb59628403d8422accd14eab519d407ff3c8f0ca8beeff5cad2e",
+        }),
+        (second_moment_check, 5, {
+            "SkylakeX": "cd80025a95f1250f47e3665fc8149443e7fd161ffeb59a61be65e61b3d953f89",
+            "Haswell Sandybridge": "6d5cfdc9b9659b47173a598de2b9b0729503fa054f5e08eb9ad4311daa479e19",
+        }),
     ], ids=["sandwich", "unbiasedness", "second_moment"])
-    def test_rows_are_pinned(self, check, seed, digest):
+    def test_rows_are_pinned(self, check, seed, digests):
         # the gate's seeds at 3,000 samples, which cross a direction block
         rows = check(3000, seed=seed)
         got = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
-        assert got == digest, f"pinned under SkylakeX, run under {blas_kernel()}"
+        assert got == pinned_digest(digests), f"the {blas_kernel()} digest"
 
     def test_default_output_dir_is_timestamped(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -241,25 +254,59 @@ class TestCheckHelpers:
         assert res.paths["metadata"].exists()
 
 
-# sha256 of every artifact of three small seed-0 experiments.  A refactor
-# must leave these bytes unchanged; an intended output change updates them.
+# sha256 of every artifact of three small seed-0 experiments, keyed by BLAS
+# kernel as conftest.pinned_digest reads them.  A refactor must leave these
+# bytes unchanged; an intended output change updates them.
 PINNED_SHA256 = {
     "fig2_3": {
-        "consensus.csv": "977dd394ce317cb5bf1b922f292e166142ca169c16e2d24a4ca93987c188ae88",
-        "plot_figs.py": "61f5dc45a6f8708d7887ed20cdbc3cc53b56417a4cfa7d81010e62e42c2f1357",
-        "regret.csv": "9c25dccf8cde92a7162eca070d33ba1e72ee47a2622ef7e1c81d46c1b8c791eb",
-        "run_meta.json": "fba9c5b92c00996d88690d35d8408a82524c599b8274f901ffcc7ef68d37a0c3",
-        "trajectories.csv": "e0c27a58df300da85d7fc43c49573d67db6447cd54882d656b0d9e835c73f6f3",
+        "consensus.csv": {
+            "SkylakeX Haswell": "977dd394ce317cb5bf1b922f292e166142ca169c16e2d24a4ca93987c188ae88",
+            "Sandybridge": "2661ac20808baf9ae86d76f09884c76debdebe927f62d0e0a91ee0518b06cc79",
+        },
+        "plot_figs.py": {
+            "SkylakeX Haswell Sandybridge": "61f5dc45a6f8708d7887ed20cdbc3cc53b56417a4cfa7d81010e62e42c2f1357",
+        },
+        "regret.csv": {
+            "SkylakeX Haswell": "9c25dccf8cde92a7162eca070d33ba1e72ee47a2622ef7e1c81d46c1b8c791eb",
+            "Sandybridge": "eecbabc7bbc50ff11a59df8b40082c3247712cf018367af9ecb204cf6916a6d0",
+        },
+        "run_meta.json": {
+            "SkylakeX": "fba9c5b92c00996d88690d35d8408a82524c599b8274f901ffcc7ef68d37a0c3",
+            "Haswell": "f30083f99512b8300e399d87680681eec990d9bcedc54c2a4daaeaa169c8d1a1",
+            "Sandybridge": "5431c34bb7e5ff78cafd7395af7e771aa45426978e4f613f9b5ab94bbdb7e564",
+        },
+        "trajectories.csv": {
+            "SkylakeX Haswell": "e0c27a58df300da85d7fc43c49573d67db6447cd54882d656b0d9e835c73f6f3",
+            "Sandybridge": "121e4222e5d92b459077e26395c4f1fa2ed7a9668010f6295ce7600fa318320b",
+        },
     },
     "fig4": {
-        "fig4_series.csv": "c66ffa99653691984667df0b9c3a13533b0b7344e2b8ec57022a5e491ddd6ed4",
-        "plot_figs.py": "61f5dc45a6f8708d7887ed20cdbc3cc53b56417a4cfa7d81010e62e42c2f1357",
-        "run_meta.json": "b74e2552e42392b2896ecf2383103e255ca750acf13ab5e4fe742b6cdaa1e80f",
+        "fig4_series.csv": {
+            "SkylakeX Haswell": "c66ffa99653691984667df0b9c3a13533b0b7344e2b8ec57022a5e491ddd6ed4",
+            "Sandybridge": "0e6c350a5b098fd4294c2476a2a3cbf0fdb3d58d127edd81ab2591955e539f67",
+        },
+        "plot_figs.py": {
+            "SkylakeX Haswell Sandybridge": "61f5dc45a6f8708d7887ed20cdbc3cc53b56417a4cfa7d81010e62e42c2f1357",
+        },
+        "run_meta.json": {
+            "SkylakeX Haswell": "b74e2552e42392b2896ecf2383103e255ca750acf13ab5e4fe742b6cdaa1e80f",
+            "Sandybridge": "b69291c060c23d30a05ffe07ca99319f421570909a3f8621d8a4dd77aba4b241",
+        },
     },
     "diagnostics": {
-        "diagnostics.json": "b6369d9f2d2e51a1c01c20a8931872a170b63a794f8327dc6d72689393958ec8",
-        "sandwich.csv": "40c08aaf076c6d4761f858460c276b5c2389bb0bd28faf64526955b5bcc557c2",
-        "spectral.csv": "ec44c7dc596f293a4ac3d96256388e3f012bdeacec36950b40ae59e084bf0a02",
+        "diagnostics.json": {
+            "SkylakeX": "b6369d9f2d2e51a1c01c20a8931872a170b63a794f8327dc6d72689393958ec8",
+            "Haswell": "7e2a6637b11fb5acb270b0348f981f22cda4508945c4c6cc6d211e9d9341dd63",
+            "Sandybridge": "4e6f7aeaeeb3fa63999b275236313861092137e38d957c0ca35ecb1796e5632d",
+        },
+        "sandwich.csv": {
+            "SkylakeX Haswell Sandybridge": "40c08aaf076c6d4761f858460c276b5c2389bb0bd28faf64526955b5bcc557c2",
+        },
+        "spectral.csv": {
+            "SkylakeX": "ec44c7dc596f293a4ac3d96256388e3f012bdeacec36950b40ae59e084bf0a02",
+            "Haswell": "a5657263b707dd7379bc61ea0a2d3760ee5eeb415eb80928c831d1e618228c0f",
+            "Sandybridge": "f37cb08d9a8d19f8e3fffcc7f13b532c40af6c0e6c00aa67edbed64ac1157391",
+        },
     },
 }
 PINNED_RUNS = {
@@ -271,9 +318,16 @@ PINNED_RUNS = {
 
 
 def test_blas_kernel_is_named_or_unknown(monkeypatch):
-    assert blas_kernel()  # "SkylakeX" where the digests were pinned
+    assert blas_kernel()  # "SkylakeX", "Haswell", ... where OpenBLAS is numpy's BLAS
     monkeypatch.setattr(glob, "glob", lambda pattern: [])
     assert blas_kernel() == "unknown"
+
+
+@pytest.mark.parametrize("kernel", ["unknown", "Zen", "Sandy"])
+def test_a_kernel_without_digests_fails_naming_it(monkeypatch, kernel):
+    monkeypatch.setattr(conftest, "blas_kernel", lambda: kernel)
+    with pytest.raises(pytest.fail.Exception, match=f"for the BLAS kernel '{kernel}'"):
+        pinned_digest({"SkylakeX Haswell Sandybridge": "0" * 64})
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
@@ -283,4 +337,40 @@ def test_artifacts_match_pinned_digests(name, tmp_path):
         PINNED_RUNS[name](tmp_path)
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in sorted(tmp_path.iterdir())}
-    assert got == PINNED_SHA256[name], f"pinned under SkylakeX, run under {blas_kernel()}"
+    want = {file: pinned_digest(digests) for file, digests in PINNED_SHA256[name].items()}
+    assert got == want, f"the {blas_kernel()} digests"
+
+
+# every test that pins bytes, by node id from the repository root
+PINNED_BYTE_TESTS = [
+    "tests/test_experiments.py::test_artifacts_match_pinned_digests",
+    "tests/test_experiments.py::TestCheckHelpers::test_rows_are_pinned",
+    "tests/test_cli.py::TestSpectralCommand::test_stdout_bytes_are_pinned",
+    "tests/test_cli.py::TestSpectralCommand::test_default_grid_bytes_are_pinned_at_larger_n",
+]
+
+
+def test_pinned_bytes_hold_under_older_kernels_and_one_thread():
+    # OPENBLAS_CORETYPE acts only on the process it is set for, so the
+    # kernels older than this one, and one BLAS thread, each get a pytest
+    # process of their own; each checks its own kernel's digest set, and its
+    # report header shows that the kernel was forced
+    kernel = blas_kernel()
+    if kernel not in BLAS_KERNELS:
+        pytest.fail(f"no digest set is pinned for the BLAS kernel {kernel!r}")
+    kernels = BLAS_KERNELS[:BLAS_KERNELS.index(kernel) + 1]
+    envs = [{"OPENBLAS_CORETYPE": older} for older in kernels[:-1]]
+    envs.append({"OPENBLAS_NUM_THREADS": "1"})
+    root = Path(__file__).resolve().parents[1]
+    runs = [subprocess.Popen([sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+                              *PINNED_BYTE_TESTS], cwd=root, env={**os.environ, **env},
+                             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+            for env in envs]
+    try:
+        for env, expected, proc in zip(envs, kernels, runs):
+            out = proc.communicate(timeout=600)[0]
+            assert proc.returncode == 0 and f"BLAS kernel: {expected}\n" in out, f"{env}:\n{out}"
+    finally:
+        for proc in runs:
+            proc.kill()
+            proc.wait()

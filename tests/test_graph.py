@@ -160,6 +160,8 @@ class TestConstructors:
             make_random_strongly_connected(1, 0.3, seed=0)
         with pytest.raises(GraphError):
             make_random_strongly_connected(5, 1.5, seed=0)
+        with pytest.raises(GraphError, match="graph seed must be >= 0, got -1"):
+            make_random_strongly_connected(4, 0.3, -1)
 
     @pytest.mark.parametrize("n", [2, 3, 10, 57, 200])
     @pytest.mark.parametrize("kind", ["cycle", "ring", "complete"])
@@ -260,6 +262,10 @@ class TestEqualNeighborWeights:
             WeightPair(w_row=bad, w_col=good)
         with pytest.raises(GraphError):
             WeightPair(w_row=good, w_col=bad.T * -1.0)
+        with pytest.raises(GraphError, match="must be square and same shape"):
+            WeightPair(w_row=good, w_col=np.eye(3))
+        with pytest.raises(GraphError, match="w_col columns must sum to 1"):
+            WeightPair(w_row=good, w_col=bad.T)
 
 
 class TestAugmented:
@@ -292,6 +298,11 @@ class TestAugmented:
         with pytest.raises(GraphError):
             build_augmented(wp, -0.01)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 4)])
+    def test_odd_or_oblong_matrix_rejected(self, shape):
+        with pytest.raises(GraphError, match="must be square of even size"):
+            AugmentedMatrix(w_aug=np.ones(shape))
+
 
 # (n, extra_edge_prob, seed) among N = 60..109, p in {0.02, 0.05}, seeds 1-2
 # whose trace bound on |s3| makes delta_hat underflow below N = 110
@@ -303,6 +314,10 @@ _SPARSE_SHORTCUT_GRAPHS = [
 
 
 class TestDeltaHat:
+    def test_one_agent_rejected(self):
+        with pytest.raises(GraphError, match="need at least 3 augmented states, got 2N=2"):
+            delta_hat(WeightPair(w_row=np.ones((1, 1)), w_col=np.ones((1, 1))))
+
     def test_in_unit_interval(self):
         for g in [make_cycle(5), make_ring(6), make_random_strongly_connected(10, 0.3, seed=7)]:
             dh = delta_hat(equal_neighbor_weights(g))
