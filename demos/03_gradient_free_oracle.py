@@ -22,7 +22,7 @@ for row in rows:
 print("\n=== 2. unbiasedness on f(x) = ||x||^2 in R^3 ===")
 dim, mu, n = 3, 0.01, 40_000
 stream = quadratic_norm_stream(dim)
-cfg = OracleConfig.uniform(1, mu, dim, rng_seed=42)
+cfg = OracleConfig(1, mu, dim, rng_seed=42)
 x = np.array([0.5, -0.3, 0.8])
 total = np.zeros(dim)
 for t in range(n):
@@ -38,8 +38,8 @@ print(f"smoothed value estimate {est:.6f} +- {se:.1e} "
 
 print("\n=== 3. second moment stays under the (p+4)^2 D^2 ceiling ===")
 for p in (1, 2, 5):
-    s = norm_stream(1, dim=p, scale=1.0)
-    c = OracleConfig.uniform(1, 1e-3, p, rng_seed=p)
+    s = norm_stream(1, dim=p)
+    c = OracleConfig(1, 1e-3, p, rng_seed=p)
     xp = np.linspace(0.2, 0.9, p)
     acc = 0.0
     draws = 20_000

@@ -96,53 +96,45 @@ class Box:
 
 @dataclass(frozen=True)
 class Ball:
-    """Euclidean ball of given center and radius."""
+    """Euclidean ball of given radius centred at the origin of R^dim."""
 
-    center: np.ndarray
     ball_radius: float
+    dim: int = 1
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.center, dtype=float))
         if self.ball_radius <= 0:
             raise ConfigError(f"ball radius must be positive, got {self.ball_radius}")
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
-
-    @property
-    def dim(self) -> int:
-        return self.center.size
 
     @np.errstate(over="ignore", invalid="ignore")  # overflowing norms are handled below
     def project(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        offset = v - self.center
-        norms = np.linalg.norm(offset, axis=-1, keepdims=True)
+        norms = np.linalg.norm(v, axis=-1, keepdims=True)
         scale = np.where(norms > self.ball_radius, self.ball_radius / np.maximum(norms, 1e-300), 1.0)
-        out = self.center + offset * scale
+        out = v * scale
         huge = np.isinf(norms[..., 0])
         if huge.any():
-            # the norm overflowed: take the offset's direction from its
-            # infinite coordinates, or from the offset scaled by its largest one
-            d = offset[huge]
+            # the norm overflowed: take the point's direction from its
+            # infinite coordinates, or from the point scaled by its largest one
+            d = v[huge]
             inf = np.isinf(d)
             d = np.where(inf.any(axis=-1, keepdims=True), np.where(inf, np.sign(d), 0.0), d)
             d /= np.abs(d).max(axis=-1, keepdims=True)
-            out[huge] = self.center + d * (self.ball_radius / np.linalg.norm(d, axis=-1, keepdims=True))
+            out[huge] = d * (self.ball_radius / np.linalg.norm(d, axis=-1, keepdims=True))
         return out
 
     def contains(self, v: np.ndarray) -> bool:
-        return bool((np.linalg.norm(v - self.center, axis=-1) <= self.ball_radius + 1e-9).all())
+        return bool((np.linalg.norm(v, axis=-1) <= self.ball_radius + 1e-9).all())
 
     @property
     def radius(self) -> float:
-        return float(np.linalg.norm(self.center) + self.ball_radius)
+        return float(self.ball_radius)
 
     def sample_uniform(self, rng: np.random.Generator, shape) -> np.ndarray:
         # a uniform direction (a normalized Gaussian row) times a radius
         # r U^(1/p), whose distribution gives the p-ball uniform volume
         xi = rng.standard_normal(shape)
         radii = self.ball_radius * rng.uniform(size=(*shape[:-1], 1)) ** (1.0 / self.dim)
-        return self.center + xi / np.linalg.norm(xi, axis=-1, keepdims=True) * radii
+        return xi / np.linalg.norm(xi, axis=-1, keepdims=True) * radii
 
 
 def _advance(x: np.ndarray, y: np.ndarray, wp: WeightPair, delta: float, gamma_t: float,
@@ -280,7 +272,7 @@ class RunConfig:
         if self.feasible_kind == "box":
             return Box(self.feasible_lo, self.feasible_hi, self.dim)
         if self.feasible_kind == "ball":
-            return Ball(np.zeros(self.dim), self.ball_radius)
+            return Ball(self.ball_radius, self.dim)
         raise ConfigError(f"unknown feasible kind {self.feasible_kind!r}")
 
 
@@ -503,8 +495,8 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
         raise ConfigError("stream shape does not match config")
 
     feasible = config.feasible_set()
-    cfg = OracleConfig.uniform(config.n_agents, config.mu_hat, config.dim,
-                               direction_law=config.direction_law, rng_seed=config.master_seed)
+    cfg = OracleConfig(config.n_agents, config.mu_hat, config.dim,
+                       direction_law=config.direction_law, rng_seed=config.master_seed)
 
     dh = delta_hat(wp)
     run_warnings = []

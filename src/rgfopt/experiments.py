@@ -202,7 +202,7 @@ def sandwich_table(n_samples: int = 100_000, seed: int = 2024) -> list[dict]:
     Each row compares the Monte Carlo smoothed value against the bracket
     [f(x) - 3 se, f(x) + sqrt(p) mu D + 3 se].
     """
-    stream = norm_stream(1, dim=1, scale=1.0)
+    stream = norm_stream(1, dim=1)
     d_bound = stream.subgradient_bound(2.0)
     rng = np.random.default_rng(seed)
     points = rng.uniform(-2.0, 2.0, SANDWICH_POINTS)
@@ -263,7 +263,7 @@ def unbiasedness_check(n_draws: int = 100_000, seed: int = 11) -> list[dict]:
     """
     dim, mu = UNBIASED_DIM, UNBIASED_MU
     stream = quadratic_norm_stream(dim)
-    cfg = OracleConfig.uniform(1, mu, dim, rng_seed=seed)
+    cfg = OracleConfig(1, mu, dim, rng_seed=seed)
     rng = np.random.default_rng(seed + 1)
     points = [rng.uniform(-1.0, 1.0, dim) for _ in range(UNBIASED_POINTS)]
     means = _oracle_mean(stream, cfg, points, n_draws)
@@ -291,8 +291,8 @@ def second_moment_check(n_draws: int = 100_000, seed: int = 5) -> list[dict]:
     unit-Lipschitz stream with mu = MOMENT_MU, one row per p in MOMENT_DIMS."""
     rows = []
     for p in MOMENT_DIMS:
-        stream = norm_stream(1, dim=p, scale=1.0)
-        cfg = OracleConfig.uniform(1, MOMENT_MU, p, rng_seed=seed + p)
+        stream = norm_stream(1, dim=p)
+        cfg = OracleConfig(1, MOMENT_MU, p, rng_seed=seed + p)
         rng = np.random.default_rng(seed + 100 + p)
         x = rng.uniform(-1.0, 1.0, p)
         [(_, _, mean_norm_sq)] = _oracle_mean(stream, cfg, [x], n_draws)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import threading
 from dataclasses import dataclass, field
@@ -92,38 +93,29 @@ class ObjectiveStream:
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Per-agent smoothing parameters plus the direction sampling law."""
+    """One positive, finite smoothing gain mu for agents 0..n_agents-1 (the
+    regret bound reads per-agent gains only through their maximum), plus the
+    direction sampling law."""
 
-    mu: np.ndarray
+    n_agents: int
+    mu: float
     dim: int
     direction_law: str = "gaussian"
     rng_seed: int = 0
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        if mu.ndim != 1 or mu.size == 0:
-            raise ValueError(f"mu must be 1-D with one value per agent, got shape {mu.shape}")
-        if not (np.isfinite(mu) & (mu > 0)).all():
-            raise ValueError("all smoothing parameters mu must be positive and finite")
+        mu = self.mu
+        if isinstance(mu, bool) or not isinstance(mu, numbers.Real) or not 0.0 < mu < math.inf:
+            raise ValueError(f"smoothing parameter mu must be a positive, finite float, got {mu!r}")
         if self.direction_law not in DIRECTION_LAWS:
             raise ValueError(f"unknown direction law {self.direction_law!r}")
-        for name, low in (("dim", 1), ("rng_seed", 0)):
+        for name, low in (("n_agents", 1), ("dim", 1), ("rng_seed", 0)):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-        mu.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", float(mu))
+        object.__setattr__(self, "n_agents", int(self.n_agents))
         object.__setattr__(self, "dim", int(self.dim))
-
-    @property
-    def mu_hat(self) -> float:
-        return float(self.mu.max())
-
-    @classmethod
-    def uniform(cls, n_agents: int, mu_hat: float, dim: int,
-                direction_law: str = "gaussian", rng_seed: int = 0) -> "OracleConfig":
-        return cls(mu=np.full(n_agents, float(mu_hat)), dim=dim,
-                   direction_law=direction_law, rng_seed=rng_seed)
 
 
 def _hashmix(value: np.ndarray, hc: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
@@ -289,14 +281,15 @@ def sample_direction(cfg: OracleConfig, agent: int, t: int) -> np.ndarray:
     spawn_key=(1, agent, t))), so draws do not depend on call order, batching
     or thread, and equal seeds reproduce identical directions.  Negative
     agent or t raise ValueError, non-integer ones TypeError.  Keys with
-    agent < cfg.mu.size and t < 2^32 are served from a block that holds every
-    agent over the aligned max(1, 2048 // cfg.mu.size) times around t; this
-    thread keeps its last block, keyed by the cfg object.
+    agent < cfg.n_agents and t < 2^32 are served from a block that holds every
+    agent over the aligned max(1, 2048 // cfg.n_agents) times around t; this
+    thread keeps its last block, keyed by the cfg object.  Other keys take
+    numpy's route, one generator per key.
     """
     c, n, t0, t1, rows = getattr(_memo, "block", (None,) * 5)
     if c is cfg and t0 <= t < t1 and 0 <= agent < n:
         return rows[(t - t0) * n + agent].copy()  # a non-integer key raises TypeError
-    agent, t, n = operator.index(agent), operator.index(t), cfg.mu.size
+    agent, t, n = operator.index(agent), operator.index(t), cfg.n_agents
     if not (0 <= agent < n and 0 <= t < 1 << 32):
         seq = np.random.SeedSequence(cfg.rng_seed, spawn_key=(_DOMAIN_DIRECTION, agent, t))
         return _draw(np.random.default_rng(seq), cfg.dim, cfg.direction_law)
@@ -315,13 +308,15 @@ def gradient_free_oracle(stream: ObjectiveStream, cfg: OracleConfig,
 
     `x` must have shape (cfg.dim,).  At dim 1 the shift and the scale run on
     Python floats, with the IEEE operations of the numpy route in its order.
+    An agent >= cfg.n_agents draws its direction by sample_direction's
+    per-key route and is passed on to the stream, whose evaluate decides.
     """
     dim = cfg.dim
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
         raise ValueError(f"oracle point for agent {agent} at t={t} has shape {x.shape}, "
                          f"expected ({dim},) for dim {dim}")
-    mu = cfg.mu.item(agent)
+    mu = cfg.mu
     xi = sample_direction(cfg, agent, t)
     # sample_direction returns a fresh array: at dim 1 it holds the shifted
     # point while it is evaluated, and the estimate after
@@ -439,9 +434,8 @@ def paper_objective_stream(n_agents: int, dim: int = 1, coeff_seed: int = 0) -> 
     )
 
 
-def linear_probe_stream(n_agents: int, dim: int = 1, seed: int = 0,
-                        scale: float = 1.0) -> ObjectiveStream:
-    """Per-agent linear costs <u_i, x> with seeded unit directions times scale.
+def linear_probe_stream(n_agents: int, dim: int = 1, seed: int = 0) -> ObjectiveStream:
+    """Per-agent linear costs <u_i, x> with seeded unit directions u_i.
 
     The two-point estimator is exact on linear functions, which makes this
     stream a sharp probe for oracle identities.
@@ -449,7 +443,6 @@ def linear_probe_stream(n_agents: int, dim: int = 1, seed: int = 0,
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_DOMAIN_COEFF,)))
     u = rng.standard_normal((n_agents, dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    u *= scale
     u.flags.writeable = False
 
     def evaluate(agent: int, t: int, x: np.ndarray) -> float:
@@ -460,40 +453,40 @@ def linear_probe_stream(n_agents: int, dim: int = 1, seed: int = 0,
         return (points[:, None, :] @ u.sum(axis=0)[:, None])[:, 0, 0]
 
     return ObjectiveStream(
-        n_agents=n_agents, dim=dim, evaluate=evaluate, params={"seed": seed, "scale": scale},
-        subgradient_bound=lambda rho: float(scale), aggregate_evaluate=aggregate_evaluate,
+        n_agents=n_agents, dim=dim, evaluate=evaluate, params={"seed": seed},
+        subgradient_bound=lambda rho: 1.0, aggregate_evaluate=aggregate_evaluate,
     )
 
 
-def constant_stream(n_agents: int, dim: int = 1, value: float = 0.0) -> ObjectiveStream:
-    """Constant costs; the oracle is exactly zero, leaving pure consensus."""
+def constant_stream(n_agents: int, dim: int = 1) -> ObjectiveStream:
+    """Zero costs; the oracle is exactly zero, leaving pure consensus."""
 
     def evaluate(agent: int, t: int, x: np.ndarray) -> float:
-        return float(value)
+        return 0.0
 
     def aggregate_evaluate(t: int, points: np.ndarray) -> np.ndarray:
-        return np.full(points.shape[0], float(value) * n_agents)
+        return np.zeros(points.shape[0])
 
     return ObjectiveStream(
-        n_agents=n_agents, dim=dim, evaluate=evaluate, params={"value": value},
+        n_agents=n_agents, dim=dim, evaluate=evaluate,
         subgradient_bound=lambda rho: 0.0, aggregate_evaluate=aggregate_evaluate,
     )
 
 
-def norm_stream(n_agents: int, dim: int = 1, scale: float = 1.0) -> ObjectiveStream:
-    """Euclidean-norm costs scale * ||x||: convex, scale-Lipschitz, kinked at 0."""
+def norm_stream(n_agents: int, dim: int = 1) -> ObjectiveStream:
+    """Euclidean-norm costs ||x||: convex, 1-Lipschitz, kinked at 0."""
 
     def evaluate(agent: int, t: int, x: np.ndarray) -> float:
         # what np.linalg.norm computes for a 1-D input: sqrt of the dot
         x = np.asarray(x, dtype=float).ravel()
-        return float(scale * math.sqrt(x.dot(x)))
+        return math.sqrt(x.dot(x))
 
     def analytic_minimizer(t: int) -> np.ndarray:
         return np.zeros(dim)
 
     return ObjectiveStream(
-        n_agents=n_agents, dim=dim, evaluate=evaluate, params={"scale": scale},
-        analytic_minimizer=analytic_minimizer, subgradient_bound=lambda rho: float(scale),
+        n_agents=n_agents, dim=dim, evaluate=evaluate,
+        analytic_minimizer=analytic_minimizer, subgradient_bound=lambda rho: 1.0,
     )
 
 

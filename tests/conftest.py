@@ -53,9 +53,8 @@ def stream_rows(name, stream):
     -> (K,), row k with the bits of stream.evaluate(agents[k], ts[k], X[k]).
     `name` is a registered stream, "norm" (norm_stream) or "quadratic_norm"
     (experiments.quadratic_norm_stream); `ts` may be one time for all rows."""
-    p = stream.params
     if name == "paper_quadratic":
-        a, b, c = (np.array(p[k]) for k in "abc")
+        a, b, c = (np.array(stream.params[k]) for k in "abc")
 
         def values(agents, ts, X):
             d = np.array([oracle.tracking_target(t) for t in np.broadcast_to(ts, len(X)).tolist()])
@@ -66,8 +65,8 @@ def stream_rows(name, stream):
                       for i in range(stream.n_agents)])
         values = lambda agents, ts, X: _row_dots(u[agents], X)
     else:
-        values = {"constant": lambda agents, ts, X: np.full(len(X), float(p["value"])),
-                  "norm": lambda agents, ts, X: p["scale"] * np.sqrt(_row_dots(X, X)),
+        values = {"constant": lambda agents, ts, X: np.zeros(len(X)),
+                  "norm": lambda agents, ts, X: np.sqrt(_row_dots(X, X)),
                   "quadratic_norm": lambda agents, ts, X: _row_dots(X, X)}[name]
     return np.errstate(all="ignore")(values)
 
@@ -76,9 +75,8 @@ def stream_rows(name, stream):
 def array_estimates(values, mu, agents, ts, X, xi):
     """The two-point estimates of rows k = (agents[k], ts[k], X[k]) along
     directions xi[k] at once, in gradient_free_oracle's operation order, from
-    a row formula `values` (stream_rows); `mu` is one gain or one per row.
+    a row formula `values` (stream_rows) and the one gain `mu`.
     Raises OracleError where the estimator would, naming the first such row."""
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), len(X))[:, None]
     f_shift, f_base = values(agents, ts, X + mu * xi), values(agents, ts, X)
     bad = np.flatnonzero(~(np.isfinite(f_shift) & np.isfinite(f_base)))
     if bad.size:

@@ -46,16 +46,16 @@ class TestProjection:
         assert box.project(np.array([-9.0]))[0] == -5.0
 
     def test_ball_radial_scaling(self):
-        ball = Ball(np.zeros(2), 1.0)
+        ball = Ball(1.0, 2)
         out = ball.project(np.array([3.0, 4.0]))
         assert np.allclose(out, [0.6, 0.8])
 
     def test_interior_points_fixed(self):
-        ball = Ball(np.zeros(3), 2.0)
+        ball = Ball(2.0, 3)
         v = np.array([0.5, -0.5, 1.0])
         assert np.array_equal(ball.project(v), v)
 
-    @pytest.mark.parametrize("feasible", [Box(-2.0, 3.0, 4), Ball(np.array([1.0, -1.0, 0.0, 2.0]), 1.5)])
+    @pytest.mark.parametrize("feasible", [Box(-2.0, 3.0, 4), Ball(1.5, 4)])
     def test_idempotent(self, feasible):
         rng = np.random.default_rng(5)
         v = rng.uniform(-10, 10, (100, 4))
@@ -63,7 +63,7 @@ class TestProjection:
         assert np.allclose(feasible.project(once), once, atol=1e-12)
         assert feasible.contains(once)
 
-    @pytest.mark.parametrize("feasible", [Box(-5.0, 5.0, 3), Ball(np.zeros(3), 2.0)])
+    @pytest.mark.parametrize("feasible", [Box(-5.0, 5.0, 3), Ball(2.0, 3)])
     def test_nonexpansive_on_random_pairs(self, feasible):
         rng = np.random.default_rng(11)
         u = rng.uniform(-20, 20, (1000, 3))
@@ -78,10 +78,9 @@ class TestProjection:
         self._check_projection(Box(lo, lo + width, dim), dim, seed)
 
     @settings(max_examples=150, deadline=None)
-    @given(center=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6),
-           radius=st.floats(1e-3, 100.0), seed=st.integers(0, 2**32 - 1))
-    def test_ball_idempotent_and_nonexpansive(self, center, radius, seed):
-        self._check_projection(Ball(np.array(center), radius), len(center), seed)
+    @given(dim=st.integers(1, 6), radius=st.floats(1e-3, 100.0), seed=st.integers(0, 2**32 - 1))
+    def test_ball_idempotent_and_nonexpansive(self, dim, radius, seed):
+        self._check_projection(Ball(radius, dim), dim, seed)
 
     @staticmethod
     def _check_projection(feasible, dim, seed):
@@ -116,31 +115,27 @@ class TestProjection:
         errstate = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # project silences numpy's overflow warnings
-            got = Ball(np.zeros(2), 1.0).project(
+            got = Ball(1.0, 2).project(
                 np.array([[1e300, 1e300], [np.inf, 0.0], [-np.inf, np.inf], [3.0, 4.0]]))
-            one = Ball(np.array([1.0, -2.0, 0.5]), 2.0).project(np.array([-1e200, 1e200, 5.0]))
+            one = Ball(2.0, 3).project(np.array([-1e200, 1e200, 5.0]))
         assert np.allclose(got, [[h, h], [1.0, 0.0], [-h, h], [0.6, 0.8]], rtol=0.0, atol=1e-15)
-        assert np.allclose(one, [1.0 - math.sqrt(2.0), math.sqrt(2.0) - 2.0, 0.5])
+        assert np.allclose(one, [-math.sqrt(2.0), math.sqrt(2.0), 0.0], rtol=0.0, atol=1e-15)
         assert np.geterr() == errstate
 
     @settings(max_examples=150, deadline=None)
-    @given(center=st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=5),
-           radius=st.floats(1e-300, 1e300), exponent=st.integers(-300, 150),
-           huge_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_ball_keeps_the_bits_of_finite_norm_rows(self, center, radius, exponent, huge_row,
-                                                    seed):
-        c = np.array(center)
-        v = c + np.random.default_rng(seed).standard_normal((20, c.size)) * 10.0 ** exponent
+    @given(dim=st.integers(1, 5), radius=st.floats(1e-300, 1e300),
+           exponent=st.integers(-300, 150), huge_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_ball_keeps_the_bits_of_finite_norm_rows(self, dim, radius, exponent, huge_row, seed):
+        v = np.random.default_rng(seed).standard_normal((20, dim)) * 10.0 ** exponent
         with warnings.catch_warnings():
             # radius / norm overflows in the branch np.where drops, and
             # numpy's norm of the huge row overflows
             warnings.simplefilter("ignore", RuntimeWarning)
-            offset = v - c
-            norms = np.linalg.norm(offset, axis=-1, keepdims=True)
-            expected = c + offset * np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
+            norms = np.linalg.norm(v, axis=-1, keepdims=True)
+            expected = v * np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
             if huge_row:  # an overflowing row does not disturb the others
                 v[0] = 1e300
-            got = Ball(c, radius).project(v)
+            got = Ball(radius, dim).project(v)
         assert got[huge_row:].tobytes() == expected[huge_row:].tobytes()
 
     def test_box_validation(self):
@@ -150,10 +145,11 @@ class TestProjection:
     def test_radius_values(self):
         assert Box(-5.0, 5.0, 1).radius == 5.0
         assert Box(-5.0, 5.0, 4).radius == pytest.approx(10.0)
-        assert Ball(np.array([3.0, 4.0]), 1.0).radius == pytest.approx(6.0)
+        assert Ball(1.5, 2).radius == 1.5
+        assert type(Ball(2, 3).radius) is float
 
     def test_ball_uniform_sampling_inside(self):
-        ball = Ball(np.array([1.0, 0.0]), 2.0)
+        ball = Ball(2.0, 2)
         rng = np.random.default_rng(2)
         pts = ball.sample_uniform(rng, (50, 2))
         assert ball.contains(pts)
@@ -161,18 +157,18 @@ class TestProjection:
     @pytest.mark.parametrize("p", [1, 3, 12])
     def test_ball_sampling_is_uniform_in_volume(self, p):
         # half a p-ball's volume lies within r 2^(-1/p) of its centre, and
-        # its mean is the centre
-        ball = Ball(np.full(p, 0.5), 2.0)
-        offsets = ball.sample_uniform(np.random.default_rng(p), (4000, p)) - ball.center
-        assert ball.contains(offsets + ball.center)
-        inner = np.linalg.norm(offsets, axis=1) <= 2.0 * 2.0 ** (-1.0 / p)
+        # its mean is the centre, the origin
+        ball = Ball(2.0, p)
+        points = ball.sample_uniform(np.random.default_rng(p), (4000, p))
+        assert ball.contains(points)
+        inner = np.linalg.norm(points, axis=1) <= 2.0 * 2.0 ** (-1.0 / p)
         assert abs(inner.mean() - 0.5) < 0.03
-        assert np.abs(offsets.mean(axis=0)).max() < 0.1
+        assert np.abs(points.mean(axis=0)).max() < 0.1
 
     def test_high_dimensional_ball_run_finishes(self):
         # a draw from the bounding cube lands in the 30-ball with probability 2e-14
         trace = r.run(RunConfig(feasible_kind="ball", dim=30, horizon=2, check_delta_bound=False))
-        assert Ball(np.zeros(30), 5.0).contains(trace.x)
+        assert Ball(5.0, 30).contains(trace.x)
 
 
 def _schedule(kind, gamma0=1.0):
@@ -211,7 +207,7 @@ def _setup(n=6, dim=1, stream=None, delta=0.05, seed=0):
     g = make_cycle(n)
     wp = equal_neighbor_weights(g)
     stream = stream or constant_stream(n, dim)
-    cfg = OracleConfig.uniform(n, 1e-4, dim, rng_seed=seed)
+    cfg = OracleConfig(n, 1e-4, dim, rng_seed=seed)
     feasible = Box(-10.0, 10.0, dim)
     return wp, stream, cfg, feasible, delta
 
@@ -301,8 +297,8 @@ class TestThetaResidual:
         # no clipping inside a huge box: theta = -gamma * g exactly
         n, dim = 5, 2
         wp = equal_neighbor_weights(make_cycle(n))
-        stream = linear_probe_stream(n, dim=dim, seed=2, scale=1.0)
-        cfg = OracleConfig.uniform(n, 1e-3, dim, rng_seed=8)
+        stream = linear_probe_stream(n, dim=dim, seed=2)
+        cfg = OracleConfig(n, 1e-3, dim, rng_seed=8)
         feasible = Box(-100.0, 100.0, dim)
         rng = np.random.default_rng(3)
         x, y = rng.uniform(-1, 1, (n, dim)), np.zeros((n, dim))
@@ -349,6 +345,8 @@ class TestRun:
             r.run(RunConfig(stream_name="nope", check_delta_bound=False))
         with pytest.raises(ConfigError):
             r.run(RunConfig(graph_kind="torus"))
+        with pytest.raises(ConfigError, match="dim must be >= 1, got 0"):
+            RunConfig(dim=0)
 
     @pytest.mark.parametrize("field, value, message", [
         ("graph_kind", "torus", "unknown graph kind 'torus'"),
@@ -470,7 +468,7 @@ class TestPrefetchedRun:
                    RunConfig(dim=1, horizon=300, master_seed=9, check_delta_bound=False)]
         expected = [_trace_bytes(r.run(c)) for c in configs]
         # the third thread draws the first run's keys on the scalar route
-        cfg = OracleConfig.uniform(10, 0.1, 2, rng_seed=8)
+        cfg = OracleConfig(10, 0.1, 2, rng_seed=8)
         keys = [(agent, t) for t in range(300) for agent in range(10)]
         scalar = {k: sample_direction(cfg, *k) for k in keys}
         got, drawn, errors = [None, None], {}, []
@@ -510,7 +508,7 @@ def _round_loop(config, advance=algorithm._advance):
     if advance is array_round:
         stream = stream_rows(config.stream_name, stream)
     feasible = config.feasible_set()
-    cfg = OracleConfig.uniform(n, config.mu_hat, p, direction_law=config.direction_law,
+    cfg = OracleConfig(n, config.mu_hat, p, direction_law=config.direction_law,
                                rng_seed=config.master_seed)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(oracle._DOMAIN_INIT,)))
@@ -615,7 +613,7 @@ class TestPlainArrayLoop:
     def test_estimates_never_alias_the_state(self, dim):
         n = 6
         stream = r.make_stream("paper_quadratic", n, dim, 2)
-        cfg = OracleConfig.uniform(n, 0.1, dim, rng_seed=2)
+        cfg = OracleConfig(n, 0.1, dim, rng_seed=2)
         x = np.random.default_rng(5).uniform(-1.0, 1.0, (n, dim))
         before = x.tobytes()
         for t in range(3):
@@ -659,6 +657,13 @@ class TestPlainArrayLoop:
                                  analytic_minimizer=minimizer)
         trace = r.run(RunConfig(horizon=20, check_delta_bound=False), stream=stream)
         assert trace.x_star.tobytes() == (0.25 * np.arange(21.0)).reshape(21, 1).tobytes()
+
+    def test_norm_stream_runs_with_the_origin_as_minimizer(self):
+        # norm_stream has no aggregate hook, so the costs come from its evaluate
+        trace = r.run(RunConfig(n_agents=4, dim=2, horizon=30, check_delta_bound=False),
+                      stream=r.norm_stream(4, dim=2))
+        assert trace.x_star.tobytes() == np.zeros((31, 2)).tobytes()
+        assert np.allclose(trace.cost, 4.0 * np.linalg.norm(trace.x, axis=2), rtol=1e-15, atol=0.0)
 
     def test_nonfinite_surplus_names_agents_and_step(self):
         # surplus coupling diverges on a one-way cycle at a large gain
@@ -868,6 +873,14 @@ class TestCsvText:
         header = [f"c{k}" for k in range(len(columns))]
         rows = zip(*(c.tolist() for c in columns))
         assert csv_text(header, columns) == rowwise_csv(header, rows)
+
+    def test_string_and_complex_columns_are_written_through_str(self):
+        # arrays of a kind other than bool, int and float skip the run-length path
+        words = np.array(["a", "bb", "bb", "-0.0"])
+        pairs = np.array([1 + 2j, 1 + 2j, 2 - 0.5j, 0j])
+        expected = rowwise_csv(["w", "z"], zip(words.tolist(), pairs.tolist()))
+        assert csv_text(["w", "z"], [words, pairs]) == expected == \
+            "w,z\na,(1+2j)\nbb,(1+2j)\nbb,(2-0.5j)\n-0.0,0j\n"
 
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):

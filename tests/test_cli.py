@@ -293,8 +293,23 @@ class TestSpectralCommand:
         assert "{cycle,ring,complete,random}" in capsys.readouterr().out
 
     def test_bad_grid(self, capsys):
-        assert main(["spectral", "--delta-grid", "a,b"]) == EXIT_PARSE
-        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        for grid, fragment in (("a,b", "could not convert"), (",", "empty delta grid")):
+            assert main(["spectral", "--delta-grid", grid]) == EXIT_PARSE
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "config" and fragment in err["message"]
+
+    def test_an_unexpected_exception_propagates_without_an_error_line(self, monkeypatch, capsys):
+        # only the failures the contract names become JSON lines; a bug keeps its traceback
+        class Bug(Exception):
+            pass
+
+        def broken(*args):
+            raise Bug("not a contract failure")
+
+        monkeypatch.setattr(cli, "spectral_report", broken)
+        with pytest.raises(Bug, match="not a contract failure"):
+            main(["spectral"])
+        assert capsys.readouterr().err == ""
 
     def test_stdout_bytes_are_pinned(self, capsys):
         # any change to the report's bytes must be deliberate
@@ -356,6 +371,8 @@ FAILURE_CONTRACT = [
      "--samples applies to diagnostics only"),
     (["run", "--config", "CFG_TINY_GAMMA", "--out", "OUT"], EXIT_VALIDATION, "validation",
      "gamma0=5e-324 is too small"),
+    (["run", "--config", "CFG_EMPTY", "--set", "horizon", "--out", "OUT"], EXIT_VALIDATION,
+     "validation", "override 'horizon' is not of the form key=value"),
     (["run", "--config", "CFG_EMPTY", "--set", "extra_edge_prob=2.0", "--out", "OUT"],
      EXIT_VALIDATION, "validation", "extra_edge_prob must be in [0, 1], got 2.0"),
     (["run", "--config", "CFG_EMPTY", "--set", "feasible_lo=-1e308", "--set", "feasible_hi=1e308",

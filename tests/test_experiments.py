@@ -159,7 +159,7 @@ class TestCheckHelpers:
     def test_oracle_mean_equals_scalar_draws(self, scalar_direction_blocks):
         # 2500 draws end inside the second block of directions
         stream = experiments.quadratic_norm_stream(3)
-        cfg = r.OracleConfig.uniform(1, 0.01, 3, direction_law="uniform_sphere", rng_seed=2**33)
+        cfg = r.OracleConfig(1, 0.01, 3, direction_law="uniform_sphere", rng_seed=2**33)
         points = [np.array([0.3, -0.2, 0.9]), np.array([-0.5, 0.0, 0.1]),
                   np.array([1.0, 1.0, -1.0])]
         blocks = experiments._oracle_mean(stream, cfg, points, 2500)
@@ -175,9 +175,9 @@ class TestCheckHelpers:
         # offset None is a single draw: the constant stream's draws are all
         # +-0.0, so there the +0.0 start of the running sums shows in the bits
         stream = {"quadratic_norm": lambda: experiments.quadratic_norm_stream(3),
-                  "norm": lambda: r.norm_stream(1, dim=2, scale=1.0),
-                  "constant": lambda: constant_stream(1, dim=3, value=2.0)}[name]()
-        cfg = r.OracleConfig.uniform(1, 0.01, stream.dim, rng_seed=41)
+                  "norm": lambda: r.norm_stream(1, dim=2),
+                  "constant": lambda: constant_stream(1, dim=3)}[name]()
+        cfg = r.OracleConfig(1, 0.01, stream.dim, rng_seed=41)
         points = [np.linspace(-0.7, 0.9, stream.dim), np.linspace(0.6, -0.4, stream.dim),
                   np.full(stream.dim, 0.25)]
         n = 1 if offset is None else oracle._BLOCK_KEYS + offset
@@ -211,7 +211,7 @@ class TestCheckHelpers:
         unbiasedness_check(n_draws=n_draws)
         assert blocks == [(0, 2048), (2048, 4096), (4096, 6144)]
         blocks.clear()
-        cfg = r.OracleConfig.uniform(1, 0.01, 3, rng_seed=5)
+        cfg = r.OracleConfig(1, 0.01, 3, rng_seed=5)
         experiments._oracle_mean(experiments.quadratic_norm_stream(3), cfg,
                                  [np.full(3, v) for v in (-0.5, 0.1, 0.8)], n_draws)
         assert blocks == [(0, 2048), (2048, 4096), (4096, 6144)]

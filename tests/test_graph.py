@@ -378,6 +378,15 @@ class TestDeltaHat:
             with pytest.raises(AssertionError, match="eigvals called"):
                 delta_hat(equal_neighbor_weights(g))
 
+    def test_eigen_solver_failure_becomes_a_graph_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(graph.np.linalg, "eigvals", fail)
+        with pytest.raises(GraphError, match="eigenvalue computation failed for 10x10 augmented "
+                                             "matrix: Eigenvalues did not converge"):
+            delta_hat(equal_neighbor_weights(make_cycle(5)))
+
     def test_formula_monotone_in_n_for_fixed_sigma3(self):
         sigma3 = 0.5
         values = [((1.0 - sigma3) / (20.0 + 8.0 * n)) ** n for n in (3, 5, 10, 20)]
@@ -450,6 +459,10 @@ class TestMatrixPowerGap:
         # windowed geometric-mean contraction rate is strictly below 1
         rate = (gaps[199] / gaps[99]) ** (1.0 / 100.0)
         assert rate < 0.999
+
+    def test_fit_of_a_flat_series_has_r_squared_one(self):
+        # log(1) = 0 at every power, so the total sum of squares is exactly 0
+        assert fit_geometric_decay(np.ones(30), 5, 30) == (1.0, 1.0, 1.0)
 
     def test_log_fit_negative_slope(self):
         wp = equal_neighbor_weights(make_random_strongly_connected(10, 0.3, seed=7))

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ class TestSampleDirection:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 7, 2**100 + 3])
     def test_matches_seedsequence_reference(self, seed, law):
         for dim in (1, 2, 5):
-            cfg = OracleConfig.uniform(1, 0.1, dim, direction_law=law, rng_seed=seed)
+            cfg = OracleConfig(1, 0.1, dim, direction_law=law, rng_seed=seed)
             for agent in (0, 3, 2**32 + 1):
                 for t in (0, 1, 4999, 2**32 - 1, 2**32, 2**40 + 3):
                     assert np.array_equal(sample_direction(cfg, agent, t),
@@ -47,15 +48,15 @@ class TestSampleDirection:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**130), agent=st.integers(0, 2**70), t=st.integers(0, 2**70))
     def test_matches_reference_for_any_key(self, seed, agent, t):
-        cfg = OracleConfig.uniform(1, 0.1, 3, rng_seed=seed)
+        cfg = OracleConfig(1, 0.1, 3, rng_seed=seed)
         assert np.array_equal(sample_direction(cfg, agent, t),
                               reference_direction(seed, agent, t, 3, "gaussian"))
 
     def test_threads_drawing_interleaved_keys_match_reference(self, monkeypatch):
-        # agents >= mu.size and times >= 2^32 are never block-served, so every
+        # agents >= n_agents and times >= 2^32 are never block-served, so every
         # draw here builds its own numpy generator from the key
         monkeypatch.setattr(oracle, "_direction_block", lambda *args: pytest.fail("block drawn"))
-        cfg = OracleConfig.uniform(8, 0.1, 2, rng_seed=11)
+        cfg = OracleConfig(8, 0.1, 2, rng_seed=11)
         keys = [(agent + 8, t) for t in range(125) for agent in range(8)]
         keys += [(agent, 2**32 + t) for t in range(125) for agent in range(8)]
         expected = {k: reference_direction(11, *k, 2, "gaussian") for k in keys}
@@ -75,31 +76,31 @@ class TestSampleDirection:
 
     @pytest.mark.parametrize("agent, t", [(-1, 0), (0, -1), (-(2**40), 5)])
     def test_negative_agent_or_time_rejected(self, agent, t):
-        cfg = OracleConfig.uniform(2, 0.1, 1)
+        cfg = OracleConfig(2, 0.1, 1)
         with pytest.raises(ValueError):
             sample_direction(cfg, agent, t)
 
     def test_deterministic_per_triple(self):
-        cfg = OracleConfig.uniform(4, 0.1, 3, rng_seed=99)
+        cfg = OracleConfig(4, 0.1, 3, rng_seed=99)
         a = sample_direction(cfg, 2, 17)
         b = sample_direction(cfg, 2, 17)
         assert np.array_equal(a, b)
 
     def test_distinct_across_agents_and_times(self):
-        cfg = OracleConfig.uniform(4, 0.1, 3, rng_seed=99)
+        cfg = OracleConfig(4, 0.1, 3, rng_seed=99)
         base = sample_direction(cfg, 0, 0)
         assert not np.array_equal(base, sample_direction(cfg, 1, 0))
         assert not np.array_equal(base, sample_direction(cfg, 0, 1))
 
     def test_uniform_sphere_unit_norm(self):
-        cfg = OracleConfig.uniform(2, 0.1, 5, direction_law="uniform_sphere", rng_seed=3)
+        cfg = OracleConfig(2, 0.1, 5, direction_law="uniform_sphere", rng_seed=3)
         for t in range(50):
             xi = sample_direction(cfg, 0, t)
             assert abs(np.linalg.norm(xi) - 1.0) < 1e-12
 
     def test_gaussian_mean_near_zero(self):
         # Monte Carlo CLT band: 3/sqrt(n) < 0.02 per coordinate at n = 1e5
-        cfg = OracleConfig.uniform(1, 0.1, 3, rng_seed=8)
+        cfg = OracleConfig(1, 0.1, 3, rng_seed=8)
         n = 100_000
         total = np.zeros(3)
         for t in range(n):
@@ -109,40 +110,46 @@ class TestSampleDirection:
     def test_rng_stream_reproducible_across_instances(self):
         # directions depend only on (seed, agent, t), not on the config's
         # other fields or on which instance draws them
-        c1 = OracleConfig.uniform(5, 0.1, 2, rng_seed=123)
-        c2 = OracleConfig.uniform(8, 0.7, 2, rng_seed=123)
+        c1 = OracleConfig(5, 0.1, 2, rng_seed=123)
+        c2 = OracleConfig(8, 0.7, 2, rng_seed=123)
         assert np.array_equal(sample_direction(c1, 4, 9), sample_direction(c2, 4, 9))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            OracleConfig(mu=np.array([0.1, -0.1]), dim=1)
+            OracleConfig(2, -0.1, 1)
         with pytest.raises(ValueError):
-            OracleConfig.uniform(2, 0.1, 1, direction_law="cauchy")
+            OracleConfig(2, 0.1, 1, direction_law="cauchy")
 
-    @pytest.mark.parametrize("mu, dim", [([0.1], 0), ([0.1], -2), ([0.1], True), ([0.1, 0.1], 2.0),
-                                         ([0.1], "2"), ([[0.1, 0.1]], 2), ([], 1),
-                                         ([0.1, math.nan], 1), ([math.inf], 1)])
-    def test_bad_dim_or_mu_rejected_at_construction(self, mu, dim):
-        with pytest.raises(ValueError, match="dim|mu"):
-            OracleConfig(mu=mu, dim=dim)
+    @pytest.mark.parametrize("mu", [True, 0.0, -0.1, math.nan, math.inf, [0.1],
+                                    np.array([0.1, 0.2]), "0.1"],
+                             ids=["bool", "zero", "negative", "nan", "inf", "list", "array", "text"])
+    def test_bad_mu_rejected_at_construction(self, mu):
+        with pytest.raises(ValueError, match="mu must be a positive, finite float"):
+            OracleConfig(2, mu, 1)
 
-    def test_numpy_integer_dim_accepted(self):
-        cfg = OracleConfig(mu=[0.1, 0.2], dim=np.int32(3))
-        assert cfg.dim == 3 and type(cfg.dim) is int
+    @pytest.mark.parametrize("name, value", [
+        ("n_agents", 0), ("n_agents", -1), ("n_agents", 2.0), ("n_agents", True), ("n_agents", "2"),
+        ("dim", 0), ("dim", -2), ("dim", True), ("dim", 2.0), ("dim", "2")], ids=repr)
+    def test_bad_n_agents_or_dim_rejected_at_construction(self, name, value):
+        fields = {"n_agents": 2, "mu": 0.1, "dim": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            OracleConfig(**fields)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        cfg = OracleConfig(np.int64(4), np.float32(0.25), np.int32(3))
+        assert (cfg.n_agents, cfg.mu, cfg.dim) == (4, 0.25, 3)
+        assert [type(v) for v in (cfg.n_agents, cfg.mu, cfg.dim)] == [int, float, int]
 
     @pytest.mark.parametrize("seed", [-1, True, 3.5, "3", None])
     def test_bad_seed_rejected_at_construction(self, seed):
         with pytest.raises(ValueError, match="rng_seed"):
-            OracleConfig.uniform(2, 0.1, 1, rng_seed=seed)
+            OracleConfig(2, 0.1, 1, rng_seed=seed)
 
     def test_numpy_integer_seed_accepted(self):
-        c1 = OracleConfig.uniform(2, 0.1, 2, rng_seed=np.int64(5))
-        c2 = OracleConfig.uniform(2, 0.1, 2, rng_seed=5)
+        c1 = OracleConfig(2, 0.1, 2, rng_seed=np.int64(5))
+        c2 = OracleConfig(2, 0.1, 2, rng_seed=5)
         assert np.array_equal(sample_direction(c1, 1, 2), sample_direction(c2, 1, 2))
 
-    def test_mu_hat_is_max(self):
-        cfg = OracleConfig(mu=np.array([0.1, 0.5, 0.2]), dim=1)
-        assert cfg.mu_hat == 0.5
 
 
 def _takes_slow_path(seed, agent, t, dim):
@@ -157,7 +164,7 @@ def _takes_slow_path(seed, agent, t, dim):
 
 def _drawn_rows(seed, dim, law, n_agents, t0, t1):
     """sample_direction of every agent at times t0..t1-1, on a fresh config."""
-    cfg = OracleConfig.uniform(n_agents, 0.1, dim, direction_law=law, rng_seed=seed)
+    cfg = OracleConfig(n_agents, 0.1, dim, direction_law=law, rng_seed=seed)
     return {(agent, t): sample_direction(cfg, agent, t)
             for t in range(t0, t1) for agent in range(n_agents)}
 
@@ -191,18 +198,18 @@ class TestBlockDirections:
         block = oracle._direction_block
         monkeypatch.setattr(oracle, "_direction_block",
                             lambda *args: drawn.append(args[3:]) or block(*args))
-        cfg = OracleConfig.uniform(4, 0.1, 2, rng_seed=3)  # 512 times per block
+        cfg = OracleConfig(4, 0.1, 2, rng_seed=3)  # 512 times per block
         for agent, t in [(2, 700), (0, 512), (3, 1023), (1, 600), (0, 1024), (3, 2**32 - 1)]:
             assert sample_direction(cfg, agent, t).tobytes() == \
                 reference_direction(3, agent, t, 2, "gaussian").tobytes()
         # the block under 2^32 is cut short: 2^32 is a multiple of 512, but
         # not of the 682 times a 3-agent block holds
-        sample_direction(OracleConfig.uniform(3, 0.1, 1), 0, 2**32 - 1)
+        sample_direction(OracleConfig(3, 0.1, 1), 0, 2**32 - 1)
         assert drawn == [(4, 512, 1024), (4, 1024, 1536), (4, 2**32 - 512, 2**32),
                          (3, 2**32 - (2**32 % 682), 2**32)]
 
     def test_keys_outside_the_block_take_the_scalar_route(self, monkeypatch):
-        cfg = OracleConfig.uniform(4, 0.1, 2, rng_seed=3)
+        cfg = OracleConfig(4, 0.1, 2, rng_seed=3)
         sample_direction(cfg, 1, 12)  # caches the block of times 0..511
         monkeypatch.setattr(oracle, "_direction_block", lambda *args: pytest.fail("block drawn"))
         for agent, t in [(4, 12), (2**40, 3), (1, 2**32), (1, 2**32 + 9), (3, 2**64)]:
@@ -210,8 +217,8 @@ class TestBlockDirections:
                                   reference_direction(3, agent, t, 2, "gaussian"))
 
     def test_configs_and_runs_interleaved_in_one_thread_match_reference(self):
-        a = OracleConfig.uniform(5, 0.1, 2, rng_seed=21)
-        b = OracleConfig.uniform(2, 0.3, 3, direction_law="uniform_sphere", rng_seed=22)
+        a = OracleConfig(5, 0.1, 2, rng_seed=21)
+        b = OracleConfig(2, 0.3, 3, direction_law="uniform_sphere", rng_seed=22)
 
         def check(cfg, keys):
             for agent, t in keys:
@@ -223,7 +230,7 @@ class TestBlockDirections:
         check(a, a_keys)
         check(b, b_keys)
         check(a, a_keys)
-        check(OracleConfig.uniform(5, 0.1, 2, rng_seed=21), a_keys)
+        check(OracleConfig(5, 0.1, 2, rng_seed=21), a_keys)
         for (i, j), t in zip([(0, 1), (4, 0), (2, 1)] * 60, range(400, 580)):
             check(a, [(i, t)])
             check(b, [(j, t + 600)])
@@ -234,15 +241,24 @@ class TestBlockDirections:
         ids=["float_agent", "float_t", "numpy_float_agent", "fractional_t", "negative_agent",
              "negative_t"])
     def test_bad_keys_raise_before_and_after_their_block_is_cached(self, agent, t, error):
-        cfg = OracleConfig.uniform(4, 0.1, 2, rng_seed=3)
+        cfg = OracleConfig(4, 0.1, 2, rng_seed=3)
         with pytest.raises(error):
             sample_direction(cfg, agent, t)
         sample_direction(cfg, 1, 5)
         with pytest.raises(error):
             sample_direction(cfg, agent, t)
 
+    def test_a_zero_norm_sphere_draw_is_redrawn(self):
+        # a probability-zero event, so a stub generator drives it
+        draws = iter([np.zeros(3), np.zeros(3), np.array([3.0, 0.0, 4.0])])
+        stub = types.SimpleNamespace(standard_normal=lambda dim: next(draws))
+        assert oracle._draw(stub, 3, "uniform_sphere").tolist() == [0.6, 0.0, 0.8]
+        assert next(draws, None) is None
+        zeros = types.SimpleNamespace(standard_normal=np.zeros)
+        assert oracle._draw(zeros, 2, "gaussian").tolist() == [0.0, 0.0]
+
     def test_returned_rows_are_copies(self):
-        cfg = OracleConfig.uniform(1, 0.1, 2, rng_seed=6)
+        cfg = OracleConfig(1, 0.1, 2, rng_seed=6)
         sample_direction(cfg, 0, 1)[:] = 0.0
         assert np.array_equal(sample_direction(cfg, 0, 1), reference_direction(6, 0, 1, 2, "gaussian"))
 
@@ -335,7 +351,7 @@ from conftest import reference_direction
 from rgfopt import oracle
 from rgfopt.oracle import OracleConfig, sample_direction
 assert oracle._ziggurat_tables.cache_info().misses == 0
-cfgs = [OracleConfig.uniform(3, 0.1, 2, rng_seed=seed) for seed in range(4)]
+cfgs = [OracleConfig(3, 0.1, 2, rng_seed=seed) for seed in range(4)]
 keys = [(agent, t) for t in range(0, 2000, 7) for agent in range(3)]
 start, bad = threading.Barrier(4), []
 
@@ -363,8 +379,8 @@ print(oracle._ziggurat_tables.cache_info().misses >= 1, bad)
 
 class TestGradientFreeOracle:
     def test_linear_single_draw_identity(self):
-        stream = linear_probe_stream(1, dim=3, seed=5, scale=2.0)
-        cfg = OracleConfig.uniform(1, 1e-3, 3, rng_seed=21)
+        stream = linear_probe_stream(1, dim=3, seed=5)
+        cfg = OracleConfig(1, 1e-3, 3, rng_seed=21)
         x = np.array([0.3, -1.2, 0.7])
         g = gradient_free_oracle(stream, cfg, 0, 4, x)
         xi = sample_direction(cfg, 0, 4)
@@ -372,8 +388,8 @@ class TestGradientFreeOracle:
         assert np.allclose(g, inner * xi, rtol=1e-9, atol=1e-12)
 
     def test_linear_mean_recovers_gradient(self):
-        stream = linear_probe_stream(1, dim=2, seed=5, scale=1.5)
-        cfg = OracleConfig.uniform(1, 1e-3, 2, rng_seed=77)
+        stream = linear_probe_stream(1, dim=2, seed=5)
+        cfg = OracleConfig(1, 1e-3, 2, rng_seed=77)
         n = 100_000
         total = np.zeros(2)
         total_sq = np.zeros(2)
@@ -389,8 +405,8 @@ class TestGradientFreeOracle:
         assert (np.abs(mean - u) <= 3.0 * stderr).all()
 
     def test_constant_stream_gives_zero(self):
-        stream = constant_stream(3, dim=2, value=4.0)
-        cfg = OracleConfig.uniform(3, 1e-2, 2, rng_seed=0)
+        stream = constant_stream(3, dim=2)
+        cfg = OracleConfig(3, 1e-2, 2, rng_seed=0)
         for t in range(10):
             g = gradient_free_oracle(stream, cfg, 1, t, np.array([0.5, -0.5]))
             assert np.array_equal(g, np.zeros(2))
@@ -400,7 +416,7 @@ class TestGradientFreeOracle:
             n_agents=1, dim=3,
             evaluate=lambda i, t, x: float(np.asarray(x) @ np.asarray(x)))
         mu = 1e-4
-        cfg = OracleConfig.uniform(1, mu, 3, rng_seed=13)
+        cfg = OracleConfig(1, mu, 3, rng_seed=13)
         g = gradient_free_oracle(stream, cfg, 0, 0, np.zeros(3))
         xi = sample_direction(cfg, 0, 0)
         assert np.allclose(g, mu * (xi @ xi) * xi, rtol=1e-12)
@@ -415,7 +431,7 @@ class TestGradientFreeOracle:
             return float(np.sum(x))
 
         stream = ObjectiveStream(n_agents=2, dim=dim, evaluate=counting_eval)
-        cfg = OracleConfig.uniform(2, 0.1, dim, rng_seed=1)
+        cfg = OracleConfig(2, 0.1, dim, rng_seed=1)
         x = np.linspace(-0.5, 0.5, dim)
         gradient_free_oracle(stream, cfg, 1, 3, x)
         assert len(calls) == 2
@@ -436,7 +452,7 @@ class TestGradientFreeOracle:
             return float(np.sum(x))
 
         stream = ObjectiveStream(n_agents=2, dim=dim, evaluate=keeping_eval)
-        cfg = OracleConfig.uniform(2, 0.1, dim, rng_seed=1)
+        cfg = OracleConfig(2, 0.1, dim, rng_seed=1)
         x = np.linspace(-0.5, 0.5, dim)
         g = gradient_free_oracle(stream, cfg, 1, 3, x)
         shifted = x + 0.1 * sample_direction(cfg, 1, 3)
@@ -458,7 +474,7 @@ class TestGradientFreeOracle:
 
         monkeypatch.setattr(oracle, "sample_direction", never)
         stream = ObjectiveStream(n_agents=2, dim=dim, evaluate=never)
-        cfg = OracleConfig.uniform(2, 0.1, dim, rng_seed=1)
+        cfg = OracleConfig(2, 0.1, dim, rng_seed=1)
         message = rf"agent 1 at t=4 has shape \({', '.join(map(str, shape))},?\).*\({dim},\).*dim {dim}"
         with pytest.raises(ValueError, match=message):
             gradient_free_oracle(stream, cfg, 1, 4, np.full(shape, 0.5))
@@ -466,7 +482,7 @@ class TestGradientFreeOracle:
     def test_nonfinite_eval_raises_with_context(self):
         stream = ObjectiveStream(n_agents=1, dim=1,
                                  evaluate=lambda i, t, x: float("nan"))
-        cfg = OracleConfig.uniform(1, 0.1, 1, rng_seed=1)
+        cfg = OracleConfig(1, 0.1, 1, rng_seed=1)
         with pytest.raises(OracleError, match="agent 0 at t=7"):
             gradient_free_oracle(stream, cfg, 0, 7, np.zeros(1))
 
@@ -478,7 +494,7 @@ class TestGradientFreeOracle:
         # is served from the cached block, t >= 2^32 by the scalar route
         t = 2 if prefetch else 2**32 + 2
         stream = paper_objective_stream(2, dim=dim, coeff_seed=4)
-        cfg = OracleConfig.uniform(2, 1e-2, dim, rng_seed=8)
+        cfg = OracleConfig(2, 1e-2, dim, rng_seed=8)
         x = np.array([0.3, -1.1, 2.0][:dim])
         kept = x.tobytes()
         first = gradient_free_oracle(stream, cfg, 1, t, x)
@@ -491,9 +507,33 @@ class TestGradientFreeOracle:
         assert xi.tobytes() == reference_direction(8, 1, t, dim, "gaussian").tobytes()
         assert x.tobytes() == kept
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_an_agent_past_n_agents_takes_the_per_key_route_to_the_stream(self, monkeypatch, dim):
+        # the gain is one float, so no agent index is read before the draw: an
+        # agent >= n_agents draws its direction key by key and the stream's
+        # evaluate decides what it does with that agent
+        monkeypatch.setattr(oracle, "_direction_block", lambda *args: pytest.fail("block drawn"))
+        calls = []
+        stream = ObjectiveStream(n_agents=2, dim=dim,
+                                 evaluate=lambda i, t, x: calls.append(i) or float(np.sum(x)))
+        cfg = OracleConfig(2, 0.1, dim, rng_seed=4)
+        x = np.linspace(0.3, -0.2, dim)
+        g = gradient_free_oracle(stream, cfg, 5, 9, x)
+        xi = reference_direction(4, 5, 9, dim, "gaussian")
+        assert calls == [5, 5]
+        assert g.tobytes() == (xi * ((float(np.sum(x + 0.1 * xi)) - float(np.sum(x))) / 0.1)).tobytes()
+        with pytest.raises(IndexError):
+            gradient_free_oracle(paper_objective_stream(2, dim=dim), cfg, 2, 9, x)
+
+    @pytest.mark.parametrize("agent", [-1, -2, -(2**40)])
+    def test_a_negative_agent_is_rejected_before_any_evaluation(self, agent):
+        stream = ObjectiveStream(n_agents=2, dim=2, evaluate=lambda *args: pytest.fail("evaluated"))
+        with pytest.raises(ValueError):
+            gradient_free_oracle(stream, OracleConfig(2, 0.1, 2, rng_seed=4), agent, 9, np.zeros(2))
+
     def test_deterministic_sequences(self):
         stream = norm_stream(2, dim=2)
-        cfg = OracleConfig.uniform(2, 1e-2, 2, rng_seed=31)
+        cfg = OracleConfig(2, 1e-2, 2, rng_seed=31)
         x = np.array([0.2, 0.4])
         seq1 = [gradient_free_oracle(stream, cfg, 0, t, x) for t in range(20)]
         seq2 = [gradient_free_oracle(stream, cfg, 0, t, x) for t in range(20)]
@@ -517,7 +557,7 @@ class TestSmoothedValue:
 
     def test_sandwich_on_lipschitz_stream(self):
         # f <= f_mu <= f + sqrt(p) mu D for convex D-Lipschitz f
-        stream = norm_stream(1, dim=1, scale=1.0)
+        stream = norm_stream(1, dim=1)
         mu = 0.05
         rng = np.random.default_rng(3)
         for k in range(5):
@@ -567,7 +607,7 @@ class TestLemma1Properties:
             return np.einsum("ki,ij,kj->k", pts, a_mat, pts) + pts @ b_vec
 
         mu = 0.01
-        cfg = OracleConfig.uniform(1, mu, 2, rng_seed=900)
+        cfg = OracleConfig(1, mu, 2, rng_seed=900)
         x = np.array([0.3, -0.8])
         n = 40_000
         total = np.zeros(2)
@@ -590,8 +630,8 @@ class TestLemma1Properties:
 
     def test_second_moment_stays_under_ceiling(self):
         for p in (1, 2, 5):
-            stream = norm_stream(1, dim=p, scale=1.0)
-            cfg = OracleConfig.uniform(1, 1e-3, p, rng_seed=70 + p)
+            stream = norm_stream(1, dim=p)
+            cfg = OracleConfig(1, 1e-3, p, rng_seed=70 + p)
             rng = np.random.default_rng(200 + p)
             x = rng.uniform(-1, 1, p)
             n = 20_000
@@ -608,6 +648,10 @@ class TestPaperStream:
         for key in ("a", "b", "c"):
             assert abs(sum(stream.params[key]) - 10.0) < 1e-12
         assert all(v > 0 for v in stream.params["a"])
+
+    def test_no_agents_rejected(self):
+        with pytest.raises(ValueError, match="need n_agents >= 1, got 0"):
+            paper_objective_stream(0)
 
     def test_target_at_zero_is_limit_value(self):
         assert tracking_target(0) == 0.016
@@ -682,8 +726,8 @@ class TestPaperStream:
 
     def test_bound_of_other_streams_ignores_radius(self):
         for rho in (1.0, 50.0):
-            assert linear_probe_stream(2, scale=3.0).subgradient_bound(rho) == 3.0
-            assert norm_stream(2, scale=2.0).subgradient_bound(rho) == 2.0
+            assert linear_probe_stream(2).subgradient_bound(rho) == 1.0
+            assert norm_stream(2).subgradient_bound(rho) == 1.0
             assert constant_stream(2).subgradient_bound(rho) == 0.0
 
 
@@ -723,9 +767,9 @@ def _outcome(call):
 
 DIM_ONE_STREAMS = {
     "paper_quadratic": lambda: paper_objective_stream(3, dim=1, coeff_seed=6),
-    "linear_probe": lambda: linear_probe_stream(3, dim=1, seed=6, scale=1.7),
-    "constant": lambda: constant_stream(3, dim=1, value=-2.5),
-    "norm": lambda: norm_stream(3, dim=1, scale=0.7),
+    "linear_probe": lambda: linear_probe_stream(3, dim=1, seed=6),
+    "constant": lambda: constant_stream(3, dim=1),
+    "norm": lambda: norm_stream(3, dim=1),
 }
 
 
@@ -756,7 +800,7 @@ class TestDimOneRoute:
         values = stream_rows(name, stream)
         x = np.array([v])
         for mu in (1e-3, 0.5, 1e150):
-            cfg = OracleConfig.uniform(3, mu, 1, rng_seed=6)
+            cfg = OracleConfig(3, mu, 1, rng_seed=6)
             for agent, t in ((0, 0), (2, 9), (1, 2**32 + 1)):
                 xi = reference_direction(6, agent, t, 1, "gaussian")
                 expected = _outcome(lambda: array_estimates(values, mu, [agent], [t], x[None],
@@ -775,25 +819,24 @@ BLOCK_STREAMS = {
     **{f"paper_dim{p}": lambda p=p: paper_objective_stream(5, dim=p, coeff_seed=p)
        for p in range(1, 7)},
     "linear_probe": lambda: linear_probe_stream(5, dim=3, seed=2),
-    "constant": lambda: constant_stream(5, dim=2, value=1.3),
+    "constant": lambda: constant_stream(5, dim=2),
     "no_hook": lambda: _time_dependent_stream(5, 2),
 }
 
 
 class TestNormStream:
     @settings(max_examples=100, deadline=None)
-    @given(dim=st.integers(1, 7), scale=st.floats(0.1, 10.0), log_scale=st.floats(-3.0, 3.0),
-           seed=st.integers(0, 2**32 - 1))
-    def test_evaluate_equals_scaled_linalg_norm(self, dim, scale, log_scale, seed):
-        stream = norm_stream(1, dim=dim, scale=scale)
+    @given(dim=st.integers(1, 7), log_scale=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_evaluate_equals_linalg_norm(self, dim, log_scale, seed):
+        stream = norm_stream(1, dim=dim)
         for x in np.random.default_rng(seed).standard_normal((20, dim)) * 10.0 ** log_scale:
-            assert stream.evaluate(0, 0, x).hex() == float(scale * np.linalg.norm(x)).hex()
+            assert stream.evaluate(0, 0, x).hex() == float(np.linalg.norm(x)).hex()
 
     @pytest.mark.parametrize("dim", range(1, 8))
     def test_row_norms_equal_per_row_evaluate(self, dim):
         # the smoothing sandwich smooths |x| through the row-norm function,
         # so each of its rows must have the bits of norm_stream's evaluate
-        stream = norm_stream(1, dim=dim, scale=1.0)
+        stream = norm_stream(1, dim=dim)
         rng = np.random.default_rng(dim)
         points = rng.standard_normal((3000, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (3000, 1))
         rows = np.array([stream.evaluate(0, 0, p) for p in points])
@@ -835,6 +878,9 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown stream"):
             make_stream("mystery", 4, 1, seed=0)
 
-    def test_constant_value_kwarg(self):
-        stream = constant_stream(3, 2, value=7.0)
-        assert stream.evaluate(0, 0, np.zeros(2)) == 7.0
+    def test_constant_stream_is_zero(self):
+        stream = make_stream("constant", 3, 2, seed=0)
+        x = np.array([[0.5, -2.0], [0.0, 7.0]])
+        assert [stream.evaluate(i, 4, row) for i, row in zip((0, 2), x)] == [0.0, 0.0]
+        assert stream.aggregate_cost(4, x).tobytes() == np.zeros(2).tobytes()
+        assert stream.params == {}

@@ -36,7 +36,7 @@ def test_run_makes_one_draw_per_agent_and_step(counted, dim, record):
 
 def test_oracle_mean_makes_one_estimator_call_per_draw(counted, monkeypatch):
     stream = experiments.quadratic_norm_stream(3)
-    cfg = r.OracleConfig.uniform(1, 0.01, 3, rng_seed=5)
+    cfg = r.OracleConfig(1, 0.01, 3, rng_seed=5)
     points = [np.array([0.3, -0.2, 0.9]), np.array([-0.6, 0.1, 0.0]), np.array([0.5, 0.5, -0.5])]
     counts, counting_stream = counted(experiments, stream)
     per_point = {}
