@@ -46,11 +46,11 @@ from .graph import (
     matrix_power_gap_series,
 )
 from .oracle import (
-    DIRECTION_LAWS,
     STREAM_REGISTRY,
     ObjectiveStream,
     OracleConfig,
     _DOMAIN_INIT,
+    _finite_real,
     gradient_free_oracle,
     make_stream,
 )
@@ -160,11 +160,10 @@ def _advance(x: np.ndarray, y: np.ndarray, wp: WeightPair, delta: float, gamma_t
 
 
 # Field annotation -> (description, check).  Integers accept numpy ints but
-# not bools; reals must be finite.
+# not bools; reals must be finite as floats.
 _FIELD_CHECKS = {
     "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
-    "float": ("a finite real", lambda v: (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                                          and math.isfinite(v))),
+    "float": ("a finite real", _finite_real),
     "bool": ("a bool", lambda v: isinstance(v, (bool, np.bool_))),
     "str": ("a string", lambda v: isinstance(v, str)),
 }
@@ -181,7 +180,7 @@ class RunConfig:
     weight_rule: str = "equal_neighbor"
     delta: float = 0.1
     mu_hat: float = 1e-4
-    direction_law: str = "gaussian"
+    direction_law: str = "gaussian"     # gaussian only
     schedule_kind: str = "inv_sqrt"     # inv_sqrt | constant
     gamma0: float = 1.0
     horizon: int = 5000
@@ -250,9 +249,8 @@ class RunConfig:
         if self.feasible_kind == "box" and math.isinf(self.feasible_hi - self.feasible_lo):
             raise ConfigError(f"box [{self.feasible_lo}, {self.feasible_hi}] is too wide: "
                               f"feasible_hi - feasible_lo overflows")
-        if self.direction_law not in DIRECTION_LAWS:
-            raise ConfigError(f"direction_law must be {' or '.join(map(repr, DIRECTION_LAWS))}, "
-                              f"got {self.direction_law!r}")
+        if self.direction_law != "gaussian":
+            raise ConfigError(f"direction_law must be 'gaussian', got {self.direction_law!r}")
         if self.stream_name not in STREAM_REGISTRY:
             raise ConfigError(f"unknown stream {self.stream_name!r}; "
                               f"registered: {sorted(STREAM_REGISTRY)}")
@@ -495,8 +493,7 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
         raise ConfigError("stream shape does not match config")
 
     feasible = config.feasible_set()
-    cfg = OracleConfig(config.n_agents, config.mu_hat, config.dim,
-                       direction_law=config.direction_law, rng_seed=config.master_seed)
+    cfg = OracleConfig(config.n_agents, config.mu_hat, config.dim, rng_seed=config.master_seed)
 
     dh = delta_hat(wp)
     run_warnings = []

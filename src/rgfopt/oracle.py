@@ -7,9 +7,8 @@ direction xi is
     g = (f(x + mu * xi) - f(x)) / mu * xi,
 
 which is an unbiased estimate of the gradient of the Gaussian-smoothed
-surrogate f_mu when xi is standard normal.  A uniform-on-the-sphere
-direction law is provided as well, but the smoothing identities are only
-exact for the Gaussian law, which is the default.
+surrogate f_mu when xi is standard normal.  Every direction is one such
+Gaussian row.
 """
 
 from __future__ import annotations
@@ -24,8 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-
-DIRECTION_LAWS = ("gaussian", "uniform_sphere")  # what OracleConfig and RunConfig accept
 
 # Sub-stream domains under one master seed: the run's initial points,
 # directions and stream coefficients.  Directions advance the spawn key by
@@ -91,24 +88,29 @@ class ObjectiveStream:
         return out
 
 
+def _finite_real(v) -> bool:
+    """Whether v is a real number, not a bool, that float() holds as a finite
+    value; an int beyond float range is not."""
+    try:
+        return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """One positive, finite smoothing gain mu for agents 0..n_agents-1 (the
-    regret bound reads per-agent gains only through their maximum), plus the
-    direction sampling law."""
+    regret bound reads per-agent gains only through their maximum)."""
 
     n_agents: int
     mu: float
     dim: int
-    direction_law: str = "gaussian"
     rng_seed: int = 0
 
     def __post_init__(self):
         mu = self.mu
-        if isinstance(mu, bool) or not isinstance(mu, numbers.Real) or not 0.0 < mu < math.inf:
+        if not (_finite_real(mu) and mu > 0.0):
             raise ValueError(f"smoothing parameter mu must be a positive, finite float, got {mu!r}")
-        if self.direction_law not in DIRECTION_LAWS:
-            raise ValueError(f"unknown direction law {self.direction_law!r}")
         for name, low in (("n_agents", 1), ("dim", 1), ("rng_seed", 0)):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < low:
@@ -149,18 +151,6 @@ def _state_words(pool: list[np.ndarray]) -> list[np.ndarray]:
         word, hc = _hashmix(pool[k % _POOL_SIZE], hc, _MULT_B)
         words.append(word)
     return words
-
-
-def _draw(rng: np.random.Generator, dim: int, law: str) -> np.ndarray:
-    """One direction drawn by numpy from a generator set to its key's state."""
-    xi = rng.standard_normal(dim)
-    if law == "uniform_sphere":
-        norm = np.linalg.norm(xi)
-        while norm == 0.0:  # probability-zero guard
-            xi = rng.standard_normal(dim)
-            norm = np.linalg.norm(xi)
-        xi = xi / norm
-    return xi
 
 
 # Block draws redo numpy's route on uint64 arrays: the SeedSequence absorb
@@ -220,12 +210,13 @@ def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _direction_block(seed: int, dim: int, law: str, n_agents: int, t0: int, t1: int) -> np.ndarray:
-    """Directions of agents 0..n_agents-1 at times t0..t1-1 (n_agents, t1 <=
-    2^32), row (t - t0) * n_agents + agent, bit-identical to numpy's route.
+def _direction_block(seed: int, dim: int, n_agents: int, t0: int, t1: int) -> np.ndarray:
+    """Standard normal directions of agents 0..n_agents-1 at times t0..t1-1
+    (n_agents, t1 <= 2^32), row (t - t0) * n_agents + agent, bit-identical to
+    numpy's route.
 
-    Keys whose draw leaves the ziggurat fast path and zero-norm spheres are
-    drawn by a numpy generator set to the key's seeded PCG64 state.
+    Keys whose draw leaves the ziggurat fast path are drawn by a numpy
+    generator set to the key's seeded PCG64 state.
     """
     ki, wi = _ziggurat_tables()
     pool = np.random.SeedSequence(seed, spawn_key=(_DOMAIN_DIRECTION,)).pool
@@ -255,12 +246,7 @@ def _direction_block(seed: int, dim: int, law: str, n_agents: int, t0: int, t1: 
         v = rabs.astype(np.float64) * wi[idx]
         draws.append(np.where((r >> 8) & 1, -v, v))  # sign bit
     rows = np.stack(draws, axis=-1).reshape(-1, dim)
-    slow = ~np.ravel(fast)
-    if law == "uniform_sphere":
-        norm = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
-        slow |= norm == 0.0
-        rows /= np.where(slow, 1.0, norm)[:, None]
-    slow = np.flatnonzero(slow)
+    slow = np.flatnonzero(~np.ravel(fast))
     if slow.size:
         rng = np.random.Generator(np.random.PCG64(0))
         halves = [np.ravel(a)[slow].tolist() for a in (*seeded, inc_hi, inc_lo)]
@@ -268,13 +254,12 @@ def _direction_block(seed: int, dim: int, law: str, n_agents: int, t0: int, t1: 
             rng.bit_generator.state = {
                 "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                 "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
-            rows[k] = _draw(rng, dim, law)
+            rows[k] = rng.standard_normal(dim)
     return rows
 
 
 def sample_direction(cfg: OracleConfig, agent: int, t: int) -> np.ndarray:
-    """Random direction for (agent, t): i.i.d. standard normal coordinates
-    under the gaussian law, or a unit vector uniform on the sphere.
+    """Random direction for (agent, t): i.i.d. standard normal coordinates.
 
     A direction is a pure function of (rng_seed, agent, t), bit-identical to
     the draw of np.random.default_rng(np.random.SeedSequence(entropy=rng_seed,
@@ -292,12 +277,12 @@ def sample_direction(cfg: OracleConfig, agent: int, t: int) -> np.ndarray:
     agent, t, n = operator.index(agent), operator.index(t), cfg.n_agents
     if not (0 <= agent < n and 0 <= t < 1 << 32):
         seq = np.random.SeedSequence(cfg.rng_seed, spawn_key=(_DOMAIN_DIRECTION, agent, t))
-        return _draw(np.random.default_rng(seq), cfg.dim, cfg.direction_law)
+        return np.random.default_rng(seq).standard_normal(cfg.dim)
     step = max(1, _BLOCK_KEYS // n)
     t0 = t - t % step
     t1 = min(t0 + step, 1 << 32)
     # a list of row views: indexing it is cheaper than indexing the array
-    rows = list(_direction_block(cfg.rng_seed, cfg.dim, cfg.direction_law, n, t0, t1))
+    rows = list(_direction_block(cfg.rng_seed, cfg.dim, n, t0, t1))
     _memo.block = (cfg, n, t0, t1, rows)
     return rows[(t - t0) * n + agent].copy()
 

@@ -32,11 +32,10 @@ def sv_ledger(sv_trace):
     return r.build_regret_ledger(sv_trace)
 
 
-def reference_direction(seed, agent, t, dim, law):
+def reference_direction(seed, agent, t, dim):
     """The numpy route that sample_direction reproduces bit for bit."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, agent, t)))
-    xi = rng.standard_normal(dim)
-    return xi / np.linalg.norm(xi) if law == "uniform_sphere" else xi
+    return rng.standard_normal(dim)
 
 
 # Array routes that share only the direction blocks with run(): each stream's
@@ -87,8 +86,8 @@ def array_estimates(values, mu, agents, ts, X, xi):
 
 
 @functools.lru_cache(maxsize=1)
-def _block(seed, dim, law, n_agents, t0):
-    return oracle._direction_block(seed, dim, law, n_agents, t0,
+def _block(seed, dim, n_agents, t0):
+    return oracle._direction_block(seed, dim, n_agents, t0,
                                    t0 + max(1, oracle._BLOCK_KEYS // n_agents))
 
 
@@ -99,7 +98,7 @@ def array_round(x, y, wp, delta, gamma_t, values, cfg, t, feasible, g, theta):
     Fills g and theta (unless None) as _advance does, and fails as it does."""
     n = len(x)
     step = max(1, oracle._BLOCK_KEYS // n)
-    xi = _block(cfg.rng_seed, cfg.dim, cfg.direction_law, n, t - t % step)[t % step * n:][:n]
+    xi = _block(cfg.rng_seed, cfg.dim, n, t - t % step)[t % step * n:][:n]
     g[...] = array_estimates(values, cfg.mu, np.arange(n), np.full(n, t), x, xi)
     mixed = wp.w_row @ x
     delta_y = delta * y
@@ -149,8 +148,8 @@ def edge_set_law(kind: str, n: int, prob: float = 0.3, seed: int = 0) -> set:
 def scalar_direction_blocks(monkeypatch):
     """A function that, once called, makes every block draw build its rows
     key by key with reference_direction: the reference for block-served draws."""
-    def block(seed, dim, law, n_agents, t0, t1):
-        return np.array([reference_direction(seed, k % n_agents, t0 + k // n_agents, dim, law)
+    def block(seed, dim, n_agents, t0, t1):
+        return np.array([reference_direction(seed, k % n_agents, t0 + k // n_agents, dim)
                          for k in range((t1 - t0) * n_agents)])
     return lambda: monkeypatch.setattr(oracle, "_direction_block", block)
 

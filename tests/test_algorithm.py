@@ -350,7 +350,9 @@ class TestRun:
 
     @pytest.mark.parametrize("field, value, message", [
         ("graph_kind", "torus", "unknown graph kind 'torus'"),
-        ("weight_rule", "metropolis", "unknown weight rule 'metropolis'")])
+        ("weight_rule", "metropolis", "unknown weight rule 'metropolis'"),
+        ("direction_law", "uniform_sphere",
+         "direction_law must be 'gaussian', got 'uniform_sphere'")])
     def test_validate_rejects_unknown_graph_kind_and_weight_rule(self, field, value, message):
         with pytest.raises(ConfigError, match=message):
             RunConfig(**{field: value}).validate()
@@ -437,8 +439,7 @@ def _trace_bytes(trace):
 # end inside the third block of directions.
 PREFETCH_CONFIGS = {
     "dim3": RunConfig(dim=3, horizon=450, master_seed=3, check_delta_bound=False),
-    "sphere": RunConfig(direction_law="uniform_sphere", dim=2, horizon=450, master_seed=4,
-                        check_delta_bound=False),
+    "dim2_seed4": RunConfig(dim=2, horizon=450, master_seed=4, check_delta_bound=False),
     "wide_seed": RunConfig(master_seed=2**32 + 5, horizon=450, check_delta_bound=False),
     "few_agents": RunConfig(n_agents=3, horizon=700, master_seed=6, check_delta_bound=False),
 }
@@ -508,8 +509,7 @@ def _round_loop(config, advance=algorithm._advance):
     if advance is array_round:
         stream = stream_rows(config.stream_name, stream)
     feasible = config.feasible_set()
-    cfg = OracleConfig(n, config.mu_hat, p, direction_law=config.direction_law,
-                               rng_seed=config.master_seed)
+    cfg = OracleConfig(n, config.mu_hat, p, rng_seed=config.master_seed)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=config.master_seed, spawn_key=(oracle._DOMAIN_INIT,)))
     x, y = feasible.sample_uniform(rng, (n, p)), np.zeros((n, p))
@@ -550,7 +550,7 @@ def _assert_run_is_the_round(config, trace, ref):
 
 
 # run() against the array round: a ring of 200 agents, a dim-3 box, a dim-2
-# ball, sphere directions in a box and in a ball, and five longer runs: the
+# ball, 7 agents in a dim-4 box, 4 in a dim-3 ball, and five longer runs: the
 # defaults (sv_trace's run), rings of 50 and 200 agents, dim 3 and a dim-3
 # ball, the last four crossing 4 or 5 direction blocks each
 ARRAY_ROUND_CONFIGS = {
@@ -560,11 +560,10 @@ ARRAY_ROUND_CONFIGS = {
                           check_delta_bound=False),
     "ball_dim2": RunConfig(dim=2, feasible_kind="ball", ball_radius=0.8, horizon=80,
                            master_seed=6, check_delta_bound=False),
-    "sphere": RunConfig(n_agents=7, dim=4, direction_law="uniform_sphere", horizon=80,
-                        master_seed=8, check_delta_bound=False),
-    "sphere_ball_dim3": RunConfig(n_agents=4, dim=3, feasible_kind="ball", ball_radius=2.0,
-                                  direction_law="uniform_sphere", horizon=60, master_seed=12,
+    "agents7_box_dim4": RunConfig(n_agents=7, dim=4, horizon=80, master_seed=8,
                                   check_delta_bound=False),
+    "agents4_ball_dim3": RunConfig(n_agents=4, dim=3, feasible_kind="ball", ball_radius=2.0,
+                                   horizon=60, master_seed=12, check_delta_bound=False),
     "default": RunConfig(horizon=5000, master_seed=SV_SEED),
     "ring50_T200": RunConfig(n_agents=50, graph_kind="ring", horizon=200, check_delta_bound=False),
     "ring200_T40": RunConfig(n_agents=200, graph_kind="ring", horizon=40, check_delta_bound=False),
@@ -715,10 +714,10 @@ def _outcome(call):
 @st.composite
 def _round_configs(draw):
     """Run configs over every graph kind and stream, dims 1-6, tight boxes
-    where the projection binds, loose boxes and small balls, both direction
-    laws and both schedules.  About one in ten has the gain 1e150 and at least
-    five steps: its surplus grows 1e150-fold per step and overflows by the
-    fourth, so run() and the reference must fail at the same step."""
+    where the projection binds, loose boxes and small balls, and both
+    schedules.  About one in ten has the gain 1e150 and at least five steps:
+    its surplus grows 1e150-fold per step and overflows by the fourth, so
+    run() and the reference must fail at the same step."""
     feasible = draw(st.one_of(
         st.builds(lambda lo, width: dict(feasible_lo=lo, feasible_hi=lo + width),
                   st.floats(-1.0, 1.0), st.floats(1e-3, 0.5)),
@@ -730,7 +729,7 @@ def _round_configs(draw):
     return RunConfig(
         n_agents=draw(st.integers(2, 30)), graph_kind=draw(st.sampled_from(sorted(algorithm.GRAPH_KINDS))),
         graph_seed=draw(st.integers(0, 2**32 - 1)), extra_edge_prob=draw(st.floats(0.0, 1.0)),
-        dim=draw(st.integers(1, 6)), direction_law=draw(st.sampled_from(oracle.DIRECTION_LAWS)),
+        dim=draw(st.integers(1, 6)),
         schedule_kind=draw(st.sampled_from(["inv_sqrt", "constant"])),
         gamma0=draw(st.floats(1e-3, 5.0)), mu_hat=draw(st.floats(1e-6, 1.0)),
         delta=1e150 if diverges else draw(st.floats(1e-3, 1.0)),

@@ -13,13 +13,13 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rgfopt import algorithm, cli
 from rgfopt.algorithm import GRAPH_KINDS, ConfigError, RunConfig
 from rgfopt.cli import EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, EXIT_VALIDATION, main
-from rgfopt.oracle import DIRECTION_LAWS, STREAM_REGISTRY
+from rgfopt.oracle import STREAM_REGISTRY
 
 from conftest import blas_kernel, pinned_digest
 
@@ -351,7 +351,8 @@ def _cli(argv, cwd):
 # (argv, exit code, error kind, message fragment); OUT is the --out directory
 # that must not appear, CFG_DIR a directory, CFG_BYTES a non-UTF-8 file,
 # CFG_LIST a JSON list, CFG_TINY_GAMMA a config whose step size underflows,
-# CFG_EMPTY the config `{}`.
+# CFG_EMPTY the config `{}`, CFG_HUGE_DELTA a config whose delta is an integer
+# beyond float range.
 FAILURE_CONTRACT = [
     (["experiment", "diagnostics", "--samples", "0", "--out", "OUT"],
      EXIT_VALIDATION, "validation", "n_samples >= 1"),
@@ -381,6 +382,15 @@ FAILURE_CONTRACT = [
      "validation", "the float histories exceed numpy's index range"),
     (["spectral", "--n", str(10**10)], EXIT_VALIDATION, "validation",
      "adjacency matrix exceeds numpy's index range"),
+    (["run", "--config", "CFG_EMPTY", "--set", "direction_law=uniform_sphere", "--out", "OUT"],
+     EXIT_VALIDATION, "validation", "direction_law must be 'gaussian'"),
+    (["run", "--config", "CFG_HUGE_DELTA", "--out", "OUT"], EXIT_VALIDATION, "validation",
+     "delta must be a finite real"),
+    # a 400-digit integer overflows float(), in every float field
+    *((["run", "--config", "CFG_EMPTY", "--set", f"{name}={10**400}", "--out", "OUT"],
+       EXIT_VALIDATION, "validation", f"{name} must be a finite real")
+      for name in ("extra_edge_prob", "delta", "mu_hat", "gamma0", "feasible_lo", "feasible_hi",
+                   "ball_radius")),
 ]
 
 
@@ -393,9 +403,11 @@ def test_failure_exits_with_one_json_error_line(tmp_path, argv, code, kind, frag
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "tiny_gamma.json").write_text('{"gamma0": 5e-324}')
     (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "huge_delta.json").write_text(f'{{"delta": {10**400}}}')
     slots = {"OUT": tmp_path / "out", "CFG_DIR": tmp_path / "cfg_dir",
              "CFG_BYTES": tmp_path / "bytes.json", "CFG_LIST": tmp_path / "list.json",
-             "CFG_TINY_GAMMA": tmp_path / "tiny_gamma.json", "CFG_EMPTY": tmp_path / "empty.json"}
+             "CFG_TINY_GAMMA": tmp_path / "tiny_gamma.json", "CFG_EMPTY": tmp_path / "empty.json",
+             "CFG_HUGE_DELTA": tmp_path / "huge_delta.json"}
     proc = _cli([str(slots.get(a, a)) for a in argv], tmp_path)
     assert proc.returncode == code, proc.stderr
     lines = proc.stderr.splitlines()
@@ -471,7 +483,7 @@ def test_huge_ball_ends_with_a_runtime_error(tmp_path, capsys):
 
 
 _CHOICES = {"graph_kind": [*GRAPH_KINDS], "weight_rule": ["equal_neighbor"],
-            "direction_law": [*DIRECTION_LAWS], "schedule_kind": ["inv_sqrt", "constant"],
+            "direction_law": ["gaussian"], "schedule_kind": ["inv_sqrt", "constant"],
             "feasible_kind": ["box", "ball"], "stream_name": [*STREAM_REGISTRY]}
 # the fields that size a run's arrays: (least valid value, cap on any integer drawn)
 _SIZES = {"n_agents": (2, 6), "dim": (1, 4), "horizon": (0, 5)}
@@ -494,13 +506,15 @@ def _run_configs(draw):
     data = draw(st.fixed_dictionaries({k: _VALID[k] for k in _SIZES},
                                       optional={k: v for k, v in _VALID.items() if k not in _SIZES}))
     for name in draw(st.sets(st.sampled_from([*_VALID, "warp"]), max_size=2)):
-        cap = _SIZES.get(name, (None, 2**70))[1]
-        data[name] = draw(st.one_of(_BROKEN, st.integers(-2**70, cap)))
+        cap = _SIZES.get(name, (None, 2**1100))[1]
+        data[name] = draw(st.one_of(_BROKEN, st.integers(-2**1100, cap)))
     return data
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=_run_configs())
+# the 100 drawn configs may put no integer into a float field, so one is given
+@example(data={"n_agents": 2, "dim": 1, "horizon": 1, "gamma0": 2**1100})
 def test_run_fuzz_exits_with_a_documented_code_and_json_stderr(data):
     # any config object ends with exit 0, 2, 3 or 4 and JSON lines on
     # stderr, the last of them the one error line of a failure

@@ -159,7 +159,7 @@ class TestCheckHelpers:
     def test_oracle_mean_equals_scalar_draws(self, scalar_direction_blocks):
         # 2500 draws end inside the second block of directions
         stream = experiments.quadratic_norm_stream(3)
-        cfg = r.OracleConfig(1, 0.01, 3, direction_law="uniform_sphere", rng_seed=2**33)
+        cfg = r.OracleConfig(1, 0.01, 3, rng_seed=2**33)
         points = [np.array([0.3, -0.2, 0.9]), np.array([-0.5, 0.0, 0.1]),
                   np.array([1.0, 1.0, -1.0])]
         blocks = experiments._oracle_mean(stream, cfg, points, 2500)
@@ -183,7 +183,7 @@ class TestCheckHelpers:
         n = 1 if offset is None else oracle._BLOCK_KEYS + offset
         got = experiments._oracle_mean(stream, cfg, points, n)
         assert len(got) == len(points)
-        xi = oracle._direction_block(cfg.rng_seed, cfg.dim, cfg.direction_law, 1, 0, n)
+        xi = oracle._direction_block(cfg.rng_seed, cfg.dim, 1, 0, n)
         for x, point_got in zip(points, got):
             draws = array_estimates(stream_rows(name, stream), cfg.mu, np.zeros(n, dtype=int),
                                     np.arange(n), np.tile(x, (n, 1)), xi)
@@ -206,7 +206,7 @@ class TestCheckHelpers:
         blocks = []
         block = oracle._direction_block
         monkeypatch.setattr(oracle, "_direction_block",
-                            lambda *args: blocks.append(args[4:]) or block(*args))
+                            lambda *args: blocks.append(args[3:]) or block(*args))
         n_draws = 2 * oracle._BLOCK_KEYS + 5
         unbiasedness_check(n_draws=n_draws)
         assert blocks == [(0, 2048), (2048, 4096), (4096, 6144)]
