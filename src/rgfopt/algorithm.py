@@ -300,12 +300,11 @@ def fit_geometric_decay(gaps: np.ndarray, t_start: int, t_end: int):
     coef, residual, *_ = np.linalg.lstsq(a, ys, rcond=None)
     lam = float(np.exp(coef[0]))
     c = float(np.exp(coef[1]))
-    ss_tot = float(((ys - ys.mean()) ** 2).sum())
-    if ss_tot == 0.0:
+    if ys.min() == ys.max():  # a flat series; its ss_tot is round-off, not 0.0
         r2 = 1.0
     else:
         ss_res = float(residual[0]) if len(residual) else float(((a @ coef - ys) ** 2).sum())
-        r2 = 1.0 - ss_res / ss_tot
+        r2 = 1.0 - ss_res / float(((ys - ys.mean()) ** 2).sum())
     return c, lam, r2
 
 
@@ -350,13 +349,15 @@ class Trace:
         return self.x.shape[1]
 
     def metadata(self) -> dict:
-        """Seed-and-config closure sufficient to reproduce the run bit-for-bit."""
+        """Seed-and-config closure for a bit-for-bit rerun; a non-finite fit is None."""
+        def finite(v):
+            return v if v is not None and math.isfinite(v) else None
         return {
             "config": self.config.to_dict(),
             "graph_edges": np.argwhere(self.graph.adjacency).tolist(),
             "delta_hat": self.delta_hat_value,
-            "lambda_fit": self.lambda_fit,
-            "c_fit": self.c_fit,
+            "lambda_fit": finite(self.lambda_fit),
+            "c_fit": finite(self.c_fit),
             "warnings": list(self.warnings),
         }
 
@@ -511,7 +512,7 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
                    f"convergence is not certified at this gain")
             run_warnings.append(msg)
             _warnings.warn(msg, RuntimeWarning, stacklevel=2)
-        if lam_fit >= 1.0:
+        if not lam_fit < 1.0:  # a NaN rate: the powers overflowed
             msg = (f"augmented matrix powers diverge at delta={config.delta:g} "
                    f"(fitted rate {lam_fit:.4f} >= 1); surplus coupling is unstable "
                    f"on this topology")

@@ -226,8 +226,8 @@ def _oracle_mean(stream: ObjectiveStream, cfg: OracleConfig, points,
     per-coordinate standard errors and the mean squared norm, one tuple per point.
     Draws run time-major, every point at t before any point at t + 1, as run()
     draws its agents, so each direction block is drawn once for all points."""
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    if not 1 <= n_draws <= 1 << 32:  # draws take the direction times 0..n_draws-1
+        raise ValueError(f"n_draws must be >= 1 and <= {1 << 32}, got {n_draws}")
     dim = cfg.dim
     step = max(1, 2048 // len(points))  # times per pass: a budget of 2,048 draws
     # row 0 carries each point's sums of g, g * g and g @ g, which one in-place
@@ -323,10 +323,10 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
     reports with the conservative gain bound per topology, and the
     residual-over-step-size study along a full tracking run."""
     config = RunConfig(horizon=horizon, master_seed=seed)
-    if horizon < 10 or n_samples < 1:
-        # the residual-ratio window starts at t = 10
-        raise ConfigError(f"diagnostics needs horizon >= 10 and n_samples >= 1, "
-                          f"got horizon={horizon}, n_samples={n_samples}")
+    if horizon < 10 or not 1 <= n_samples <= 1 << 32:
+        # the residual-ratio window starts at t = 10; a sample takes one time < 2^32
+        raise ConfigError(f"diagnostics needs horizon >= 10 and n_samples >= 1 and "
+                          f"<= {1 << 32}, got horizon={horizon}, n_samples={n_samples}")
     directory = _out_dir("diagnostics", out_dir)
     sandwich = sandwich_table(n_samples=n_samples, seed=seed + 2024)
     unbiased = unbiasedness_check(n_draws=n_samples, seed=seed + 11)

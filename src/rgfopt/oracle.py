@@ -264,20 +264,19 @@ def sample_direction(cfg: OracleConfig, agent: int, t: int) -> np.ndarray:
     A direction is a pure function of (rng_seed, agent, t), bit-identical to
     the draw of np.random.default_rng(np.random.SeedSequence(entropy=rng_seed,
     spawn_key=(1, agent, t))), so draws do not depend on call order, batching
-    or thread, and equal seeds reproduce identical directions.  Negative
-    agent or t raise ValueError, non-integer ones TypeError.  Keys with
-    agent < cfg.n_agents and t < 2^32 are served from a block that holds every
-    agent over the aligned max(1, 2048 // cfg.n_agents) times around t; this
-    thread keeps its last block, keyed by the cfg object.  Other keys take
-    numpy's route, one generator per key.
+    or thread, and equal seeds reproduce identical directions.  A key outside
+    agents 0..cfg.n_agents-1 or times 0..2^32-1 raises ValueError, a
+    non-integer one TypeError.  Every key is served from a block that holds
+    every agent over the aligned max(1, 2048 // cfg.n_agents) times around t;
+    this thread keeps its last block, keyed by the cfg object.
     """
     c, n, t0, t1, rows = getattr(_memo, "block", (None,) * 5)
     if c is cfg and t0 <= t < t1 and 0 <= agent < n:
         return rows[(t - t0) * n + agent].copy()  # a non-integer key raises TypeError
     agent, t, n = operator.index(agent), operator.index(t), cfg.n_agents
     if not (0 <= agent < n and 0 <= t < 1 << 32):
-        seq = np.random.SeedSequence(cfg.rng_seed, spawn_key=(_DOMAIN_DIRECTION, agent, t))
-        return np.random.default_rng(seq).standard_normal(cfg.dim)
+        raise ValueError(f"direction key (agent={agent}, t={t}) is outside agents 0..{n - 1} "
+                         f"and times 0..{(1 << 32) - 1}")
     step = max(1, _BLOCK_KEYS // n)
     t0 = t - t % step
     t1 = min(t0 + step, 1 << 32)
@@ -293,8 +292,7 @@ def gradient_free_oracle(stream: ObjectiveStream, cfg: OracleConfig,
 
     `x` must have shape (cfg.dim,).  At dim 1 the shift and the scale run on
     Python floats, with the IEEE operations of the numpy route in its order.
-    An agent >= cfg.n_agents draws its direction by sample_direction's
-    per-key route and is passed on to the stream, whose evaluate decides.
+    An agent outside 0..cfg.n_agents-1 raises ValueError before any evaluation.
     """
     dim = cfg.dim
     x = np.asarray(x, dtype=float)

@@ -468,7 +468,7 @@ class TestPrefetchedRun:
         configs = [RunConfig(dim=2, horizon=300, master_seed=8, check_delta_bound=False),
                    RunConfig(dim=1, horizon=300, master_seed=9, check_delta_bound=False)]
         expected = [_trace_bytes(r.run(c)) for c in configs]
-        # the third thread draws the first run's keys on the scalar route
+        # the third thread draws the first run's keys one call per key
         cfg = OracleConfig(10, 0.1, 2, rng_seed=8)
         keys = [(agent, t) for t in range(300) for agent in range(10)]
         scalar = {k: sample_direction(cfg, *k) for k in keys}

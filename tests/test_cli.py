@@ -357,6 +357,9 @@ FAILURE_CONTRACT = [
     (["experiment", "diagnostics", "--samples", "0", "--out", "OUT"],
      EXIT_VALIDATION, "validation", "n_samples >= 1"),
     (["diagnose", "--samples", "-3", "--out", "OUT"], EXIT_VALIDATION, "validation", "n_samples >= 1"),
+    # one direction time per sample, and times end at 2^32 - 1
+    (["experiment", "diagnostics", "--samples", str(2**32 + 1), "--out", "OUT"], EXIT_VALIDATION,
+     "validation", f"n_samples >= 1 and <= {2**32}, got horizon=5000, n_samples={2**32 + 1}"),
     (["experiment", "fig4", "--horizon", "0", "--out", "OUT"], EXIT_VALIDATION, "validation",
      "horizon >= 1"),
     (["experiment", "diagnostics", "--horizon", "5", "--out", "OUT"], EXIT_VALIDATION, "validation",
@@ -472,6 +475,25 @@ def test_error_line_follows_the_warnings(tmp_path):
     assert lines[-1]["error"] == "runtime"
 
 
+def test_an_overflowing_gain_fit_warns_and_is_written_as_null(tmp_path, capsys):
+    # at delta = 1000 the powers of W(delta) overflow within the 120 fitted,
+    # so the fitted rate and constant are NaN
+    cfg = write_config(tmp_path / "c.json", horizon=3, delta=1000.0, check_delta_bound=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    diverge = "augmented matrix powers diverge at delta=1000"
+    assert any(json.loads(line)["message"].startswith(diverge)
+               for line in capsys.readouterr().err.splitlines())
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+
+    meta = json.loads((tmp_path / "o" / "run_meta.json").read_text(), parse_constant=reject)
+    assert meta["lambda_fit"] is None and meta["c_fit"] is None
+    assert any(w.startswith(diverge) for w in meta["warnings"])
+
+
 def test_huge_ball_ends_with_a_runtime_error(tmp_path, capsys):
     # every cost near norm 1e300 overflows, so the first step fails; set-up
     # draws the initial points in closed form and cannot loop on them
@@ -496,24 +518,34 @@ _BROKEN = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf,
                     st.none(), st.booleans(), st.text(max_size=3),
                     st.lists(st.integers(-2, 2), max_size=2),
                     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+# JSON writes a whole-valued real as an integer, so half the broken values of
+# a float field are integers: a third of them within float range, a third
+# above it and a third below
+_FLOAT_FIELDS = {f.name for f in dataclasses.fields(RunConfig) if f.type == "float"}
+_INTS_FOR_FLOATS = st.one_of(st.integers(-2**60, 2**60), st.integers(2**1024, 2**1100),
+                             st.integers(-2**1100, -2**1024))
 
 
 @st.composite
 def _run_configs(draw):
     """A RunConfig JSON object of valid values of some fields, with up to two
     fields (or an unknown key) holding a wrong type, a non-finite or extreme
-    float, or an integer that is negative or huge where it cannot size a run."""
+    float, or an integer that is negative or huge where it cannot size a run,
+    or beyond float range."""
     data = draw(st.fixed_dictionaries({k: _VALID[k] for k in _SIZES},
                                       optional={k: v for k, v in _VALID.items() if k not in _SIZES}))
     for name in draw(st.sets(st.sampled_from([*_VALID, "warp"]), max_size=2)):
         cap = _SIZES.get(name, (None, 2**1100))[1]
-        data[name] = draw(st.one_of(_BROKEN, st.integers(-2**1100, cap)))
+        if name in _FLOAT_FIELDS and draw(st.booleans()):
+            data[name] = draw(_INTS_FOR_FLOATS)
+        else:
+            data[name] = draw(st.one_of(_BROKEN, st.integers(-2**1100, cap)))
     return data
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(data=_run_configs())
-# the 100 drawn configs may put no integer into a float field, so one is given
+# the smallest run whose float field holds an integer beyond float range
 @example(data={"n_agents": 2, "dim": 1, "horizon": 1, "gamma0": 2**1100})
 def test_run_fuzz_exits_with_a_documented_code_and_json_stderr(data):
     # any config object ends with exit 0, 2, 3 or 4 and JSON lines on

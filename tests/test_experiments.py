@@ -216,14 +216,14 @@ class TestCheckHelpers:
                                  [np.full(3, v) for v in (-0.5, 0.1, 0.8)], n_draws)
         assert blocks == [(0, 2048), (2048, 4096), (4096, 6144)]
 
-    @pytest.mark.parametrize("n_draws", [0, -3])
+    @pytest.mark.parametrize("n_draws", [0, -3, 2**32 + 1])
     @pytest.mark.parametrize("check", [unbiasedness_check, second_moment_check])
-    def test_checks_reject_fewer_than_one_draw(self, monkeypatch, check, n_draws):
+    def test_checks_reject_draw_counts_out_of_range(self, monkeypatch, check, n_draws):
         def no_draw(*args):
             raise AssertionError("a draw was made")
         monkeypatch.setattr(experiments, "gradient_free_oracle", no_draw)
         monkeypatch.setattr(experiments, "smoothed_value_mc_stats", no_draw)
-        with pytest.raises(ValueError, match=f"n_draws must be >= 1, got {n_draws}"):
+        with pytest.raises(ValueError, match=f"n_draws must be >= 1 and <= {2**32}, got {n_draws}"):
             check(n_draws=n_draws)
 
     @pytest.mark.parametrize("check, seed, digests", [

@@ -463,6 +463,10 @@ class TestMatrixPowerGap:
     def test_fit_of_a_flat_series_has_r_squared_one(self):
         # log(1) = 0 at every power, so the total sum of squares is exactly 0
         assert fit_geometric_decay(np.ones(30), 5, 30) == (1.0, 1.0, 1.0)
+        # the logs' mean misses log(0.25) and log(1e-300), the floor of 0, by
+        # round-off, so their total sum of squares is round-off, not 0
+        for value in (0.25, 0.0):
+            assert fit_geometric_decay(np.full(30, value), 5, 30)[2] == 1.0
 
     def test_log_fit_negative_slope(self):
         wp = equal_neighbor_weights(make_random_strongly_connected(10, 0.3, seed=7))

@@ -37,26 +37,30 @@ class TestSampleDirection:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 7, 2**100 + 3])
     def test_matches_seedsequence_reference(self, seed):
         for dim in (1, 2, 5):
-            cfg = OracleConfig(1, 0.1, dim, rng_seed=seed)
-            for agent in (0, 3, 2**32 + 1):
-                for t in (0, 1, 4999, 2**32 - 1, 2**32, 2**40 + 3):
+            cfg = OracleConfig(4, 0.1, dim, rng_seed=seed)
+            for agent in (0, 3):
+                for t in (0, 1, 4999, 2**32 - 1):
                     assert np.array_equal(sample_direction(cfg, agent, t),
                                           reference_direction(seed, agent, t, dim))
 
     @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2**130), agent=st.integers(0, 2**70), t=st.integers(0, 2**70))
+    @given(seed=st.integers(0, 2**130), agent=st.integers(0, 15), t=st.integers(0, 2**32 - 1))
     def test_matches_reference_for_any_key(self, seed, agent, t):
-        cfg = OracleConfig(1, 0.1, 3, rng_seed=seed)
+        cfg = OracleConfig(16, 0.1, 3, rng_seed=seed)
         assert np.array_equal(sample_direction(cfg, agent, t),
                               reference_direction(seed, agent, t, 3))
 
     def test_threads_drawing_interleaved_keys_match_reference(self, monkeypatch):
-        # agents >= n_agents and times >= 2^32 are never block-served, so every
-        # draw here builds its own numpy generator from the key
-        monkeypatch.setattr(oracle, "_direction_block", lambda *args: pytest.fail("block drawn"))
+        # the keys alternate each time step between the block edge at t = 256
+        # and the last times below 2^32, so each thread's block misses and is
+        # drawn again, over three blocks of 256 times
+        drawn = []
+        block = oracle._direction_block
+        monkeypatch.setattr(oracle, "_direction_block",
+                            lambda *args: drawn.append(args[3]) or block(*args))
         cfg = OracleConfig(8, 0.1, 2, rng_seed=11)
-        keys = [(agent + 8, t) for t in range(125) for agent in range(8)]
-        keys += [(agent, 2**32 + t) for t in range(125) for agent in range(8)]
+        keys = [(agent, t) for s in range(60) for t in (226 + s, 2**32 - 60 + s)
+                for agent in range(8)]
         expected = {k: reference_direction(11, *k, 2) for k in keys}
         mismatches, errors = [], []
 
@@ -71,6 +75,7 @@ class TestSampleDirection:
         threads = run_threads([functools.partial(worker, i) for i in range(4)], 1e-6, 60)
         assert not any(th.is_alive() for th in threads)
         assert errors == [] and mismatches == []
+        assert set(drawn) == {0, 256, 2**32 - 256} and len(drawn) >= 4 * 120
 
     @pytest.mark.parametrize("agent, t", [(-1, 0), (0, -1), (-(2**40), 5)])
     def test_negative_agent_or_time_rejected(self, agent, t):
@@ -165,11 +170,12 @@ class TestBlockDirections:
     @given(seed=st.integers(0, 2**130), n_agents=st.integers(1, 12), edge=st.integers(0, 40),
            at_top=st.booleans(), back=st.integers(0, 16), span=st.integers(1, 32),
            dim=st.integers(1, 6))
-    @example(seed=2**32 + 1, n_agents=3, edge=0, at_top=True, back=4, span=8, dim=2)
+    @example(seed=2**32 + 1, n_agents=3, edge=0, at_top=True, back=0, span=8, dim=2)
     def test_prefetched_draws_match_reference(self, seed, n_agents, edge, at_top, back, span, dim):
-        # the keys start up to 16 times before a block edge or before t = 2^32
+        # the keys start up to 16 times before a block edge, or end up to 16
+        # times before t = 2^32
         steps_per_block = max(1, oracle._BLOCK_KEYS // n_agents)
-        t0 = max(0, (2**32 if at_top else edge * steps_per_block) - back)
+        t0 = 2**32 - span - back if at_top else max(0, edge * steps_per_block - back)
         rows = _drawn_rows(seed, dim, n_agents, t0, t0 + span)
         for (agent, t), xi in rows.items():
             assert xi.tobytes() == reference_direction(seed, agent, t, dim).tobytes()
@@ -196,13 +202,15 @@ class TestBlockDirections:
         assert drawn == [(4, 512, 1024), (4, 1024, 1536), (4, 2**32 - 512, 2**32),
                          (3, 2**32 - (2**32 % 682), 2**32)]
 
-    def test_keys_outside_the_block_take_the_scalar_route(self, monkeypatch):
+    def test_keys_outside_the_config_are_rejected(self, monkeypatch):
         cfg = OracleConfig(4, 0.1, 2, rng_seed=3)
         sample_direction(cfg, 1, 12)  # caches the block of times 0..511
         monkeypatch.setattr(oracle, "_direction_block", lambda *args: pytest.fail("block drawn"))
         for agent, t in [(4, 12), (2**40, 3), (1, 2**32), (1, 2**32 + 9), (3, 2**64)]:
-            assert np.array_equal(sample_direction(cfg, agent, t),
-                                  reference_direction(3, agent, t, 2))
+            message = (rf"direction key \(agent={agent}, t={t}\) is outside agents 0\.\.3 "
+                       rf"and times 0\.\.{2**32 - 1}$")
+            with pytest.raises(ValueError, match=message):
+                sample_direction(cfg, agent, t)
 
     def test_configs_and_runs_interleaved_in_one_thread_match_reference(self):
         a = OracleConfig(5, 0.1, 2, rng_seed=21)
@@ -469,9 +477,10 @@ class TestGradientFreeOracle:
     @pytest.mark.parametrize("dim", [3, 1])
     def test_returns_a_fresh_array_and_leaves_x_alone(self, dim, prefetch):
         # the estimate is written into the fresh direction, so each call
-        # must own its direction and never write to the caller's x; t = 2
-        # is served from the cached block, t >= 2^32 by the scalar route
-        t = 2 if prefetch else 2**32 + 2
+        # must own its direction and never write to the caller's x; the
+        # second call is served from the cached block, or, without prefetch,
+        # misses it after another config's draw and draws the block again
+        t = 2
         stream = paper_objective_stream(2, dim=dim, coeff_seed=4)
         cfg = OracleConfig(2, 1e-2, dim, rng_seed=8)
         x = np.array([0.3, -1.1, 2.0][:dim])
@@ -479,6 +488,8 @@ class TestGradientFreeOracle:
         first = gradient_free_oracle(stream, cfg, 1, t, x)
         expected = first.copy()
         first[:] = 7.0
+        if not prefetch:
+            sample_direction(OracleConfig(2, 1e-2, dim, rng_seed=8), 1, t)
         second = gradient_free_oracle(stream, cfg, 1, t, x)
         xi = sample_direction(cfg, 1, t)
         assert second.tobytes() == expected.tobytes()
@@ -487,28 +498,11 @@ class TestGradientFreeOracle:
         assert x.tobytes() == kept
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_an_agent_past_n_agents_takes_the_per_key_route_to_the_stream(self, monkeypatch, dim):
-        # the gain is one float, so no agent index is read before the draw: an
-        # agent >= n_agents draws its direction key by key and the stream's
-        # evaluate decides what it does with that agent
-        monkeypatch.setattr(oracle, "_direction_block", lambda *args: pytest.fail("block drawn"))
-        calls = []
-        stream = ObjectiveStream(n_agents=2, dim=dim,
-                                 evaluate=lambda i, t, x: calls.append(i) or float(np.sum(x)))
-        cfg = OracleConfig(2, 0.1, dim, rng_seed=4)
-        x = np.linspace(0.3, -0.2, dim)
-        g = gradient_free_oracle(stream, cfg, 5, 9, x)
-        xi = reference_direction(4, 5, 9, dim)
-        assert calls == [5, 5]
-        assert g.tobytes() == (xi * ((float(np.sum(x + 0.1 * xi)) - float(np.sum(x))) / 0.1)).tobytes()
-        with pytest.raises(IndexError):
-            gradient_free_oracle(paper_objective_stream(2, dim=dim), cfg, 2, 9, x)
-
-    @pytest.mark.parametrize("agent", [-1, -2, -(2**40)])
-    def test_a_negative_agent_is_rejected_before_any_evaluation(self, agent):
-        stream = ObjectiveStream(n_agents=2, dim=2, evaluate=lambda *args: pytest.fail("evaluated"))
-        with pytest.raises(ValueError):
-            gradient_free_oracle(stream, OracleConfig(2, 0.1, 2, rng_seed=4), agent, 9, np.zeros(2))
+    @pytest.mark.parametrize("agent", [-1, -2, -(2**40), 2, 2**40])
+    def test_an_agent_outside_the_config_is_rejected_before_any_evaluation(self, agent, dim):
+        stream = ObjectiveStream(n_agents=2, dim=dim, evaluate=lambda *args: pytest.fail("evaluated"))
+        with pytest.raises(ValueError, match=rf"\(agent={agent}, t=9\) is outside agents 0\.\.1"):
+            gradient_free_oracle(stream, OracleConfig(2, 0.1, dim, rng_seed=4), agent, 9, np.zeros(dim))
 
     def test_deterministic_sequences(self):
         stream = norm_stream(2, dim=2)
@@ -780,7 +774,8 @@ class TestDimOneRoute:
         x = np.array([v])
         for mu in (1e-3, 0.5, 1e150):
             cfg = OracleConfig(3, mu, 1, rng_seed=6)
-            for agent, t in ((0, 0), (2, 9), (1, 2**32 + 1)):
+            # (1, 2^32 - 1) misses the block of times 0..681 that (0, 0) drew
+            for agent, t in ((0, 0), (2, 9), (1, 2**32 - 1)):
                 xi = reference_direction(6, agent, t, 1)
                 expected = _outcome(lambda: array_estimates(values, mu, [agent], [t], x[None],
                                                             xi[None])[0])
