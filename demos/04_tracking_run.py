@@ -20,7 +20,7 @@ with warnings.catch_warnings():
 
 print("=== run summary ===")
 print(f"agents: {trace.n_agents}, horizon: {trace.horizon}")
-print(f"graph edges: {int(trace.graph.adjacency.sum())} (incl. self-loops)")
+print(f"graph edges: {len(trace.metadata()['graph_edges'])} (incl. self-loops)")
 print(f"conservative gain bound: {trace.delta_hat_value:.2e} "
       f"(operating gain {config.delta}, warning recorded: {bool(trace.warnings)})")
 

@@ -283,8 +283,8 @@ GRAPH_KINDS = {
 }
 
 
-def make_graph(kind: str, n: int, seed: int = 0, extra_edge_prob: float = 0.3) -> Digraph:
-    """Named topology constructor used by configs; `kind` is a key of GRAPH_KINDS."""
+def make_graph(kind: str, n: int, seed: int, extra_edge_prob: float) -> Digraph:
+    """The GRAPH_KINDS topology `kind` on n agents; "random" alone reads the last two."""
     return GRAPH_KINDS[kind](n, seed, extra_edge_prob)
 
 
@@ -318,11 +318,10 @@ def gain_fit(wp: WeightPair, delta: float, t_max: int):
 
 @dataclass
 class Trace:
-    """Recorded run: decisions, costs, spread, and optional diagnostics.
-
-    Arrays are indexed by time 0..T for states and 0..T-1 for per-step
-    quantities (gamma, oracle norms, residuals).
-    """
+    """Recorded run: decisions, costs, spread, the weight pair its rounds mixed
+    with (the edge list is its support), and optional diagnostics.  Arrays are
+    indexed by time 0..T for states and 0..T-1 for per-step quantities (gamma,
+    oracle norms, residuals)."""
 
     config: RunConfig
     x: np.ndarray                      # (T+1, N, p)
@@ -334,7 +333,7 @@ class Trace:
     y: np.ndarray | None = None        # (T+1, N, p)
     g_norm: np.ndarray | None = None   # (T, N)
     theta: np.ndarray | None = None    # (T, N, p)
-    graph: Digraph | None = None       # the topology run() built
+    weights: WeightPair | None = None  # the (W_r, W_c) pair run() mixed with
     delta_hat_value: float = float("nan")
     lambda_fit: float | None = None
     c_fit: float | None = None
@@ -354,7 +353,7 @@ class Trace:
             return v if v is not None and math.isfinite(v) else None
         return {
             "config": self.config.to_dict(),
-            "graph_edges": np.argwhere(self.graph.adjacency).tolist(),
+            "graph_edges": np.argwhere(self.weights.w_row.T > 0).tolist(),
             "delta_hat": self.delta_hat_value,
             "lambda_fit": finite(self.lambda_fit),
             "c_fit": finite(self.c_fit),
@@ -485,8 +484,8 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     theta_hist = np.empty((t_end, n, p)) if config.record_oracle else None
     gamma_hist = np.array([config.step_size(t) for t in range(t_end)], dtype=float)
 
-    g = make_graph(config.graph_kind, n, config.graph_seed, config.extra_edge_prob)
-    wp = equal_neighbor_weights(g)
+    wp = equal_neighbor_weights(make_graph(config.graph_kind, n, config.graph_seed,
+                                           config.extra_edge_prob))
 
     if stream is None:
         stream = make_stream(config.stream_name, config.n_agents, config.dim, config.master_seed)
@@ -512,10 +511,11 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
                    f"convergence is not certified at this gain")
             run_warnings.append(msg)
             _warnings.warn(msg, RuntimeWarning, stacklevel=2)
-        if not lam_fit < 1.0:  # a NaN rate: the powers overflowed
+        if not lam_fit < 1.0:
+            rate = ("they overflow, so no rate fits" if math.isnan(lam_fit)
+                    else f"fitted rate {lam_fit:.4f} >= 1")
             msg = (f"augmented matrix powers diverge at delta={config.delta:g} "
-                   f"(fitted rate {lam_fit:.4f} >= 1); surplus coupling is unstable "
-                   f"on this topology")
+                   f"({rate}); surplus coupling is unstable on this topology")
             run_warnings.append(msg)
             _warnings.warn(msg, RuntimeWarning, stacklevel=2)
 
@@ -551,6 +551,6 @@ def run(config: RunConfig, stream: ObjectiveStream | None = None) -> Trace:
     return Trace(
         config=config, x=x_hist, cost=cost, spread=spread, gamma=gamma_hist, stream=stream,
         x_star=x_star, y=y_hist, g_norm=g_norm, theta=theta_hist,
-        graph=g, delta_hat_value=dh,
+        weights=wp, delta_hat_value=dh,
         lambda_fit=lam_fit, c_fit=c_fit, warnings=run_warnings,
     )

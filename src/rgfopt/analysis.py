@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algorithm import Trace, gain_fit
-from .graph import WeightPair, delta_hat, equal_neighbor_weights
+from .graph import WeightPair, delta_hat
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-9  # final bracket width of the numeric minimizer fallback
@@ -258,7 +258,7 @@ def theta_over_gamma(trace: Trace) -> np.ndarray:
 
 def fit_constants_from_trace(trace: Trace) -> BoundInputs:
     """Assemble bound inputs from a recorded run: spectral fit at the run's
-    gain on the weights of its graph, plus measured residual ceilings.
+    gain on the weight pair it mixed with, plus measured residual ceilings.
     The subgradient bound comes from `trace.stream` when it declares one,
     evaluated at the radius of the configured feasible set, else from the
     largest observed oracle norm (a valid empirical proxy).  The path length
@@ -269,7 +269,7 @@ def fit_constants_from_trace(trace: Trace) -> BoundInputs:
         raise ValueError(_UNRECORDED)
     ratio = theta_over_gamma(trace)
     cfg = trace.config
-    _, c_fit, lam_fit, _ = gain_fit(equal_neighbor_weights(trace.graph), cfg.delta, 200)
+    _, c_fit, lam_fit, _ = gain_fit(trace.weights, cfg.delta, 200)
     lam_fit = min(lam_fit, 1.0 - 1e-9)
     rho = cfg.feasible_set().radius
     bound = trace.stream.subgradient_bound

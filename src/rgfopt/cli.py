@@ -153,7 +153,8 @@ def _cmd_spectral(args) -> int:
             raise ValueError("empty delta grid")
     except ValueError as exc:
         raise _ParseError(f"bad delta grid {args.delta_grid!r}: {exc}") from None
-    wp = equal_neighbor_weights(make_graph(args.graph, args.n, seed=args.graph_seed))
+    wp = equal_neighbor_weights(make_graph(args.graph, args.n, args.graph_seed,
+                                           RunConfig.extra_edge_prob))
     rows = [[r.delta, r.delta_hat_value,
              *("" if v is None else v for v in (r.lambda_fit, r.c_fit, r.r_squared)),
              int(r.geometric), r.error or ""]

@@ -179,8 +179,7 @@ def quadratic_norm_stream(dim: int) -> ObjectiveStream:
         x = np.asarray(x)
         return float(x.dot(x))
 
-    return ObjectiveStream(
-        n_agents=1, dim=dim, evaluate=evaluate, analytic_minimizer=lambda t: np.zeros(dim))
+    return ObjectiveStream(n_agents=1, dim=dim, evaluate=evaluate)
 
 
 def _row_norms(points: np.ndarray) -> np.ndarray:
@@ -195,7 +194,7 @@ UNBIASED_DIM, UNBIASED_POINTS, UNBIASED_MU = 3, 5, 0.01
 MOMENT_DIMS, MOMENT_MU = (1, 2, 5), 1e-3
 
 
-def sandwich_table(n_samples: int = 100_000, seed: int = 2024) -> list[dict]:
+def sandwich_table(n_samples: int, seed: int) -> list[dict]:
     """Smoothing sandwich check rows for f(x) = |x| at SANDWICH_POINTS points
     uniform in [-2, 2], with mu = SANDWICH_MU.
 
@@ -253,7 +252,7 @@ def _square_norms(points: np.ndarray) -> np.ndarray:
     return (points ** 2).sum(axis=1)
 
 
-def unbiasedness_check(n_draws: int = 100_000, seed: int = 11) -> list[dict]:
+def unbiasedness_check(n_draws: int, seed: int) -> list[dict]:
     """Oracle-mean versus smoothed-gradient rows for the squared-norm cost at
     UNBIASED_POINTS points in R^UNBIASED_DIM, with mu = UNBIASED_MU.
 
@@ -286,7 +285,7 @@ def unbiasedness_check(n_draws: int = 100_000, seed: int = 11) -> list[dict]:
     return rows
 
 
-def second_moment_check(n_draws: int = 100_000, seed: int = 5) -> list[dict]:
+def second_moment_check(n_draws: int, seed: int) -> list[dict]:
     """Mean squared oracle norm against the (p+4)^2 D^2 ceiling on a
     unit-Lipschitz stream with mu = MOMENT_MU, one row per p in MOMENT_DIMS."""
     rows = []
@@ -333,10 +332,7 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
     second = second_moment_check(n_draws=n_samples, seed=seed + 5)
 
     trace = run(config)
-    topologies = {
-        "cycle_10": equal_neighbor_weights(make_cycle(10)),
-        "random_10": equal_neighbor_weights(trace.graph),
-    }
+    topologies = {"cycle_10": equal_neighbor_weights(make_cycle(10)), "random_10": trace.weights}
     spectral = {name: spectral_report(wp, DELTA_GRID) for name, wp in topologies.items()}
     dh_values = {name: report[0].delta_hat_value for name, report in spectral.items()}
     ratio = theta_over_gamma(trace)

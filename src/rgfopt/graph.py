@@ -217,6 +217,7 @@ def delta_hat(wp: WeightPair) -> float:
     return float(((1.0 - sigma3) / (20.0 + 8.0 * n)) ** n)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing powers give a NaN fit
 def matrix_power_gap_series(am: AugmentedMatrix, t_max: int) -> np.ndarray:
     """Max-absolute-row-sum distance between W^t and its limit
     [[11^T/N, 11^T/N], [0, 0]] at every power t = 1..t_max, computed by

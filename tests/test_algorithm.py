@@ -413,7 +413,9 @@ class TestRun:
         law = edge_set_law(kind, 7, prob=0.4, seed=3)
         # JSON-ready Python ints, in the order of the sorted edge list
         assert json.dumps(trace.metadata()["graph_edges"]) == json.dumps(sorted(map(list, law)))
-        assert np.array_equal(trace.graph.adjacency, algorithm.make_graph(kind, 7, 3, 0.4).adjacency)
+        wp = equal_neighbor_weights(algorithm.make_graph(kind, 7, 3, 0.4))
+        assert (trace.weights.w_row.tobytes(), trace.weights.w_col.tobytes()) == \
+            (wp.w_row.tobytes(), wp.w_col.tobytes())
 
     def test_numpy_integers_accepted(self):
         config = RunConfig(n_agents=np.int64(4), horizon=np.int32(3), master_seed=np.uint8(1),

@@ -368,6 +368,16 @@ class TestFittedConstants:
         with pytest.raises(ValueError, match="no residual recording"):
             fit_constants_from_trace(trace)
 
+    def test_the_fit_reads_the_weight_pair_on_the_trace(self):
+        # a trace carrying another graph's pair is fitted on that pair, not on
+        # one rebuilt from its config
+        trace = r.run(RunConfig(horizon=20, check_delta_bound=False))
+        wp = equal_neighbor_weights(r.algorithm.make_graph("complete", 10, 0, 0.0))
+        inputs = fit_constants_from_trace(dataclasses.replace(trace, weights=wp))
+        _, c, lam, _ = gain_fit(wp, trace.config.delta, 200)
+        assert lam < 1.0 and (inputs.c_fit, inputs.lambda_fit) == (c, lam)
+        assert (c, lam) != gain_fit(trace.weights, trace.config.delta, 200)[1:3]
+
     def test_constants_from_sv_run(self, sv_trace):
         inputs = fit_constants_from_trace(sv_trace)
         assert 0.0 < inputs.lambda_fit < 1.0

@@ -483,8 +483,9 @@ def test_an_overflowing_gain_fit_warns_and_is_written_as_null(tmp_path, capsys):
         warnings.simplefilter("always")
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
     diverge = "augmented matrix powers diverge at delta=1000"
-    assert any(json.loads(line)["message"].startswith(diverge)
-               for line in capsys.readouterr().err.splitlines())
+    [nan_rate] = [message for line in capsys.readouterr().err.splitlines()
+                  if (message := json.loads(line)["message"]).startswith(diverge)]
+    assert ">= 1" not in nan_rate  # no rate was fitted to compare with 1
 
     def reject(constant):
         raise ValueError(f"{constant} is not standard JSON")
@@ -492,6 +493,25 @@ def test_an_overflowing_gain_fit_warns_and_is_written_as_null(tmp_path, capsys):
     meta = json.loads((tmp_path / "o" / "run_meta.json").read_text(), parse_constant=reject)
     assert meta["lambda_fit"] is None and meta["c_fit"] is None
     assert any(w.startswith(diverge) for w in meta["warnings"])
+
+
+def test_overflowing_powers_leave_only_rgfopt_lines_on_stderr(tmp_path):
+    # numpy's matmul overflow warnings stay silent; the NaN fit is the report
+    cfg = write_config(tmp_path / "c.json", horizon=3, delta=1000.0, check_delta_bound=True)
+    proc = _cli(["run", "--config", str(cfg), "--out", "o"], tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+        {"warning": "RuntimeWarning",
+         "message": "delta=1000 exceeds the guaranteed gain ceiling min(delta_hat=2.871e-25, "
+                    "fitted=0.000e+00); convergence is not certified at this gain"},
+        {"warning": "RuntimeWarning",
+         "message": "augmented matrix powers diverge at delta=1000 (they overflow, so no rate "
+                    "fits); surplus coupling is unstable on this topology"}]
+    proc = _cli(["spectral", "--delta-grid", "0.1,1000,1e300"], tmp_path)
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    rows = [row.split(",") for row in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["0.1", "1000.0", "1e+300"]
+    assert [row[2:6] for row in rows[1:]] == [["nan", "nan", "nan", "0"]] * 2
 
 
 def test_huge_ball_ends_with_a_runtime_error(tmp_path, capsys):
