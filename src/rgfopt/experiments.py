@@ -120,7 +120,6 @@ class AgentSweepResult:
     agent_counts: tuple
     mean_time_avg: dict              # n -> (T,) curve over t = 1..T
     final_values: dict               # n -> value at T
-    traces: dict                     # n -> Trace
     out_dir: Path
     paths: dict = field(default_factory=dict)
 
@@ -139,21 +138,20 @@ def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int
     if horizon < 1:
         raise ConfigError(f"fig4 needs horizon >= 1, got horizon={horizon}")
     directory = _out_dir("fig4", out_dir)
-    mean_curves, finals, traces = {}, {}, {}
+    t_axis = np.arange(1, horizon + 1)
+    mean_curves, finals, warnings = {}, {}, {}
     for n, config in zip(agent_counts, configs):
         trace = run(config)
-        ledger = build_regret_ledger(trace)
-        t_axis = np.arange(1, horizon + 1)
-        curve = ledger.regret_curve[1:].mean(axis=1) / t_axis
-        mean_curves[n] = curve
+        curve = mean_curves[n] = build_regret_ledger(trace).regret_curve[1:].mean(axis=1) / t_axis
         finals[n] = float(curve[-1])
-        traces[n] = trace
+        warnings[str(n)] = trace.warnings
+        del trace  # no earlier ring's histories stay alive while the next ring runs
 
     paths = {}
     paths["series"] = directory / "fig4_series.csv"
     paths["series"].write_text(csv_text(
         ["t", "n_agents", "mean_time_avg_regret"],
-        [np.tile(np.arange(1, horizon + 1), len(agent_counts)),
+        [np.tile(t_axis, len(agent_counts)),
          np.repeat(np.array(agent_counts, dtype=int), horizon),
          np.array([mean_curves[n] for n in agent_counts]).ravel()]))
     meta = {
@@ -161,16 +159,16 @@ def experiment_fig4(seed: int = 0, agent_counts=(10, 50, 100, 200), horizon: int
         "agent_counts": list(agent_counts),
         "ring_kind": "ring",
         "seed_policy": "same master seed per N; per-N streams regenerated",
-        "configs": {str(n): traces[n].config.to_dict() for n in agent_counts},
+        "configs": {str(n): config.to_dict() for n, config in zip(agent_counts, configs)},
         "final_values": {str(n): finals[n] for n in agent_counts},
-        "warnings": {str(n): traces[n].warnings for n in agent_counts},
+        "warnings": warnings,
     }
     paths["metadata"] = directory / "run_meta.json"
     _write_json(paths["metadata"], meta)
     paths["plot_script"] = directory / "plot_figs.py"
     paths["plot_script"].write_text(_PLOT_SCRIPT)
     return AgentSweepResult(agent_counts=tuple(agent_counts), mean_time_avg=mean_curves,
-                            final_values=finals, traces=traces, out_dir=directory, paths=paths)
+                            final_values=finals, out_dir=directory, paths=paths)
 
 
 def quadratic_norm_stream(dim: int) -> ObjectiveStream:
@@ -311,7 +309,6 @@ class DiagnosticsResult:
     spectral: dict                    # topology name -> list[SpectralRow]
     delta_hat_values: dict            # topology name -> float
     theta_ratio_max: float
-    theta_ratio_final_decade_span: float
     out_dir: Path
     paths: dict = field(default_factory=dict)
 
@@ -371,8 +368,7 @@ def experiment_diagnostics(seed: int = 0, horizon: int = 5000, n_samples: int = 
     return DiagnosticsResult(
         sandwich=sandwich, unbiasedness=unbiased, second_moment=second,
         spectral=spectral, delta_hat_values=dh_values,
-        theta_ratio_max=ratio_max, theta_ratio_final_decade_span=span,
-        out_dir=directory, paths=paths,
+        theta_ratio_max=ratio_max, out_dir=directory, paths=paths,
     )
 
 

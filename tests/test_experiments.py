@@ -1,3 +1,4 @@
+import gc
 import glob
 import hashlib
 import json
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +97,26 @@ class TestAgentSweep:
         # fig4 records one config per N, so there is no single run to replay
         with pytest.raises(ValueError, match=r"run_meta\.json records no single run.*'configs'"):
             rerun_from_metadata(res.paths["metadata"])
+
+    def test_one_ring_trace_alive_at_a_time(self, tmp_path, monkeypatch):
+        # the sweep keeps each ring's curve and warnings, not its trace, so the
+        # paper-size sweep holds one ring's histories at a time
+        real_run, refs, alive_at_call = experiments.run, [], []
+
+        def recording_run(config):
+            alive_at_call.append(sum(ref() is not None for ref in refs))
+            trace = real_run(config)
+            refs.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(experiments, "run", recording_run)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            res = experiment_fig4(seed=0, agent_counts=(4, 8), horizon=50, out_dir=tmp_path)
+        assert alive_at_call == [0, 0]
+        gc.collect()
+        assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
+        assert set(res.final_values) == {4, 8}
 
     @pytest.mark.parametrize("kwargs", [
         {"agent_counts": (1,)}, {"agent_counts": (4, 1)}, {"horizon": 50.0}, {"seed": True},
